@@ -147,7 +147,7 @@ impl<P: Analyzable> WeakDistance for BoundaryWeakDistance<P> {
     fn eval(&self, x: &[f64]) -> f64 {
         let mut obs = BoundaryObserver::new(self.mode);
         self.opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .run(x, &mut obs);
         obs.w
     }
@@ -155,7 +155,7 @@ impl<P: Analyzable> WeakDistance for BoundaryWeakDistance<P> {
     fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         let mut session = self
             .opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .batch_executor(self.kernel_policy);
         crate::weak_distance::batch_observed(
             session.as_mut(),

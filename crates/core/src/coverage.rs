@@ -100,7 +100,7 @@ impl<P: Analyzable> WeakDistance for CoverageWeakDistance<P> {
             w: UNREACHED_PENALTY,
         };
         self.opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .run(x, &mut obs);
         obs.w
     }
@@ -108,7 +108,7 @@ impl<P: Analyzable> WeakDistance for CoverageWeakDistance<P> {
     fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         let mut session = self
             .opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .batch_executor(self.kernel_policy);
         crate::weak_distance::batch_observed(
             session.as_mut(),

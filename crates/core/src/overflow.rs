@@ -102,7 +102,7 @@ impl<P: Analyzable> OverflowWeakDistance<P> {
             overflowed_at: None,
         };
         self.opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .run(x, &mut obs);
         (obs.w, obs.last_tracked, obs.overflowed_at)
     }
@@ -124,7 +124,7 @@ impl<P: Analyzable> WeakDistance for OverflowWeakDistance<P> {
     fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         let mut session = self
             .opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .batch_executor(self.kernel_policy);
         crate::weak_distance::batch_observed(
             session.as_mut(),

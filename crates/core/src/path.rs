@@ -46,6 +46,9 @@ impl Observer for PathObserver<'_> {
 pub struct PathWeakDistance<P> {
     program: P,
     path: Path,
+    /// The distinct sites of `path`, built once: each evaluation counts
+    /// the ones it never reached.
+    required: BTreeSet<BranchId>,
     kernel_policy: KernelPolicy,
     opt: SpecializationCache,
 }
@@ -53,9 +56,11 @@ pub struct PathWeakDistance<P> {
 impl<P: Analyzable> PathWeakDistance<P> {
     /// Creates the weak distance for the given required path.
     pub fn new(program: P, path: Path) -> Self {
+        let required = path.iter().map(|(s, _)| *s).collect();
         PathWeakDistance {
             program,
             path,
+            required,
             kernel_policy: KernelPolicy::Auto,
             opt: SpecializationCache::default(),
         }
@@ -102,19 +107,17 @@ impl<P: Analyzable> WeakDistance for PathWeakDistance<P> {
             reached: BTreeSet::new(),
         };
         self.opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .run(x, &mut obs);
-        let required: BTreeSet<BranchId> = self.path.iter().map(|(s, _)| *s).collect();
-        let missing = required.difference(&obs.reached).count();
+        let missing = self.required.difference(&obs.reached).count();
         obs.w + missing as f64 * UNREACHED_PENALTY
     }
 
     fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         let mut session = self
             .opt
-            .specialized(&self.program, &self.observation_spec())
+            .specialized(&self.program, || self.observation_spec())
             .batch_executor(self.kernel_policy);
-        let required: BTreeSet<BranchId> = self.path.iter().map(|(s, _)| *s).collect();
         crate::weak_distance::batch_observed(
             session.as_mut(),
             xs,
@@ -124,7 +127,7 @@ impl<P: Analyzable> WeakDistance for PathWeakDistance<P> {
                 reached: BTreeSet::new(),
             },
             |obs| {
-                let missing = required.difference(&obs.reached).count();
+                let missing = self.required.difference(&obs.reached).count();
                 obs.w + missing as f64 * UNREACHED_PENALTY
             },
             out,
@@ -179,12 +182,9 @@ impl<P: Analyzable> PathAnalysis<P> {
         }) {
             return statically_pruned_run(UNREACHED_PENALTY);
         }
-        let wd = PathWeakDistance {
-            program: &self.program,
-            path: path.clone(),
-            kernel_policy: config.kernel_policy,
-            opt: SpecializationCache::new(config.opt_policy),
-        };
+        let wd = PathWeakDistance::new(&self.program, path.clone())
+            .with_kernel_policy(config.kernel_policy)
+            .with_opt_policy(config.opt_policy);
         minimize_weak_distance(&wd, config)
     }
 

@@ -69,15 +69,17 @@ impl SpecializationCache {
     }
 
     /// The program evaluations should run: the specialized variant when one
-    /// exists (computed against `spec` on first call), `program` otherwise.
+    /// exists, `program` otherwise. `spec` builds the target's observation
+    /// spec; it runs only on the first call, so later evaluations never
+    /// rebuild (or allocate) it.
     pub fn specialized<'a>(
         &'a self,
         program: &'a dyn Analyzable,
-        spec: &ObservationSpec,
+        spec: impl FnOnce() -> ObservationSpec,
     ) -> &'a dyn Analyzable {
         match self
             .cell
-            .get_or_init(|| program.specialize(spec, self.policy))
+            .get_or_init(|| program.specialize(&spec(), self.policy))
         {
             Some(p) => &**p,
             None => program,

@@ -189,14 +189,7 @@ impl BasinHopping {
                 .minimize_from(problem, x0, budget, sink),
             LocalSearch::None => {
                 // Single evaluation at the proposed point.
-                let capped = Problem {
-                    objective: problem.objective,
-                    bounds: problem.bounds.clone(),
-                    target: problem.target,
-                    max_evals: problem.max_evals,
-                    cancel: problem.cancel.clone(),
-                };
-                let mut ev = Evaluator::new(&capped, sink);
+                let mut ev = Evaluator::new(problem, sink);
                 let v = ev.eval(x0);
                 MinimizeResult::new(x0.to_vec(), v, 1, Termination::IterationsCompleted)
             }

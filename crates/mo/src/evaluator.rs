@@ -111,6 +111,9 @@ pub struct Evaluator<'a, 'b> {
     best_value: f64,
     has_best: bool,
     target_hit: bool,
+    /// The clamped copy of the point [`Evaluator::eval`] evaluates; sized
+    /// on first use and reused, so later scalar evaluations never allocate.
+    scratch: Vec<f64>,
 }
 
 impl<'a, 'b> Evaluator<'a, 'b> {
@@ -139,7 +142,16 @@ impl<'a, 'b> Evaluator<'a, 'b> {
             best_value: state.best_value,
             has_best: state.has_best,
             target_hit: state.target_hit,
+            scratch: Vec::new(),
         }
+    }
+
+    /// Lowers the budget to at most `max_evals` evaluations: the per-call
+    /// budget of a local search. The problem's own budget still applies,
+    /// and a run that suspends must re-apply the same cap on resume.
+    pub fn capped(mut self, max_evals: usize) -> Self {
+        self.max_evals = self.max_evals.min(max_evals);
+        self
     }
 
     /// Detaches the bookkeeping so a stepped backend can pause here and
@@ -157,11 +169,15 @@ impl<'a, 'b> Evaluator<'a, 'b> {
     /// Evaluates the objective at `x` (clamped into the bounds), records the
     /// sample and updates the incumbent.
     pub fn eval(&mut self, x: &[f64]) -> f64 {
-        let clamped = self.problem.bounds.clamped(x);
+        let mut clamped = std::mem::take(&mut self.scratch);
+        clamped.clear();
+        clamped.extend_from_slice(x);
+        self.problem.bounds.clamp(&mut clamped);
         let value = self.problem.objective.eval(&clamped);
         self.sink.record(self.evals as u64, &clamped, value);
         self.evals += 1;
         self.note(&clamped, value);
+        self.scratch = clamped;
         value
     }
 

@@ -83,22 +83,34 @@ impl NelderMead {
         let n = x0.len();
         let mut simplex = self.initial_simplex(x0);
         let mut values: Vec<f64> = simplex.iter().map(|v| ev.eval(v)).collect();
+        // Work buffers, allocated once per call: every iteration rewrites
+        // them in place, so the loop itself never allocates.
+        let mut order: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut sorted = simplex.clone();
+        let mut sorted_values = values.clone();
+        let mut centroid = vec![0.0; n];
+        let mut reflect = vec![0.0; n];
+        let mut expand = vec![0.0; n];
+        let mut contract = vec![0.0; n];
 
         for _ in 0..self.max_iters {
             if ev.should_stop() {
                 break;
             }
             // Order the simplex by value (NaN last).
-            let mut order: Vec<usize> = (0..=n).collect();
+            order.clear();
+            order.extend(0..=n);
             order.sort_by(|&a, &b| {
                 values[a]
                     .partial_cmp(&values[b])
                     .unwrap_or(std::cmp::Ordering::Greater)
             });
-            let reordered: Vec<Vec<f64>> = order.iter().map(|&i| simplex[i].clone()).collect();
-            let reordered_vals: Vec<f64> = order.iter().map(|&i| values[i]).collect();
-            simplex = reordered;
-            values = reordered_vals;
+            for ((vertex, value), &i) in sorted.iter_mut().zip(&mut sorted_values).zip(&order) {
+                vertex.copy_from_slice(&simplex[i]);
+                *value = values[i];
+            }
+            std::mem::swap(&mut simplex, &mut sorted);
+            std::mem::swap(&mut values, &mut sorted_values);
 
             let spread = (values[n] - values[0]).abs();
             if spread.is_finite() && spread <= self.f_tol {
@@ -106,64 +118,64 @@ impl NelderMead {
             }
 
             // Centroid of all points but the worst.
-            let mut centroid = vec![0.0; n];
+            centroid.fill(0.0);
             for v in simplex.iter().take(n) {
                 for (c, vi) in centroid.iter_mut().zip(v) {
                     *c += vi / n as f64;
                 }
             }
 
-            let worst = simplex[n].clone();
-            let reflect: Vec<f64> = centroid
-                .iter()
-                .zip(&worst)
-                .map(|(c, w)| c + self.alpha * (c - w))
-                .collect();
+            let worst = &simplex[n];
+            for ((r, c), w) in reflect.iter_mut().zip(&centroid).zip(worst) {
+                *r = c + self.alpha * (c - w);
+            }
             let f_reflect = ev.eval(&reflect);
 
             if f_reflect < values[0] {
                 // Try expansion.
-                let expand: Vec<f64> = centroid
-                    .iter()
-                    .zip(&worst)
-                    .map(|(c, w)| c + self.gamma * self.alpha * (c - w))
-                    .collect();
+                for ((e, c), w) in expand.iter_mut().zip(&centroid).zip(worst) {
+                    *e = c + self.gamma * self.alpha * (c - w);
+                }
                 let f_expand = ev.eval(&expand);
                 if f_expand < f_reflect {
-                    simplex[n] = expand;
+                    simplex[n].copy_from_slice(&expand);
                     values[n] = f_expand;
                 } else {
-                    simplex[n] = reflect;
+                    simplex[n].copy_from_slice(&reflect);
                     values[n] = f_reflect;
                 }
             } else if f_reflect < values[n - 1] {
-                simplex[n] = reflect;
+                simplex[n].copy_from_slice(&reflect);
                 values[n] = f_reflect;
             } else {
                 // Contraction (outside if the reflected point improved on the
                 // worst vertex, inside otherwise).
-                let towards = if f_reflect < values[n] { &reflect } else { &worst };
-                let f_towards = if f_reflect < values[n] { f_reflect } else { values[n] };
-                let contract: Vec<f64> = centroid
-                    .iter()
-                    .zip(towards)
-                    .map(|(c, t)| c + self.rho * (t - c))
-                    .collect();
+                let towards = if f_reflect < values[n] {
+                    &reflect
+                } else {
+                    worst
+                };
+                let f_towards = if f_reflect < values[n] {
+                    f_reflect
+                } else {
+                    values[n]
+                };
+                for ((k, c), t) in contract.iter_mut().zip(&centroid).zip(towards) {
+                    *k = c + self.rho * (t - c);
+                }
                 let f_contract = ev.eval(&contract);
                 if f_contract < f_towards {
-                    simplex[n] = contract;
+                    simplex[n].copy_from_slice(&contract);
                     values[n] = f_contract;
                 } else {
-                    // Shrink towards the best vertex.
-                    let best = simplex[0].clone();
-                    for i in 1..=n {
-                        let shrunk: Vec<f64> = best
-                            .iter()
-                            .zip(&simplex[i])
-                            .map(|(b, s)| b + self.sigma * (s - b))
-                            .collect();
-                        values[i] = ev.eval(&shrunk);
-                        simplex[i] = shrunk;
+                    // Shrink towards the best vertex, in place: each
+                    // coordinate depends only on its own old value.
+                    let (best, rest) = simplex.split_at_mut(1);
+                    for (vertex, value) in rest.iter_mut().zip(&mut values[1..]) {
+                        for (s, b) in vertex.iter_mut().zip(&best[0]) {
+                            *s = b + self.sigma * (*s - b);
+                        }
+                        *value = ev.eval(vertex);
                         if ev.should_stop() {
                             break;
                         }
@@ -187,14 +199,7 @@ impl LocalMinimizer for NelderMead {
             return invalid;
         }
         // Respect both the problem budget and the per-call budget.
-        let capped = Problem {
-            objective: problem.objective,
-            bounds: problem.bounds.clone(),
-            target: problem.target,
-            max_evals: max_evals.min(problem.max_evals),
-            cancel: problem.cancel.clone(),
-        };
-        let mut ev = Evaluator::new(&capped, sink);
+        let mut ev = Evaluator::new(problem, sink).capped(max_evals);
         let (x, value) = self.run(&mut ev, x0);
         let termination = ev.termination(Termination::Converged);
         MinimizeResult::new(x, value, ev.evals(), termination)

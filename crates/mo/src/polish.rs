@@ -61,7 +61,7 @@ impl GlobalMinimizer for Polish {
 impl SteppedMinimizer for Polish {
     fn start(&self, problem: &Problem<'_>, _seed: u64) -> Box<dyn MinimizerStep> {
         let x0 = problem.bounds.clamped(&self.x0);
-        Box::new(PowellStep::from_x0(self.powell.clone(), problem, x0))
+        Box::new(PowellStep::from_x0(self.powell.clone(), problem, x0, usize::MAX))
     }
 
     fn restore(

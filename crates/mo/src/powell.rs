@@ -74,15 +74,21 @@ impl Powell {
             let fx = ev.eval(x);
             return (x.to_vec(), fx);
         }
+        // One trial point per line search, rewritten for every step `t`
+        // and finally returned as the line minimum.
+        let mut pt = vec![0.0; n];
         let mut f = |t: f64| {
-            let pt: Vec<f64> = (0..n).map(|i| x[i] + t * dir[i]).collect();
+            for (i, p) in pt.iter_mut().enumerate() {
+                *p = x[i] + t * dir[i];
+            }
             ev.eval(&pt)
         };
         let m = line_minimize(0.0, self.initial_step, &mut f, self.line_tol, budget);
-        let best: Vec<f64> = (0..n).map(|i| x[i] + m.t * dir[i]).collect();
-        (best, m.value)
+        for (i, p) in pt.iter_mut().enumerate() {
+            *p = x[i] + m.t * dir[i];
+        }
+        (pt, m.value)
     }
-
 }
 
 /// The resumable state of one Powell run: the evolving direction set, the
@@ -93,6 +99,9 @@ impl Powell {
 /// the iteration boundary is the finest safe checkpoint.
 pub(crate) struct PowellStep {
     cfg: Powell,
+    /// The per-call budget cap of the local interface (`usize::MAX` for
+    /// stepped runs, which only ever stop at the problem budget).
+    max_evals: usize,
     started: bool,
     dirs: Vec<Vec<f64>>,
     x: Vec<f64>,
@@ -105,8 +114,14 @@ pub(crate) struct PowellStep {
 impl PowellStep {
     /// Captures the initial state of a run from the explicit start point
     /// `x0` (the local interface; the global interface samples `x0` from
-    /// the seed first). No objective evaluation happens here.
-    pub(crate) fn from_x0(cfg: Powell, problem: &Problem<'_>, x0: Vec<f64>) -> Self {
+    /// the seed first), spending at most `max_evals` evaluations. No
+    /// objective evaluation happens here.
+    pub(crate) fn from_x0(
+        cfg: Powell,
+        problem: &Problem<'_>,
+        x0: Vec<f64>,
+        max_evals: usize,
+    ) -> Self {
         let n = x0.len();
         // Initial directions: the coordinate axes, scaled to the magnitude of
         // the starting point so that huge-magnitude coordinates can move.
@@ -119,6 +134,7 @@ impl PowellStep {
             .collect();
         PowellStep {
             cfg,
+            max_evals,
             started: false,
             dirs,
             x: x0,
@@ -157,7 +173,7 @@ impl MinimizerStep for PowellStep {
         // Hand the state to the evaluator by move; every exit path below
         // suspends it back.
         let state = std::mem::replace(&mut self.ev, EvaluatorState::fresh(0));
-        let mut ev = Evaluator::resume(problem, sink, state);
+        let mut ev = Evaluator::resume(problem, sink, state).capped(self.max_evals);
         let slice_start = ev.evals();
 
         if !self.started {
@@ -265,18 +281,11 @@ impl LocalMinimizer for Powell {
         if let Some(invalid) = crate::reject_invalid(problem) {
             return invalid;
         }
-        let capped = Problem {
-            objective: problem.objective,
-            bounds: problem.bounds.clone(),
-            target: problem.target,
-            max_evals: max_evals.min(problem.max_evals),
-            cancel: problem.cancel.clone(),
-        };
         // One implementation for both interfaces: the local path drives the
         // same state machine the stepped path slices, in a single
         // whole-budget slice.
-        let mut run = PowellStep::from_x0(self.clone(), &capped, x0.to_vec());
-        while run.step(&capped, usize::MAX, sink) == StepStatus::Paused {}
+        let mut run = PowellStep::from_x0(self.clone(), problem, x0.to_vec(), max_evals);
+        while run.step(problem, usize::MAX, sink) == StepStatus::Paused {}
         run.result()
     }
 }
@@ -288,7 +297,7 @@ impl SteppedMinimizer for Powell {
         // SciPy Powell backend directly to the weak distance).
         let mut rng = crate::rng_from_seed(seed);
         let x0 = problem.bounds.sample(&mut rng);
-        Box::new(PowellStep::from_x0(self.clone(), problem, x0))
+        Box::new(PowellStep::from_x0(self.clone(), problem, x0, usize::MAX))
     }
 
     fn restore(
@@ -301,6 +310,7 @@ impl SteppedMinimizer for Powell {
         };
         Some(Box::new(PowellStep {
             cfg: self.clone(),
+            max_evals: usize::MAX,
             started: c.started,
             dirs: c.dirs.iter().map(|d| floats_of(d)).collect(),
             x: floats_of(&c.x),

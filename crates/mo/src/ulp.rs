@@ -122,16 +122,12 @@ impl LocalMinimizer for UlpSearch {
         if let Some(invalid) = crate::reject_invalid(problem) {
             return invalid;
         }
-        let capped = Problem {
-            objective: problem.objective,
-            bounds: problem.bounds.clone(),
-            target: problem.target,
-            max_evals: max_evals.min(problem.max_evals),
-            cancel: problem.cancel.clone(),
-        };
-        let mut ev = Evaluator::new(&capped, sink);
-        let mut x = capped.bounds.clamped(x0);
+        let mut ev = Evaluator::new(problem, sink).capped(max_evals);
+        let mut x = problem.bounds.clamped(x0);
         let mut fx = ev.eval(&x);
+        // The trial point: equal to `x` between trials, so each trial only
+        // moves coordinate `i` and puts it back.
+        let mut y = x.clone();
 
         'sweeps: for _ in 0..self.max_sweeps {
             let mut improved = false;
@@ -142,16 +138,19 @@ impl LocalMinimizer for UlpSearch {
                         if ev.should_stop() {
                             break 'sweeps;
                         }
-                        let mut y = x.clone();
-                        y[i] = Self::step(x[i], shift as u32, up);
-                        if y[i] == x[i] {
+                        let moved = Self::step(x[i], shift as u32, up);
+                        if moved == x[i] {
                             continue;
                         }
+                        y[i] = moved;
                         let fy = ev.eval(&y);
                         if crate::better(fy, fx) {
-                            x = capped.bounds.clamped(&y);
+                            problem.bounds.clamp(&mut y);
+                            x.copy_from_slice(&y);
                             fx = fy;
                             improved = true;
+                        } else {
+                            y[i] = x[i];
                         }
                     }
                 }

@@ -1,0 +1,178 @@
+//! Allocation regression: a scalar evaluation through the `Evaluator`
+//! never touches the heap, and the local searches allocate a fixed number
+//! of times per call, whatever their budget.
+//!
+//! A counting global allocator tallies allocations per thread, so the test
+//! threads the harness runs in parallel do not see each other's traffic.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use wdm::core::boundary::{BoundaryMode, BoundaryWeakDistance};
+use wdm::core::overflow::OverflowWeakDistance;
+use wdm::core::weak_distance::{WeakDistance, WeakDistanceObjective};
+use wdm::gsl::bessel::BesselKnuScaled;
+use wdm::gsl::glibc_sin::GlibcSin;
+use wdm::mo::evaluator::Evaluator;
+use wdm::mo::{
+    Bounds, FnObjective, LocalMinimizer, NelderMead, NoTrace, Problem, Termination, UlpSearch,
+};
+use wdm::runtime::{BranchId, OpId};
+use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation of the calling thread.
+struct Counting;
+
+fn count_one() {
+    // A const-initialized `Cell` has no destructor, so the counter is
+    // always accessible and touching it never allocates.
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting only touches a thread-local
+// `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning its result and the allocations this thread made.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// After one warm-up call, 10 000 `Evaluator::eval` calls over `wd` must
+/// not allocate.
+fn assert_eval_allocation_free(name: &str, wd: &dyn WeakDistance, points: &[Vec<f64>]) {
+    let objective = WeakDistanceObjective::new(wd);
+    let problem = Problem::new(&objective, objective.bounds()).with_target(0.0);
+    let mut sink = NoTrace;
+    let mut ev = Evaluator::new(&problem, &mut sink);
+    // The first evaluation specializes the program for the target.
+    ev.eval(&points[0]);
+    let ((), allocated) = allocations(|| {
+        for i in 0..10_000 {
+            ev.eval(&points[i % points.len()]);
+        }
+    });
+    assert_eq!(
+        allocated, 0,
+        "{name}: 10 000 evaluations allocated {allocated} times"
+    );
+    assert_eq!(ev.evals(), 10_001);
+}
+
+/// Points on every range of the programs, plus a NaN coordinate (clamped
+/// to the domain midpoint) and the extremes of binary64.
+fn points(dim: usize) -> Vec<Vec<f64>> {
+    let samples = [
+        0.5,
+        -2.0,
+        1.0e-9,
+        3.0e7,
+        -1.2e8,
+        1.0e300,
+        f64::MAX,
+        -f64::MAX,
+        f64::NAN,
+        7.0,
+    ];
+    (0..samples.len())
+        .map(|i| {
+            (0..dim)
+                .map(|d| samples[(i + 3 * d) % samples.len()])
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn single_site_sin_boundary_evaluations_do_not_allocate() {
+    let wd = BoundaryWeakDistance::new(GlibcSin).with_mode(BoundaryMode::Single(BranchId(3)));
+    assert_eval_allocation_free("sin boundary", &wd, &points(1));
+}
+
+#[test]
+fn overflow_evaluations_with_a_skip_set_do_not_allocate() {
+    let skip: BTreeSet<OpId> = [OpId(0), OpId(1), OpId(4)].into();
+    let wd = OverflowWeakDistance::new(BesselKnuScaled::new(), skip);
+    assert_eval_allocation_free("bessel overflow", &wd, &points(2));
+}
+
+#[test]
+fn cnf_evaluations_do_not_allocate() {
+    let cnf = Cnf::new(2)
+        .and(Clause::from(Atom::eq(
+            Expr::var(0) * Expr::var(1),
+            Expr::constant(7.0),
+        )))
+        .and(
+            Clause::new()
+                .or(Atom::ge(Expr::var(0) - Expr::var(1), Expr::constant(1.5)))
+                .or(Atom::le(Expr::var(0).sin(), Expr::constant(-0.5))),
+        );
+    assert_eval_allocation_free("xsat cnf", &CnfWeakDistance::new(cnf), &points(2));
+}
+
+/// Allocations of one `minimize_from` call at `budget`, over an objective
+/// that returns a value below every earlier one: neither search ever
+/// converges or stalls, so both budgets run to exhaustion.
+fn local_search_allocations(local: &dyn LocalMinimizer, budget: usize) -> u64 {
+    let calls = AtomicU64::new(0);
+    let f = FnObjective::new(3, |_: &[f64]| {
+        -(calls.fetch_add(1, Ordering::Relaxed) as f64)
+    });
+    let problem = Problem::new(&f, Bounds::whole(3));
+    let (result, allocated) =
+        allocations(|| local.minimize_from(&problem, &[1.0, -2.0, 3.0], budget, &mut NoTrace));
+    assert_eq!(result.termination, Termination::BudgetExhausted);
+    assert!(
+        result.evals >= budget,
+        "{} of {budget} evaluations",
+        result.evals
+    );
+    allocated
+}
+
+#[test]
+fn local_search_allocations_do_not_grow_with_the_budget() {
+    let locals: [(&str, &dyn LocalMinimizer); 2] = [
+        ("NelderMead", &NelderMead::default()),
+        ("UlpSearch", &UlpSearch::default()),
+    ];
+    for (name, local) in locals {
+        let small = local_search_allocations(local, 200);
+        let large = local_search_allocations(local, 2_000);
+        assert_eq!(
+            small, large,
+            "{name}: {small} allocations at budget 200, {large} at budget 2 000"
+        );
+    }
+}
