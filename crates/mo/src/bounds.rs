@@ -140,10 +140,21 @@ impl Bounds {
     /// sampled uniformly; wide dimensions are sampled with a log-uniform
     /// magnitude so that tiny and huge floats are both reachable.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.limits
-            .iter()
-            .map(|&(lo, hi)| Self::sample_dim(rng, lo, hi))
-            .collect()
+        let mut x = Vec::with_capacity(self.dim());
+        self.sample_into(rng, &mut x);
+        x
+    }
+
+    /// Replaces the contents of `x` with a random point: the same draws, in
+    /// the same order, as [`Bounds::sample`], into a buffer the caller
+    /// reuses, so batch samplers never allocate per point.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, x: &mut Vec<f64>) {
+        x.clear();
+        x.extend(
+            self.limits
+                .iter()
+                .map(|&(lo, hi)| Self::sample_dim(rng, lo, hi)),
+        );
     }
 
     /// Draws a random value for dimension `i` alone, with the same
@@ -302,6 +313,23 @@ mod tests {
         let mut rng = rng_from_seed(3);
         for _ in 0..500 {
             assert!(b.sample(&mut rng)[0] >= 0.0);
+        }
+    }
+
+    #[test]
+    fn sample_into_makes_the_draws_of_sample() {
+        // Narrow, wide two-sided and wide one-sided dimensions: each takes
+        // a different number of draws per component.
+        let b = Bounds::new(vec![(-2.0, 3.0), (-f64::MAX, f64::MAX), (0.0, 1.0e300)]);
+        let (mut fresh, mut reused) = (rng_from_seed(5), rng_from_seed(5));
+        let mut x = vec![f64::NAN; 7];
+        for _ in 0..200 {
+            b.sample_into(&mut reused, &mut x);
+            let expected = b.sample(&mut fresh);
+            assert_eq!(
+                crate::checkpoint::bits_of(&x),
+                crate::checkpoint::bits_of(&expected)
+            );
         }
     }
 

@@ -164,7 +164,9 @@ impl MinimizerStep for DiffEvoStep {
             self.initialized = true;
         }
 
-        let mut trials: Vec<Vec<f64>> = Vec::with_capacity(np);
+        // One trial row per member for the whole step: every generation
+        // overwrites the rows in place, so trials cost no allocation.
+        let mut trials: Vec<Vec<f64>> = vec![Vec::new(); np];
         let mut trial_values: Vec<f64> = Vec::with_capacity(np);
         loop {
             if self.generation >= self.cfg.max_generations {
@@ -182,8 +184,7 @@ impl MinimizerStep for DiffEvoStep {
             // Build every trial of this generation from the current
             // population (synchronous update), so the whole generation can
             // be evaluated in one batch below.
-            trials.clear();
-            for i in 0..np {
+            for (i, trial) in trials.iter_mut().enumerate() {
                 // Pick three distinct members different from i.
                 let mut pick = || loop {
                     let k = self.rng.gen_range(0..np);
@@ -193,7 +194,7 @@ impl MinimizerStep for DiffEvoStep {
                 };
                 let (a, b, c) = (pick(), pick(), pick());
                 let j_rand = self.rng.gen_range(0..dim);
-                let mut trial = self.pop[i].clone();
+                trial.clone_from(&self.pop[i]);
                 for (j, slot) in trial.iter_mut().enumerate() {
                     if self.rng.gen::<f64>() < self.cfg.crossover || j == j_rand {
                         *slot = mutate_component(
@@ -207,7 +208,6 @@ impl MinimizerStep for DiffEvoStep {
                         );
                     }
                 }
-                trials.push(trial);
             }
 
             // One batched evaluation per generation; a short count means a
@@ -218,7 +218,8 @@ impl MinimizerStep for DiffEvoStep {
                 if crate::better(trial_values[i], self.values[i])
                     || trial_values[i] == self.values[i]
                 {
-                    self.pop[i] = problem.bounds.clamped(&trials[i]);
+                    self.pop[i].clone_from(&trials[i]);
+                    problem.bounds.clamp(&mut self.pop[i]);
                     self.values[i] = trial_values[i];
                 }
             }
@@ -227,11 +228,13 @@ impl MinimizerStep for DiffEvoStep {
                 return self.finish(ev, termination);
             }
 
-            // Convergence: population values nearly equal.
-            let finite: Vec<f64> = self.values.iter().copied().filter(|v| v.is_finite()).collect();
-            if finite.len() == np {
-                let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-                let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            // Convergence: population values nearly equal. The min/max
+            // folds run only when all `np` values are finite, so they fold
+            // exactly the finite values.
+            let values = &self.values;
+            if values.iter().filter(|v| v.is_finite()).count() == np {
+                let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 if (max - min).abs() <= self.cfg.f_tol * (1.0 + min.abs()) {
                     return self.finish(ev, Termination::Converged);
                 }

@@ -17,8 +17,8 @@ use crate::{better, Problem};
 
 /// How many points the batched path hands to [`Objective::eval_batch`]
 /// (crate::Objective::eval_batch) at once. Chunking bounds the clamped-copy
-/// scratch memory and keeps wasted evaluations small when a stop condition
-/// fires mid-batch. Sized to one full fpir kernel wave
+/// rows the evaluator keeps and keeps wasted evaluations small when a stop
+/// condition fires mid-batch. Sized to one full fpir kernel wave
 /// (`fpir::kernel::WAVE_LANES`), so minimizer-driven batches reach the
 /// lanewise backend at its design width; equivalence with the scalar loop
 /// holds at any chunk size (the batch-equivalence proptests pin it).
@@ -114,6 +114,11 @@ pub struct Evaluator<'a, 'b> {
     /// The clamped copy of the point [`Evaluator::eval`] evaluates; sized
     /// on first use and reused, so later scalar evaluations never allocate.
     scratch: Vec<f64>,
+    /// The clamped copies of the chunk [`Evaluator::eval_batch`] evaluates,
+    /// and their values. Rows are added as chunks grow and never dropped,
+    /// so once the widest chunk has been seen, batches never allocate.
+    rows: Vec<Vec<f64>>,
+    values: Vec<f64>,
 }
 
 impl<'a, 'b> Evaluator<'a, 'b> {
@@ -143,6 +148,8 @@ impl<'a, 'b> Evaluator<'a, 'b> {
             has_best: state.has_best,
             target_hit: state.target_hit,
             scratch: Vec::new(),
+            rows: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -200,8 +207,8 @@ impl<'a, 'b> Evaluator<'a, 'b> {
     pub fn eval_batch(&mut self, xs: &[Vec<f64>], out: &mut Vec<f64>) -> usize {
         out.clear();
         let mut processed = 0usize;
-        let mut clamped: Vec<Vec<f64>> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
+        let mut rows = std::mem::take(&mut self.rows);
+        let mut values = std::mem::take(&mut self.values);
         while processed < xs.len() {
             // The scalar loop checks stop conditions after each evaluation,
             // never before the first one.
@@ -225,13 +232,15 @@ impl<'a, 'b> Evaluator<'a, 'b> {
                 self.remaining().max(1)
             };
             let chunk = BATCH_CHUNK.min(xs.len() - processed).min(budget);
-            clamped.clear();
-            clamped.extend(
-                xs[processed..processed + chunk]
-                    .iter()
-                    .map(|x| self.problem.bounds.clamped(x)),
-            );
-            self.problem.objective.eval_batch(&clamped, &mut values);
+            if rows.len() < chunk {
+                rows.resize_with(chunk, Vec::new);
+            }
+            let clamped = &mut rows[..chunk];
+            for (row, x) in clamped.iter_mut().zip(&xs[processed..processed + chunk]) {
+                row.clone_from(x);
+                self.problem.bounds.clamp(row);
+            }
+            self.problem.objective.eval_batch(clamped, &mut values);
             // How far into the chunk the scalar loop would have gone: it
             // stops right after the sample that reaches the target,
             // exhausts the budget, or observes cancellation. Samples past
@@ -263,6 +272,8 @@ impl<'a, 'b> Evaluator<'a, 'b> {
                 break;
             }
         }
+        self.rows = rows;
+        self.values = values;
         processed
     }
 

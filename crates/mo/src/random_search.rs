@@ -80,7 +80,8 @@ impl MinimizerStep for RandomSearchStep {
         // the draws the scalar loop would have made for those points, and
         // `eval_batch` stops at the same sample the scalar loop would —
         // results are bit-identical to sampling and evaluating one by one,
-        // whether or not the run pauses between chunks.
+        // whether or not the run pauses between chunks. The chunk's rows
+        // are refilled in place, so points cost no allocation.
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         loop {
@@ -92,8 +93,10 @@ impl MinimizerStep for RandomSearchStep {
                 return StepStatus::Paused;
             }
             let k = CHUNK.min(self.limit - self.done);
-            xs.clear();
-            xs.extend((0..k).map(|_| problem.bounds.sample(&mut self.rng)));
+            xs.resize_with(k, Vec::new);
+            for x in &mut xs {
+                problem.bounds.sample_into(&mut self.rng, x);
+            }
             let processed = ev.eval_batch(&xs, &mut values);
             self.done += processed;
             if processed < k || ev.should_stop() {

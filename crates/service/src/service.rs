@@ -424,16 +424,19 @@ impl ServiceHandle {
         self.inner.config.threads.max(1)
     }
 
-    /// Snapshot of the result store: every admitted job's name and
-    /// terminal outcome (if reached), in admission order.
-    pub fn report(&self) -> Vec<(JobId, String, Option<JobOutcome>)> {
-        self.inner
-            .lock()
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (JobId(i), j.name.clone(), j.outcome.clone()))
-            .collect()
+    /// Lends job `id`'s result-store entry — its name and terminal
+    /// outcome, if reached — to `f` under the state lock and returns what
+    /// `f` returns, or `None` if `id` was never admitted. A report lists
+    /// the jobs through this one at a time (ids `0..jobs()`, in admission
+    /// order), so no outcome is copied and the lock is held per job only.
+    pub fn report_job<R>(
+        &self,
+        id: JobId,
+        f: impl FnOnce(&str, Option<&JobOutcome>) -> R,
+    ) -> Option<R> {
+        let state = self.inner.lock();
+        let job = state.jobs.get(id.0)?;
+        Some(f(&job.name, job.outcome.as_ref()))
     }
 }
 
@@ -682,8 +685,12 @@ fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
     }
 }
 
-/// Terminal path: finalize, snapshot the terminal state for durability,
+/// Terminal path: finalize, persist the terminal state for durability,
 /// store the outcome, notify waiters and subscribers.
+///
+/// The terminal snapshot goes to disk only: nothing reads a finished
+/// job's checkpoint in memory again (`run_turn` skips finished jobs, and
+/// a resumed service reads the file), so the entry keeps none.
 fn finish_job(
     inner: &ServiceInner,
     index: usize,
@@ -693,17 +700,23 @@ fn finish_job(
     cancel: &CancelToken,
 ) {
     portfolio.finalize();
-    let snapshot = portfolio.checkpoint();
     let found = portfolio.found();
     let cancelled = !found && cancel.is_cancelled();
-    let run = portfolio.into_run();
     // A cancelled terminal state is not persisted: the last progress
     // snapshot stays on disk, so a stopped service resumed with the
     // same submissions continues the job instead of replaying the
     // cancellation.
     if !cancelled {
-        persist_checkpoint(inner, index, name, turn, true, snapshot.as_ref());
+        persist_checkpoint(
+            inner,
+            index,
+            name,
+            turn,
+            true,
+            portfolio.checkpoint().as_ref(),
+        );
     }
+    let run = portfolio.into_run();
     let outcome = JobOutcome {
         name: name.to_string(),
         run,
@@ -711,7 +724,6 @@ fn finish_job(
     let winner = outcome.run.winning_backend();
     let evals = outcome.run.outcome().evals();
     let mut state = inner.lock();
-    state.jobs[index].checkpoint = snapshot;
     state.jobs[index].outcome = Some(outcome);
     let kind = if cancelled {
         EventKind::Cancelled
@@ -784,4 +796,60 @@ fn load_checkpoint(
     };
     let ckpt: AdaptiveCheckpoint = serde_json::from_value(value.field("ckpt")).ok()?;
     Some((turns, ckpt))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fp_runtime::Interval;
+    use wdm_core::weak_distance::FnWeakDistance;
+
+    /// Regression: a finished job kept its terminal checkpoint in its
+    /// entry for the life of the service, although nothing reads it
+    /// again, so memory grew by a checkpoint per finished job.
+    #[test]
+    fn a_finished_job_keeps_no_checkpoint_in_memory() {
+        let dir =
+            std::env::temp_dir().join(format!("wdm-service-terminal-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = AnalysisService::start(
+            ServiceConfig::new(1)
+                .with_rounds_per_turn(1)
+                .with_checkpoint_dir(&dir),
+        );
+        let handle = service.handle();
+        // Zero-free, so the job spends its whole pool over several turns
+        // and holds a live checkpoint between them.
+        let wd = Arc::new(FnWeakDistance::new(
+            1,
+            vec![Interval::symmetric(100.0)],
+            |x: &[f64]| x[0].abs() + 0.5,
+        ));
+        let config = AnalysisConfig::quick(3)
+            .with_rounds(2)
+            .with_max_evals(2_000);
+        let id = handle
+            .submit(JobSpec::new("zero-free", wd, config))
+            .expect("service accepts submissions");
+        assert!(!handle.wait(id).run.outcome().is_found());
+        // Read under the lock, assert outside it: a failed assertion must
+        // not poison the lock the service's shutdown takes.
+        let (turns, holds_checkpoint) = {
+            let state = handle.inner.lock();
+            let job = &state.jobs[id.0];
+            (job.turns, job.checkpoint.is_some())
+        };
+        assert!(turns > 1, "the job finished in {turns} turn(s)");
+        assert!(
+            !holds_checkpoint,
+            "the finished job still holds its terminal checkpoint"
+        );
+        // The terminal state is on disk, where a resumed service reads it.
+        let text = std::fs::read_to_string(dir.join("job-0.json")).expect("terminal checkpoint");
+        let value = serde_json::value_from_str(&text).expect("checkpoint JSON");
+        assert_eq!(value.field("finished"), &Value::Bool(true));
+        assert!(load_checkpoint(&dir, id, "zero-free").is_some());
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

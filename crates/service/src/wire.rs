@@ -23,10 +23,12 @@
 //!
 //! Errors reply `{"ok":false,"error":"..."}`. Outcome objects carry
 //! solution inputs both as decimal floats (readability) and as IEEE-754
-//! bit patterns (exactness), mirroring the checkpoint convention.
+//! bit patterns (exactness), mirroring the checkpoint convention. A
+//! request line longer than [`MAX_REQUEST_LINE`] bytes gets an error
+//! reply, and the server closes its connection.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -36,6 +38,11 @@ use wdm_core::{AnalysisConfig, BackendKind, Outcome, WeakDistance};
 use crate::service::{
     AnalysisService, EventKind, JobId, JobOutcome, JobSpec, ProgressEvent, ServiceHandle,
 };
+
+/// The longest request line the server reads, in bytes before its `\n`.
+/// A longer line is refused and its connection closed, so a client that
+/// never sends a newline cannot make the server buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Named problems a wire client can submit against.
 #[derive(Clone, Default)]
@@ -158,6 +165,20 @@ pub fn outcome_json(id: JobId, outcome: &JobOutcome) -> Value {
     obj(fields)
 }
 
+/// Renders one job of the `report` reply: its outcome object once it has
+/// one, a pending marker before.
+fn report_entry_json(id: JobId, name: &str, outcome: Option<&JobOutcome>) -> Value {
+    match outcome {
+        Some(outcome) => outcome_json(id, outcome),
+        None => obj(vec![
+            ("ok", Value::Bool(true)),
+            ("id", Value::UInt(id.0 as u64)),
+            ("name", Value::Str(name.to_string())),
+            ("pending", Value::Bool(true)),
+        ]),
+    }
+}
+
 /// Renders a progress event as a wire object.
 pub fn event_json(event: &ProgressEvent) -> Value {
     let mut fields = vec![
@@ -218,6 +239,8 @@ pub fn event_json(event: &ProgressEvent) -> Value {
 enum Reply {
     /// One response line.
     Line(Value),
+    /// The `report` line, written job by job ([`write_report`]).
+    Report,
     /// Stream progress events on this connection until it closes.
     Stream,
     /// One `ok` line, then stop the whole server.
@@ -299,31 +322,74 @@ fn dispatch(request: &Value, handle: &ServiceHandle, catalog: &Catalog) -> Reply
             }
             _ => Reply::Line(err("cancel needs a known id")),
         },
-        "report" => {
-            let jobs = handle
-                .report()
-                .into_iter()
-                .map(|(id, name, outcome)| match outcome {
-                    Some(outcome) => outcome_json(id, &outcome),
-                    None => obj(vec![
-                        ("ok", Value::Bool(true)),
-                        ("id", Value::UInt(id.0 as u64)),
-                        ("name", Value::Str(name)),
-                        ("pending", Value::Bool(true)),
-                    ]),
-                })
-                .collect();
-            Reply::Line(ok(vec![("jobs", Value::Array(jobs))]))
-        }
+        "report" => Reply::Report,
         "subscribe" => Reply::Stream,
         "shutdown" => Reply::Shutdown,
         other => Reply::Line(err(format!("unknown cmd {other:?}"))),
     }
 }
 
+fn json_text(value: &Value) -> std::io::Result<String> {
+    serde_json::to_string(value).map_err(|e| std::io::Error::other(format!("{e:?}")))
+}
+
 fn write_line(stream: &mut TcpStream, value: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(value).map_err(|e| std::io::Error::other(format!("{e:?}")))?;
+    let text = json_text(value)?;
     writeln!(stream, "{text}")
+}
+
+/// Writes the `report` reply, `{"ok":true,"jobs":[...]}` on one line, one
+/// job at a time through a buffer: the state lock is taken per job while
+/// its entry is rendered, never across a write, and the whole reply never
+/// sits in memory at once. Lists the jobs admitted when the report starts.
+fn write_report(out: impl Write, handle: &ServiceHandle) -> std::io::Result<()> {
+    let mut out = BufWriter::new(out);
+    out.write_all(b"{\"ok\":true,\"jobs\":[")?;
+    for i in 0..handle.jobs() {
+        let id = JobId(i);
+        let Some(entry) =
+            handle.report_job(id, |name, outcome| report_entry_json(id, name, outcome))
+        else {
+            break;
+        };
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        out.write_all(json_text(&entry)?.as_bytes())?;
+    }
+    out.write_all(b"]}\n")?;
+    out.flush()
+}
+
+/// What [`read_request`] found on the connection.
+enum Request {
+    /// A line, now in the buffer without its line ending.
+    Line,
+    /// A line longer than [`MAX_REQUEST_LINE`] bytes.
+    TooLong,
+    /// The end of the stream, or a failed read.
+    End,
+}
+
+/// Reads the next request line into `line`, reading at most one byte past
+/// [`MAX_REQUEST_LINE`]. Strips `\n` or `\r\n`, as [`BufRead::lines`]
+/// does; a last line without a newline still counts.
+fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Request {
+    line.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    match reader.take(limit).read_until(b'\n', line) {
+        Ok(0) | Err(_) => return Request::End,
+        Ok(_) => {}
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_LINE {
+        return Request::TooLong;
+    }
+    Request::Line
 }
 
 fn handle_connection(
@@ -335,20 +401,43 @@ fn handle_connection(
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(reader_stream);
+    let mut reader = BufReader::new(reader_stream);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut buf = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut buf) {
+            Request::Line => {}
+            Request::End => return,
+            Request::TooLong => {
+                let refusal = err(format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                ));
+                let _ = write_line(&mut writer, &refusal);
+                // Closing with the client's bytes unread resets the
+                // connection; shutting down the write side first delivers
+                // the refusal and then the end of the stream.
+                let _ = writer.shutdown(Shutdown::Write);
+                return;
+            }
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match serde_json::value_from_str(&line) {
+        let reply = match serde_json::value_from_str(line) {
             Ok(request) => dispatch(&request, &handle, &catalog),
             Err(e) => Reply::Line(err(format!("bad request: {e:?}"))),
         };
         match reply {
             Reply::Line(value) => {
                 if write_line(&mut writer, &value).is_err() {
+                    return;
+                }
+            }
+            Reply::Report => {
+                if write_report(&mut writer, &handle).is_err() {
                     return;
                 }
             }
@@ -411,5 +500,181 @@ pub fn serve(listener: TcpListener, service: AnalysisService, catalog: Catalog) 
     service.shutdown();
     for conn in connections {
         let _ = conn.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceConfig;
+    use fp_runtime::Interval;
+    use std::net::SocketAddr;
+    use std::thread::JoinHandle;
+    use wdm_core::weak_distance::FnWeakDistance;
+
+    /// Serves an empty catalog on a loopback port from a background
+    /// thread; tests submit through the returned handle.
+    fn start() -> (SocketAddr, ServiceHandle, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local address");
+        let service = AnalysisService::start(ServiceConfig::new(2));
+        let handle = service.handle();
+        let server = std::thread::spawn(move || serve(listener, service, Catalog::new()));
+        (addr, handle, server)
+    }
+
+    /// Sends one request line on a fresh connection and returns the
+    /// reply line, newline included.
+    fn request(addr: SocketAddr, line: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{line}").expect("send request");
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("read reply");
+        reply
+    }
+
+    fn stop(addr: SocketAddr, server: JoinHandle<()>) {
+        assert_eq!(request(addr, r#"{"cmd":"shutdown"}"#), "{\"ok\":true}\n");
+        server.join().expect("server thread");
+    }
+
+    /// The `report` reply as it was rendered before it was streamed: a
+    /// snapshot of every job, one `Value` tree, one serialization.
+    fn reference_report_line(handle: &ServiceHandle) -> String {
+        let snapshot: Vec<(JobId, String, Option<JobOutcome>)> = (0..handle.jobs())
+            .map(|i| {
+                handle
+                    .report_job(JobId(i), |name, outcome| {
+                        (JobId(i), name.to_string(), outcome.cloned())
+                    })
+                    .expect("admitted job")
+            })
+            .collect();
+        let jobs = snapshot
+            .into_iter()
+            .map(|(id, name, outcome)| match outcome {
+                Some(outcome) => outcome_json(id, &outcome),
+                None => obj(vec![
+                    ("ok", Value::Bool(true)),
+                    ("id", Value::UInt(id.0 as u64)),
+                    ("name", Value::Str(name)),
+                    ("pending", Value::Bool(true)),
+                ]),
+            })
+            .collect();
+        let text = serde_json::to_string(&ok(vec![("jobs", Value::Array(jobs))])).expect("render");
+        format!("{text}\n")
+    }
+
+    fn job(name: &str, wd: FnWeakDistance<fn(&[f64]) -> f64>, max_evals: usize) -> JobSpec {
+        let config = AnalysisConfig::quick(5)
+            .with_rounds(1)
+            .with_max_evals(max_evals);
+        JobSpec::new(name, Arc::new(wd), config)
+    }
+
+    #[test]
+    fn streamed_report_matches_the_single_tree_rendering() {
+        let (addr, handle, server) = start();
+        let empty = request(addr, r#"{"cmd":"report"}"#);
+        assert_eq!(empty, "{\"ok\":true,\"jobs\":[]}\n");
+        assert_eq!(empty, reference_report_line(&handle));
+
+        let domain = vec![Interval::symmetric(100.0)];
+        let found: fn(&[f64]) -> f64 = |x| (x[0] - 3.0).abs();
+        let zero_free: fn(&[f64]) -> f64 = |x| x[0].abs() + 0.5;
+        let finished = [
+            handle.submit(job(
+                "found",
+                FnWeakDistance::new(1, domain.clone(), found),
+                2_000,
+            )),
+            handle.submit(job(
+                "not-found",
+                FnWeakDistance::new(1, domain.clone(), zero_free),
+                2_000,
+            )),
+        ];
+        for id in finished {
+            handle.wait(id.expect("service accepts submissions"));
+        }
+        // Far more budget than the test lives: it stays pending until it
+        // is cancelled below.
+        let pending = job(
+            "pending",
+            FnWeakDistance::new(1, domain, zero_free),
+            1 << 40,
+        );
+        let pending = handle.submit(pending).expect("service accepts submissions");
+
+        let streamed = request(addr, r#"{"cmd":"report"}"#);
+        assert!(handle.outcome(pending).is_none(), "the long job finished");
+        assert_eq!(streamed, reference_report_line(&handle));
+        assert!(streamed.contains("\"found\":true"), "{streamed}");
+        assert!(streamed.contains("\"found\":false"), "{streamed}");
+        assert!(streamed.contains("\"pending\":true"), "{streamed}");
+        handle.cancel(pending);
+        handle.wait(pending);
+        stop(addr, server);
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused_and_its_connection_closed() {
+        let (addr, _handle, server) = start();
+        let stream = TcpStream::connect(addr).expect("connect");
+        // A server that buffers the whole line never answers: fail, not hang.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .expect("read timeout");
+        let mut flood = stream.try_clone().expect("clone stream");
+        // 2 MiB without a newline. The server hangs up after the first
+        // MiB, so this write fails partway; that is expected.
+        let writer = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read the refusal");
+        let reply = serde_json::value_from_str(line.trim()).expect("JSON refusal");
+        assert_eq!(reply.field("ok"), &Value::Bool(false), "{line}");
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).expect("read to the end"),
+            0,
+            "the connection stayed open: {line}"
+        );
+        writer.join().expect("flooding thread");
+        // The server keeps serving new connections.
+        assert_eq!(request(addr, r#"{"cmd":"ping"}"#), "{\"ok\":true}\n");
+        stop(addr, server);
+    }
+
+    #[test]
+    fn request_lines_end_at_a_newline_or_the_stream_end() {
+        let mut input: &[u8] = b"{\"cmd\":\"ping\"}\r\n\nlast";
+        let mut line = Vec::new();
+        assert!(matches!(read_request(&mut input, &mut line), Request::Line));
+        assert_eq!(line, b"{\"cmd\":\"ping\"}");
+        assert!(matches!(read_request(&mut input, &mut line), Request::Line));
+        assert!(line.is_empty());
+        assert!(matches!(read_request(&mut input, &mut line), Request::Line));
+        assert_eq!(line, b"last");
+        assert!(matches!(read_request(&mut input, &mut line), Request::End));
+
+        // A line of exactly the cap is accepted; one byte more is not.
+        let mut at_cap = vec![b'x'; MAX_REQUEST_LINE];
+        at_cap.push(b'\n');
+        assert!(matches!(
+            read_request(&mut &at_cap[..], &mut line),
+            Request::Line
+        ));
+        assert_eq!(line.len(), MAX_REQUEST_LINE);
+        let over = vec![b'x'; MAX_REQUEST_LINE + 1];
+        assert!(matches!(
+            read_request(&mut &over[..], &mut line),
+            Request::TooLong
+        ));
     }
 }

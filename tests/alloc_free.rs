@@ -1,6 +1,7 @@
-//! Allocation regression: a scalar evaluation through the `Evaluator`
-//! never touches the heap, and the local searches allocate a fixed number
-//! of times per call, whatever their budget.
+//! Allocation regression: a scalar or batch evaluation through the
+//! `Evaluator` never touches the heap, and the local searches and the
+//! batch backends (random search, Differential Evolution) allocate a fixed
+//! number of times per call, whatever their budget.
 //!
 //! A counting global allocator tallies allocations per thread, so the test
 //! threads the harness runs in parallel do not see each other's traffic.
@@ -11,14 +12,15 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wdm::core::boundary::{BoundaryMode, BoundaryWeakDistance};
 use wdm::core::overflow::OverflowWeakDistance;
-use wdm::core::weak_distance::{WeakDistance, WeakDistanceObjective};
+use wdm::core::weak_distance::{FnWeakDistance, WeakDistance, WeakDistanceObjective};
 use wdm::gsl::bessel::BesselKnuScaled;
 use wdm::gsl::glibc_sin::GlibcSin;
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{
-    Bounds, FnObjective, LocalMinimizer, NelderMead, NoTrace, Problem, Termination, UlpSearch,
+    Bounds, DifferentialEvolution, FnObjective, GlobalMinimizer, LocalMinimizer, NelderMead,
+    NoTrace, Problem, RandomSearch, Termination, UlpSearch,
 };
-use wdm::runtime::{BranchId, OpId};
+use wdm::runtime::{BranchId, Interval, OpId};
 use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
 
 thread_local! {
@@ -173,6 +175,72 @@ fn local_search_allocations_do_not_grow_with_the_budget() {
         assert_eq!(
             small, large,
             "{name}: {small} allocations at budget 200, {large} at budget 2 000"
+        );
+    }
+}
+
+#[test]
+fn batch_evaluations_do_not_allocate() {
+    let wd = FnWeakDistance::new(
+        2,
+        vec![Interval::symmetric(1.0e6), Interval::new(-1.0, 4.0)],
+        |x: &[f64]| (x[0] - 3.0).abs() + (x[1] * x[1] - 2.0).abs() + 1.0,
+    );
+    let objective = WeakDistanceObjective::new(&wd);
+    let problem = Problem::new(&objective, objective.bounds())
+        .with_target(0.0)
+        .with_max_evals(usize::MAX);
+    // 256 points, cycling through the clamped, NaN and extreme samples.
+    let base = points(2);
+    let batch: Vec<Vec<f64>> = (0..256).map(|i| base[i % base.len()].clone()).collect();
+    let mut sink = NoTrace;
+    let mut ev = Evaluator::new(&problem, &mut sink);
+    let mut values = Vec::new();
+    // The first batch sizes the evaluator's rows and the value buffers.
+    assert_eq!(ev.eval_batch(&batch, &mut values), 256);
+    let ((), allocated) = allocations(|| {
+        for _ in 0..1_000 {
+            assert_eq!(ev.eval_batch(&batch, &mut values), 256);
+        }
+    });
+    assert_eq!(
+        allocated, 0,
+        "1 000 batches of 256 points allocated {allocated} times"
+    );
+    assert_eq!(ev.evals(), 1_001 * 256);
+}
+
+/// Allocations of one `minimize` call at `budget`, over an objective that
+/// returns a value below every earlier one: random search has no target to
+/// hit and Differential Evolution's population never converges, so both
+/// budgets run to exhaustion.
+fn batch_backend_allocations(backend: &dyn GlobalMinimizer, budget: usize) -> u64 {
+    let calls = AtomicU64::new(0);
+    let f = FnObjective::new(3, |_: &[f64]| {
+        -(calls.fetch_add(1, Ordering::Relaxed) as f64)
+    });
+    let problem = Problem::new(&f, Bounds::whole(3)).with_max_evals(budget);
+    let (result, allocated) = allocations(|| backend.minimize(&problem, 11, &mut NoTrace));
+    assert_eq!(result.termination, Termination::BudgetExhausted);
+    assert_eq!(result.evals, budget);
+    allocated
+}
+
+#[test]
+fn batch_backend_allocations_do_not_grow_with_the_budget() {
+    let backends: [(&str, &dyn GlobalMinimizer); 2] = [
+        ("RandomSearch", &RandomSearch::new()),
+        (
+            "DifferentialEvolution",
+            &DifferentialEvolution::default().with_max_generations(usize::MAX),
+        ),
+    ];
+    for (name, backend) in backends {
+        let small = batch_backend_allocations(backend, 2_000);
+        let large = batch_backend_allocations(backend, 20_000);
+        assert_eq!(
+            small, large,
+            "{name}: {small} allocations at budget 2 000, {large} at budget 20 000"
         );
     }
 }
