@@ -40,8 +40,8 @@ pub(crate) fn batch_observed<O: Observer>(
 }
 
 /// Lazily specializes a program against an analysis target's
-/// [`ObservationSpec`] under an [`OptPolicy`], caching the result for the
-/// lifetime of the weak distance.
+/// [`ObservationSpec`] under an [`OptPolicy`], holding the resolved program
+/// for the lifetime of the weak distance, so evaluations take no lock.
 ///
 /// The first evaluation triggers [`Analyzable::specialize`]; every later
 /// one reuses the outcome — either the translation-validated specialized
@@ -49,6 +49,12 @@ pub(crate) fn batch_observed<O: Observer>(
 /// program has no optimizing backend, or validation rejected the rewrite).
 /// Cloning a cache produces a fresh, unfilled one with the same policy, so
 /// derived analyses re-specialize against their own target.
+///
+/// The work behind that first call is done once per (program, spec), not
+/// once per cache: an `fpir` `ModuleProgram` memoizes its validated
+/// specializations, so a cache filled for a spec the program has seen
+/// before gets a program sharing the specialized module and its static
+/// analysis, without re-running the pipeline or its validation.
 pub struct SpecializationCache {
     policy: OptPolicy,
     cell: OnceLock<Option<Box<dyn Analyzable>>>,

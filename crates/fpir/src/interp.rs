@@ -22,12 +22,14 @@
 
 use crate::analysis::StaticInfo;
 use crate::ir::{BlockId, FuncId, Inst, Module, Terminator};
+use crate::opt::{OptStats, SpecializeError};
 use fp_runtime::{
     Analyzable, BatchExecutor, BranchId, BranchSite, CancelToken, Ctx, Interval, KernelPolicy,
-    Observer, OpId, OpSite, Reachability,
+    ObservationSpec, Observer, OpId, OpSite, OptPolicy, Reachability,
 };
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How often (in executed instructions) the interpreter polls its
 /// [`CancelToken`]. Polling is a relaxed atomic load; every 256
@@ -439,23 +441,77 @@ impl Interpreter {
     }
 }
 
+/// How many observation specs one program memoizes specializations for.
+/// Callers choose the specs (paths, skip sets), so the key set is
+/// open-ended; past this many, a request specializes and validates without
+/// storing the result.
+const MAX_MEMOIZED_SPECS: usize = 64;
+
+/// What a program's module, entry and domain alone determine, shared by the
+/// program's clones and by every hand-out of one specialization (see
+/// [`ModuleProgram::specialized_with_stats`]).
+#[derive(Debug, Default)]
+struct Derived {
+    /// The static analysis (CFGs, liveness layouts, wave safety, interval
+    /// reachability), computed on first need.
+    statics: OnceLock<StaticInfo>,
+    /// What [`crate::opt::specialize`] returned for each spec.
+    specializations: Mutex<HashMap<ObservationSpec, Arc<Specialization>>>,
+}
+
+/// The outcome of specializing one program against one spec.
+type Specialization = Result<Specialized, SpecializeError>;
+
+/// A translation-validated specialization, ready to hand out.
+#[derive(Debug)]
+struct Specialized {
+    module: Arc<Module>,
+    stats: OptStats,
+    derived: Arc<Derived>,
+}
+
+impl Derived {
+    /// The memoized specialization for `spec`, or what `specialize` returns
+    /// for it. `specialize` runs under the memo's lock, so each spec is
+    /// specialized and validated once; its result is stored while the memo
+    /// holds fewer than [`MAX_MEMOIZED_SPECS`] specs.
+    fn specialization(
+        &self,
+        spec: &ObservationSpec,
+        specialize: impl FnOnce() -> Specialization,
+    ) -> Arc<Specialization> {
+        let mut memo = self
+            .specializations
+            .lock()
+            .expect("specialization memo lock");
+        if let Some(specialization) = memo.get(spec) {
+            return Arc::clone(specialization);
+        }
+        let specialization = Arc::new(specialize());
+        if memo.len() < MAX_MEMOIZED_SPECS {
+            memo.insert(spec.clone(), Arc::clone(&specialization));
+        }
+        specialization
+    }
+}
+
 /// An IR program exposed to the analyses: a module, an entry function and a
 /// search domain.
 ///
 /// Sites are reported with labels derived from the IR text, which is what an
 /// automatic instrumentation pipeline can reasonably produce.
+///
+/// Clones share the module, the lazily computed static analysis and the
+/// memo of validated specializations. [`ModuleProgram::with_domain`] drops
+/// the last two, since both depend on the domain.
 #[derive(Debug, Clone)]
 pub struct ModuleProgram {
-    module: Module,
+    module: Arc<Module>,
     entry: FuncId,
     name: String,
     domain: Vec<Interval>,
     interpreter: Interpreter,
-    /// Lazily computed static analysis (CFGs, liveness layouts, wave
-    /// safety, interval reachability), shared with every clone taken after
-    /// the first query. Reset by [`ModuleProgram::with_domain`] — the
-    /// interval pass is seeded from the domain.
-    statics: OnceLock<Arc<StaticInfo>>,
+    derived: Arc<Derived>,
 }
 
 impl ModuleProgram {
@@ -467,14 +523,15 @@ impl ModuleProgram {
         Some(ModuleProgram {
             name: format!("{entry} (fpir)"),
             entry: id,
-            module,
+            module: Arc::new(module),
             domain: vec![Interval::whole(); num_params],
             interpreter: Interpreter::default(),
-            statics: OnceLock::new(),
+            derived: Arc::default(),
         })
     }
 
-    /// Sets the search domain.
+    /// Sets the search domain, dropping the static analysis and the
+    /// specializations computed for the old one.
     ///
     /// # Panics
     ///
@@ -486,9 +543,7 @@ impl ModuleProgram {
             "domain arity mismatch"
         );
         self.domain = domain;
-        // The interval abstract interpreter is seeded from the domain, so
-        // any cached analysis is stale now.
-        self.statics = OnceLock::new();
+        self.derived = Arc::default();
         self
     }
 
@@ -525,10 +580,12 @@ impl ModuleProgram {
 
     /// The cached static analysis of this program: CFGs, dominators,
     /// liveness frame layouts, wave safety and interval reachability
-    /// (computed on first use, seeded from the search domain).
+    /// (computed on first use, seeded from the search domain, and shared
+    /// with clones and with other hand-outs of the same specialization).
     pub fn static_info(&self) -> &StaticInfo {
-        self.statics
-            .get_or_init(|| Arc::new(StaticInfo::compute(&self.module, self.entry, &self.domain)))
+        self.derived
+            .statics
+            .get_or_init(|| StaticInfo::compute(&self.module, self.entry, &self.domain))
     }
 
     /// Whether [`Analyzable::batch_executor`] hands out the lanewise kernel
@@ -575,41 +632,50 @@ impl ModuleProgram {
     /// rewrite failed translation validation, or (`Auto`) nothing was
     /// removed.
     ///
-    /// The specialized program keeps this program's domain and interpreter
-    /// configuration; its static analysis is recomputed from the optimized
-    /// module, so liveness-compacted frame layouts shrink along with the
-    /// code.
+    /// The pipeline and its translation validation run once per spec: the
+    /// program memoizes the outcome (the validated module with its
+    /// statistics, or the refusal) for up to 64 specs, shared with its
+    /// clones, so one entry serves every policy. The memo specializes under
+    /// its lock, so concurrent requests wait for one another. All hand-outs
+    /// of one spec share the specialized module and its static analysis,
+    /// recomputed from the optimized module on first need (so
+    /// liveness-compacted frame layouts shrink along with the code). A
+    /// hand-out keeps this program's domain and its current interpreter
+    /// configuration (fuel, cancellation).
     pub fn specialized_with_stats(
         &self,
-        spec: &fp_runtime::ObservationSpec,
-        policy: fp_runtime::OptPolicy,
-    ) -> Option<(ModuleProgram, crate::opt::OptStats)> {
-        use fp_runtime::OptPolicy;
+        spec: &ObservationSpec,
+        policy: OptPolicy,
+    ) -> Option<(ModuleProgram, OptStats)> {
         if matches!(policy, OptPolicy::Never) {
             return None;
         }
-        let (module, stats) =
-            crate::opt::specialize(&self.module, self.entry, &self.domain, spec).ok()?;
-        if matches!(policy, OptPolicy::Auto) && !stats.removed_anything() {
+        let specialization = self.derived.specialization(spec, || {
+            let (module, stats) =
+                crate::opt::specialize(&self.module, self.entry, &self.domain, spec)?;
+            Ok(Specialized {
+                module: Arc::new(module),
+                stats,
+                derived: Arc::default(),
+            })
+        });
+        let specialized = specialization.as_ref().as_ref().ok()?;
+        if matches!(policy, OptPolicy::Auto) && !specialized.stats.removed_anything() {
             return None;
         }
         let program = ModuleProgram {
-            module,
+            module: Arc::clone(&specialized.module),
             entry: self.entry,
             name: format!("{} [opt]", self.name),
             domain: self.domain.clone(),
             interpreter: self.interpreter.clone(),
-            statics: OnceLock::new(),
+            derived: Arc::clone(&specialized.derived),
         };
-        Some((program, stats))
+        Some((program, specialized.stats))
     }
 
     /// [`ModuleProgram::specialized_with_stats`] without the statistics.
-    pub fn specialized(
-        &self,
-        spec: &fp_runtime::ObservationSpec,
-        policy: fp_runtime::OptPolicy,
-    ) -> Option<ModuleProgram> {
+    pub fn specialized(&self, spec: &ObservationSpec, policy: OptPolicy) -> Option<ModuleProgram> {
         self.specialized_with_stats(spec, policy).map(|(p, _)| p)
     }
 }
@@ -720,11 +786,7 @@ impl Analyzable for ModuleProgram {
 
     /// Runs the optimizing pipeline and hands the result back as a boxed
     /// [`Analyzable`] (see [`ModuleProgram::specialized_with_stats`]).
-    fn specialize(
-        &self,
-        spec: &fp_runtime::ObservationSpec,
-        policy: fp_runtime::OptPolicy,
-    ) -> Option<Box<dyn Analyzable>> {
+    fn specialize(&self, spec: &ObservationSpec, policy: OptPolicy) -> Option<Box<dyn Analyzable>> {
         self.specialized(spec, policy)
             .map(|p| Box::new(p) as Box<dyn Analyzable>)
     }
@@ -1031,5 +1093,37 @@ mod tests {
         }
         // Bad arity through the session reports "no result", like execute.
         assert_eq!(session.execute_one(&[1.0, 2.0], &mut NullObserver), None);
+    }
+
+    #[test]
+    fn the_specialization_memo_is_bounded_and_serves_what_a_fresh_program_would() {
+        use fp_runtime::SiteSet;
+        let p = ModuleProgram::new(square_gate(), "f").unwrap();
+        let specs: Vec<ObservationSpec> = (0..2 * MAX_MEMOIZED_SPECS as u32)
+            .map(|i| ObservationSpec {
+                branches: SiteSet::Only([i].into()),
+                ops: SiteSet::Only([i % 2].into()),
+                return_value: i % 3 == 0,
+                globals: false,
+            })
+            .collect();
+        for pass in 0..2 {
+            for spec in &specs {
+                let (handout, stats) = p
+                    .specialized_with_stats(spec, OptPolicy::Always)
+                    .expect("square_gate specializes under every spec");
+                let (fresh, fresh_stats) = ModuleProgram::new(square_gate(), "f")
+                    .unwrap()
+                    .specialized_with_stats(spec, OptPolicy::Always)
+                    .expect("square_gate specializes under every spec");
+                assert_eq!(handout.module(), fresh.module(), "pass {pass}: {spec:?}");
+                assert_eq!(stats, fresh_stats, "pass {pass}: {spec:?}");
+            }
+            let memo = p.derived.specializations.lock().expect("memo lock");
+            assert_eq!(memo.len(), MAX_MEMOIZED_SPECS, "pass {pass}");
+            assert!(specs[..MAX_MEMOIZED_SPECS]
+                .iter()
+                .all(|s| memo.contains_key(s)));
+        }
     }
 }

@@ -95,7 +95,7 @@ pub enum OptPolicy {
 ///
 /// Raw `u32` indices are used so one set type serves both
 /// [`OpId`](crate::event::OpId) and [`BranchId`] sites.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SiteSet {
     /// Every site.
     All,
@@ -131,7 +131,7 @@ impl SiteSet {
 /// it — the retained events (payloads and order) and the stop behavior they
 /// induce, plus the returned value and final globals when observed — stays
 /// bit-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObservationSpec {
     /// The branch sites whose events are observed.
     pub branches: SiteSet,

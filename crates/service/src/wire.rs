@@ -25,12 +25,16 @@
 //! solution inputs both as decimal floats (readability) and as IEEE-754
 //! bit patterns (exactness), mirroring the checkpoint convention. A
 //! request line longer than [`MAX_REQUEST_LINE`] bytes gets an error
-//! reply, and the server closes its connection.
+//! reply, and the server closes its connection. So does a connection
+//! opened while [`MAX_CONNECTIONS`] others are being served, and one on
+//! which the server has waited [`IDLE_TIMEOUT`] for a request.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use serde::Value;
 use wdm_core::{AnalysisConfig, BackendKind, Outcome, WeakDistance};
@@ -43,6 +47,17 @@ use crate::service::{
 /// A longer line is refused and its connection closed, so a client that
 /// never sends a newline cannot make the server buffer without bound.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// The most connections the server serves at once, each on a thread of its
+/// own. A connection beyond them gets an error reply and is closed, so
+/// clients cannot make the server hold threads without bound.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long the server waits for the next byte of a request. A connection
+/// that stays silent for longer gets an error reply and is closed, so
+/// idle clients cannot hold the [`MAX_CONNECTIONS`] slots. Time spent
+/// serving a request (a `wait`, a `subscribe` stream) does not count.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Named problems a wire client can submit against.
 #[derive(Clone, Default)]
@@ -338,6 +353,15 @@ fn write_line(stream: &mut TcpStream, value: &Value) -> std::io::Result<()> {
     writeln!(stream, "{text}")
 }
 
+/// Sends an error reply saying `why`, then ends the connection's output.
+/// Closing with the client's bytes unread resets the connection; shutting
+/// down the write side first delivers the refusal and then the end of the
+/// stream.
+fn refuse(stream: &mut TcpStream, why: String) {
+    let _ = write_line(stream, &err(why));
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
 /// Writes the `report` reply, `{"ok":true,"jobs":[...]}` on one line, one
 /// job at a time through a buffer: the state lock is taken per job while
 /// its entry is rendered, never across a write, and the whole reply never
@@ -367,6 +391,8 @@ enum Request {
     Line,
     /// A line longer than [`MAX_REQUEST_LINE`] bytes.
     TooLong,
+    /// No byte arrived within the connection's read timeout.
+    Idle,
     /// The end of the stream, or a failed read.
     End,
 }
@@ -378,7 +404,11 @@ fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Request {
     line.clear();
     let limit = MAX_REQUEST_LINE as u64 + 1;
     match reader.take(limit).read_until(b'\n', line) {
-        Ok(0) | Err(_) => return Request::End,
+        Ok(0) => return Request::End,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return Request::Idle
+        }
+        Err(_) => return Request::End,
         Ok(_) => {}
     }
     if line.last() == Some(&b'\n') {
@@ -397,7 +427,11 @@ fn handle_connection(
     handle: ServiceHandle,
     catalog: Arc<Catalog>,
     stop: Arc<AtomicBool>,
+    idle_timeout: Duration,
 ) {
+    if stream.set_read_timeout(Some(idle_timeout)).is_err() {
+        return;
+    }
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
@@ -409,14 +443,19 @@ fn handle_connection(
             Request::Line => {}
             Request::End => return,
             Request::TooLong => {
-                let refusal = err(format!(
-                    "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
-                ));
-                let _ = write_line(&mut writer, &refusal);
-                // Closing with the client's bytes unread resets the
-                // connection; shutting down the write side first delivers
-                // the refusal and then the end of the stream.
-                let _ = writer.shutdown(Shutdown::Write);
+                refuse(
+                    &mut writer,
+                    format!(
+                        "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                    ),
+                );
+                return;
+            }
+            Request::Idle => {
+                refuse(
+                    &mut writer,
+                    format!("no request for {idle_timeout:?}; closing the connection"),
+                );
                 return;
             }
         }
@@ -470,22 +509,49 @@ fn handle_connection(
 /// cancelled to terminal outcomes, the scheduler is joined, and every
 /// subscriber stream is closed before `serve` returns.
 pub fn serve(listener: TcpListener, service: AnalysisService, catalog: Catalog) {
+    serve_with_idle_timeout(listener, service, catalog, IDLE_TIMEOUT);
+}
+
+/// [`serve`], closing connections that stay silent for `idle_timeout`
+/// rather than [`IDLE_TIMEOUT`].
+fn serve_with_idle_timeout(
+    listener: TcpListener,
+    service: AnalysisService,
+    catalog: Catalog,
+    idle_timeout: Duration,
+) {
     let handle = service.handle();
     let catalog = Arc::new(catalog);
     let stop = Arc::new(AtomicBool::new(false));
     let local_addr = listener.local_addr().ok();
-    let mut connections = Vec::new();
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
+        for finished in connections.extract_if(.., |c| c.is_finished()) {
+            let _ = finished.join();
+        }
+        if connections.len() >= MAX_CONNECTIONS {
+            refuse(
+                &mut stream,
+                format!("the server is serving {MAX_CONNECTIONS} connections; closing this one"),
+            );
+            continue;
+        }
         let handle = handle.clone();
         let catalog = Arc::clone(&catalog);
         let conn_stop = Arc::clone(&stop);
         let addr = local_addr;
         connections.push(std::thread::spawn(move || {
-            handle_connection(stream, handle, catalog, Arc::clone(&conn_stop));
+            handle_connection(
+                stream,
+                handle,
+                catalog,
+                Arc::clone(&conn_stop),
+                idle_timeout,
+            );
             // Unblock the accept loop once a shutdown was requested.
             if conn_stop.load(Ordering::SeqCst) {
                 if let Some(addr) = addr {
@@ -509,17 +575,26 @@ mod tests {
     use crate::service::ServiceConfig;
     use fp_runtime::Interval;
     use std::net::SocketAddr;
-    use std::thread::JoinHandle;
+    use std::time::Instant;
     use wdm_core::weak_distance::FnWeakDistance;
 
     /// Serves an empty catalog on a loopback port from a background
     /// thread; tests submit through the returned handle.
     fn start() -> (SocketAddr, ServiceHandle, JoinHandle<()>) {
+        start_with_idle_timeout(IDLE_TIMEOUT)
+    }
+
+    /// [`start`], closing connections that stay silent for `idle_timeout`.
+    fn start_with_idle_timeout(
+        idle_timeout: Duration,
+    ) -> (SocketAddr, ServiceHandle, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local address");
         let service = AnalysisService::start(ServiceConfig::new(2));
         let handle = service.handle();
-        let server = std::thread::spawn(move || serve(listener, service, Catalog::new()));
+        let server = std::thread::spawn(move || {
+            serve_with_idle_timeout(listener, service, Catalog::new(), idle_timeout)
+        });
         (addr, handle, server)
     }
 
@@ -649,6 +724,108 @@ mod tests {
         // The server keeps serving new connections.
         assert_eq!(request(addr, r#"{"cmd":"ping"}"#), "{\"ok\":true}\n");
         stop(addr, server);
+    }
+
+    /// [`request`], retried while the server refuses the connection as one
+    /// over [`MAX_CONNECTIONS`]: a handler thread frees its slot shortly
+    /// after its client hangs up, not at once.
+    fn request_admitted(addr: SocketAddr, line: &str) -> String {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // A refused connection may be closed before the request is
+            // sent or read: a failed write or read is one more refusal.
+            let _ = writeln!(stream, "{line}");
+            let mut reply = String::new();
+            let read = BufReader::new(stream).read_line(&mut reply);
+            if read.is_ok() && !reply.contains("\"ok\":false") {
+                return reply;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no connection slot freed: {reply}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Reads an `ok:false` line from `stream` and then the end of the
+    /// stream, and returns the line.
+    fn refusal_then_end(stream: TcpStream) -> String {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream);
+        let mut refusal = String::new();
+        reader.read_line(&mut refusal).expect("read the refusal");
+        let reply = serde_json::value_from_str(refusal.trim()).expect("JSON refusal");
+        assert_eq!(reply.field("ok"), &Value::Bool(false), "{refusal}");
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).expect("read to the end"),
+            0,
+            "the connection stayed open: {rest}"
+        );
+        refusal
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_refused_until_one_closes() {
+        let (addr, _handle, server) = start();
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        // The server accepts in order: it is serving every idle connection
+        // when it reaches this one.
+        let refusal = refusal_then_end(TcpStream::connect(addr).expect("connect"));
+        assert!(refusal.contains("connections"), "{refusal}");
+
+        drop(idle.pop());
+        assert_eq!(
+            request_admitted(addr, r#"{"cmd":"ping"}"#),
+            "{\"ok\":true}\n"
+        );
+        drop(idle);
+        assert_eq!(
+            request_admitted(addr, r#"{"cmd":"shutdown"}"#),
+            "{\"ok\":true}\n"
+        );
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn silent_connections_are_closed_after_the_idle_timeout() {
+        let idle_timeout = Duration::from_secs(1);
+        let (addr, _handle, server) = start_with_idle_timeout(idle_timeout);
+        // The timeout bounds each wait for a request, not the connection's
+        // life: requests a third of it apart keep a connection open.
+        let mut active = TcpStream::connect(addr).expect("connect");
+        for _ in 0..4 {
+            writeln!(active, r#"{{"cmd":"ping"}}"#).expect("send ping");
+            let mut reply = String::new();
+            BufReader::new(&active)
+                .read_line(&mut reply)
+                .expect("read reply");
+            assert_eq!(reply, "{\"ok\":true}\n");
+            std::thread::sleep(idle_timeout / 3);
+        }
+        // Silent clients holding every slot give their slots up.
+        let silent: Vec<TcpStream> = (1..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        for stream in std::iter::once(active).chain(silent) {
+            let refusal = refusal_then_end(stream);
+            assert!(refusal.contains("no request for"), "{refusal}");
+        }
+        assert_eq!(
+            request_admitted(addr, r#"{"cmd":"ping"}"#),
+            "{\"ok\":true}\n"
+        );
+        assert_eq!(
+            request_admitted(addr, r#"{"cmd":"shutdown"}"#),
+            "{\"ok\":true}\n"
+        );
+        server.join().expect("server thread");
     }
 
     #[test]

@@ -15,16 +15,20 @@ use common::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Barrier;
 use wdm::core::boundary::{BoundaryAnalysis, BoundaryMode, BoundaryWeakDistance};
 use wdm::core::coverage::{CoverageAnalysis, CoverageWeakDistance};
 use wdm::core::driver::AnalysisConfig;
 use wdm::core::overflow::{OverflowDetector, OverflowWeakDistance};
 use wdm::core::path::{PathAnalysis, PathWeakDistance};
 use wdm::core::weak_distance::{WeakDistance, WeakDistanceObjective};
-use wdm::ir::ModuleProgram;
+use wdm::ir::{ExecError, ModuleProgram};
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{Bounds, Problem, SamplingTrace};
-use wdm::runtime::{Analyzable, KernelPolicy, OptPolicy};
+use wdm::runtime::{
+    Analyzable, BranchId, CancelToken, Cmp, Interval, KernelPolicy, NullObserver, ObservationSpec,
+    OptPolicy, SiteSet, TraceRecorder,
+};
 
 const KERNEL_POLICIES: [KernelPolicy; 3] =
     [KernelPolicy::Never, KernelPolicy::Always, KernelPolicy::Auto];
@@ -370,6 +374,219 @@ proptest! {
             prop_assert_eq!(bits(&bb.0), bits(&sb.0), "{} {:?}/{:?}: best x", name, kp, op);
             prop_assert_eq!(bb.1.to_bits(), sb.1.to_bits(), "{} {:?}/{:?}: best v", name, kp, op);
             prop_assert_eq!(trace_bits(&bt), trace_bits(&st), "{} {:?}/{:?}: trace", name, kp, op);
+        }
+    }
+}
+
+/// The observation specs the analyses build for `prog`: a single-site
+/// boundary target, a path over every branch site, coverage of all
+/// branches, and overflow with one operation site handled.
+fn analysis_specs(prog: &ModuleProgram) -> Vec<(&'static str, ObservationSpec)> {
+    let branches: BTreeSet<u32> = prog.branch_sites().iter().map(|s| s.id.0).collect();
+    let handled: BTreeSet<u32> = prog.op_sites().iter().take(1).map(|s| s.id.0).collect();
+    let mut specs = Vec::new();
+    if let Some(&first) = branches.first() {
+        let single = SiteSet::Only([first].into());
+        specs.push(("boundary/single", ObservationSpec::branches(single)));
+        let path = SiteSet::Only(branches);
+        specs.push(("path", ObservationSpec::branches(path)));
+    }
+    specs.push(("coverage", ObservationSpec::branches(SiteSet::All)));
+    let unhandled = SiteSet::Except(handled);
+    specs.push(("overflow/except", ObservationSpec::ops(unhandled)));
+    specs
+}
+
+/// A repeated request for one spec, on the program or on a clone, is
+/// served from the program's memo: it shares the first request's module,
+/// and it equals what a fresh program specializes to, module and
+/// statistics alike, under both keeping policies.
+#[test]
+fn repeated_specializations_share_one_validated_module() {
+    for (name, module, entry) in module_suite() {
+        let prog = program(&module, entry);
+        for (shape, spec) in analysis_specs(&prog) {
+            for op in [OptPolicy::Always, OptPolicy::Auto] {
+                let what = format!("{name}/{shape} {op:?}");
+                let fresh = program(&module, entry).specialized_with_stats(&spec, op);
+                let first = prog.specialized_with_stats(&spec, op);
+                let repeats = [
+                    prog.specialized_with_stats(&spec, op),
+                    prog.clone().specialized_with_stats(&spec, op),
+                ];
+                if op == OptPolicy::Always {
+                    assert!(fresh.is_some(), "{what}: every suite module validates");
+                }
+                for repeat in repeats {
+                    match (&first, repeat, &fresh) {
+                        (Some(first), Some((repeat, stats)), Some((fresh, fresh_stats))) => {
+                            assert_eq!(repeat.module(), fresh.module(), "{what}: module");
+                            assert_eq!(stats, *fresh_stats, "{what}: stats");
+                            assert!(
+                                std::ptr::eq(repeat.module(), first.0.module()),
+                                "{what}: a repeat shares the first module"
+                            );
+                        }
+                        (None, None, None) => {}
+                        (first, repeat, fresh) => panic!(
+                            "{what}: kept first {}, repeat {}, fresh {}",
+                            first.is_some(),
+                            repeat.is_some(),
+                            fresh.is_some()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Moving a program to a new domain drops everything computed for the old
+/// one: fig2 specialized on [-1e3, 1e3] and then moved to [1.5, 1e3]
+/// specializes and analyses exactly like a fresh program on [1.5, 1e3].
+#[test]
+fn with_domain_serves_nothing_from_the_old_domain() {
+    let fig2 = wdm::ir::programs::fig2_program();
+    let right = vec![Interval::new(1.5, 1.0e3)];
+    // Branch 0 (`x <= 1`) is unobserved, and one-sided on [1.5, 1e3].
+    let spec = ObservationSpec::branches(SiteSet::Only([1].into()));
+    let prog = ModuleProgram::new(fig2.clone(), "prog")
+        .expect("entry exists")
+        .with_domain(vec![Interval::new(-1.0e3, 1.0e3)]);
+    let (old, _) = prog
+        .specialized_with_stats(&spec, OptPolicy::Always)
+        .expect("fig2 specializes");
+    let moved = prog.with_domain(right.clone());
+    let fresh = ModuleProgram::new(fig2, "prog")
+        .expect("entry exists")
+        .with_domain(right);
+    let (new, stats) = moved
+        .specialized_with_stats(&spec, OptPolicy::Always)
+        .expect("fig2 specializes");
+    let (expect, expect_stats) = fresh
+        .specialized_with_stats(&spec, OptPolicy::Always)
+        .expect("fig2 specializes");
+    assert_ne!(old.module(), expect.module(), "the domains specialize alike");
+    assert_eq!(new.module(), expect.module());
+    assert_eq!(stats, expect_stats);
+    assert_eq!(new.search_domain(), expect.search_domain());
+    for taken in [true, false] {
+        assert_eq!(
+            moved.branch_side_reachability(BranchId(0), taken),
+            fresh.branch_side_reachability(BranchId(0), taken),
+            "branch 0 taken={taken}"
+        );
+    }
+}
+
+/// `n = 0; while (n < 1000) n = n + 1; return x + n`: thousands of
+/// instructions per run, so a run polls its cancel token many times, yet
+/// it ends well within the default fuel, as validation requires.
+fn counting_loop() -> wdm::ir::Module {
+    use wdm::ir::BinOp;
+    let mut mb = wdm::ir::ModuleBuilder::new();
+    let mut f = mb.function("count", 1);
+    let x = f.param(0);
+    let one = f.constant(1.0);
+    let limit = f.constant(1000.0);
+    let n = f.constant(0.0);
+    let header = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+    f.jump(header);
+    f.switch_to(header);
+    f.cond_br(Some(0), n, Cmp::Lt, limit, body, exit);
+    f.switch_to(body);
+    let next = f.bin(BinOp::Add, n, one, Some(0));
+    f.assign(n, next);
+    f.jump(header);
+    f.switch_to(exit);
+    let sum = f.bin(BinOp::Add, x, n, Some(1));
+    f.ret(Some(sum));
+    f.finish();
+    mb.build()
+}
+
+/// A hand-out runs under the interpreter of the program that requested it,
+/// not of the one that filled the memo: taken after `with_cancel(token)`,
+/// it stops with `Cancelled` once that token is cancelled.
+#[test]
+fn a_hand_out_runs_under_the_requesting_programs_cancel_token() {
+    let prog = ModuleProgram::new(counting_loop(), "count")
+        .expect("entry exists")
+        .with_domain(vec![Interval::symmetric(1.0e3)]);
+    let spec = ObservationSpec::branches(SiteSet::All);
+    let filled = prog
+        .specialized(&spec, OptPolicy::Always)
+        .expect("the loop validates");
+    assert!(filled.run_with_globals(&[0.5], &mut NullObserver).is_ok());
+
+    let token = CancelToken::new();
+    let handout = prog
+        .clone()
+        .with_cancel(token.clone())
+        .specialized(&spec, OptPolicy::Always)
+        .expect("the loop validates");
+    assert!(
+        std::ptr::eq(handout.module(), filled.module()),
+        "with_cancel kept the memo"
+    );
+    token.cancel();
+    assert_eq!(
+        handout.run_with_globals(&[0.5], &mut NullObserver),
+        Err(ExecError::Cancelled)
+    );
+    assert!(
+        filled.run_with_globals(&[0.5], &mut NullObserver).is_ok(),
+        "the first hand-out keeps its own token"
+    );
+}
+
+/// The branch events `prog` reports on each of `xs`, bit for bit.
+fn branch_bits(prog: &ModuleProgram, xs: &[Vec<f64>]) -> Vec<Vec<(u32, u64, u64, bool)>> {
+    xs.iter()
+        .map(|x| {
+            let mut rec = TraceRecorder::new();
+            prog.run(x, &mut rec);
+            rec.branches()
+                .map(|b| (b.id.0, b.lhs.to_bits(), b.rhs.to_bits(), b.taken))
+                .collect()
+        })
+        .collect()
+}
+
+/// Threads that request one spec at once get one shared module, whose
+/// observed events match the unspecialized program's bit for bit.
+#[test]
+fn concurrent_requests_for_one_spec_share_one_module() {
+    let threads = matrix_threads();
+    let spec = ObservationSpec::branches(SiteSet::All);
+    for (name, module, entry) in module_suite() {
+        let prog = program(&module, entry);
+        let xs = suite_points(0x5EED ^ name.len() as u64, 16);
+        let reference = branch_bits(&prog, &xs);
+        let start = Barrier::new(threads);
+        let handouts: Vec<ModuleProgram> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        prog.specialized(&spec, OptPolicy::Always)
+                            .expect("every suite module validates")
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker thread"))
+                .collect()
+        });
+        for handout in &handouts {
+            assert!(
+                std::ptr::eq(handout.module(), handouts[0].module()),
+                "{name}: one shared module"
+            );
+            assert_eq!(branch_bits(handout, &xs), reference, "{name}: events");
         }
     }
 }
