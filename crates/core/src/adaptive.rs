@@ -12,10 +12,9 @@
 //! Three pieces make that possible:
 //!
 //! * [`SteppedAnalysis`] — the driver's restart loop (Algorithm 3 step 4)
-//!   as a resumable state machine: rounds of a
-//!   [`SteppedMinimizer`](wdm_mo::SteppedMinimizer) backend, merged
-//!   exactly as the sequential driver merges them, pausable at any
-//!   eval-budget slice;
+//!   as a resumable state machine: rounds of a [`SteppedMinimizer`]
+//!   backend, merged exactly as the sequential driver merges them,
+//!   pausable at any eval-budget slice;
 //! * a deterministic **UCB1-style bandit** over per-slice best-residual
 //!   improvement: each scheduler round, the arm maximizing
 //!   `mean_reward + c·sqrt(ln t / n)` (ties broken by a seeded hash)
@@ -208,13 +207,6 @@ impl<'wd> SteppedAnalysis<'wd> {
         self.finished
     }
 
-    /// Whether the backend only pauses at whole-round granularity (see
-    /// [`wdm_mo::SteppedMinimizer::is_coarse`]) — any slice costs it a
-    /// full round.
-    pub fn is_coarse(&self) -> bool {
-        self.backend.is_coarse()
-    }
-
     /// Whether some round's minimum reached zero.
     pub fn found(&self) -> bool {
         self.hit
@@ -307,19 +299,13 @@ impl<'wd> SteppedAnalysis<'wd> {
     }
 
     /// Snapshots the analysis for durable storage (floats as IEEE-754
-    /// bit patterns, see [`crate::checkpoint`]). Returns `None` when a
-    /// paused active round's backend cannot checkpoint (a coarse
-    /// wrapper mid-round) — drive such a round to its next boundary
-    /// first.
-    pub fn checkpoint(&self) -> Option<AnalysisCheckpoint> {
-        let active = match &self.active {
-            None => None,
-            Some(a) => Some(ActiveCkpt {
-                step: a.machine.checkpoint()?,
-                trace: a.trace.as_ref().map(SamplingTrace::checkpoint),
-            }),
-        };
-        Some(AnalysisCheckpoint {
+    /// bit patterns, see [`crate::checkpoint`]).
+    pub fn checkpoint(&self) -> AnalysisCheckpoint {
+        let active = self.active.as_ref().map(|a| ActiveCkpt {
+            step: a.machine.checkpoint(),
+            trace: a.trace.as_ref().map(SamplingTrace::checkpoint),
+        });
+        AnalysisCheckpoint {
             round: self.round,
             active,
             best: self.best.as_ref().map(ResultCkpt::of),
@@ -327,7 +313,7 @@ impl<'wd> SteppedAnalysis<'wd> {
             trace: self.trace.checkpoint(),
             hit: self.hit,
             finished: self.finished,
-        })
+        }
     }
 
     /// Rebuilds an analysis from a [`checkpoint`](Self::checkpoint).
@@ -582,7 +568,6 @@ pub struct AdaptivePortfolio<'wd> {
     cancel: CancelToken,
     race: CancelToken,
     arms: Vec<Mutex<SteppedAnalysis<'wd>>>,
-    coarse: Vec<bool>,
     stats: Vec<ArmStats>,
     pool: usize,
     base_slice: usize,
@@ -644,10 +629,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
         arms: Vec<Mutex<SteppedAnalysis<'wd>>>,
         stats: Vec<ArmStats>,
     ) -> Self {
-        let coarse: Vec<bool> = arms
-            .iter()
-            .map(|arm| arm.lock().expect("adaptive arm lock").is_coarse())
-            .collect();
         let rounds = config.rounds.max(1);
         // The shared evaluation pool: ONE direct backend run's worth. A
         // single-arm portfolio has nothing to reallocate and runs to
@@ -671,7 +652,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
             cancel,
             race,
             arms,
-            coarse,
             stats,
             pool,
             base_slice,
@@ -750,13 +730,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
             .expect("alive is non-empty");
 
         // Reallocation: the leader gets a full slice, every other live
-        // arm a probe slice — except coarse arms, for which any slice
-        // costs a whole round: they only run when they lead (the
-        // never-led bootstrap and the growing UCB bonus still get them
-        // scheduled, just never as throwaway probes).
+        // arm a probe slice.
         let allocation: Vec<(usize, usize)> = alive
             .iter()
-            .filter(|&&i| i == leader || !self.coarse[i])
             .map(|&i| {
                 (
                     i,
@@ -953,7 +929,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 a
             }
         };
-        self.coarse.push(analysis.is_coarse());
         self.arms.push(Mutex::new(analysis));
         self.arm_kinds.push(spec.label());
         if self.stats.len() < self.arms.len() {
@@ -1078,15 +1053,10 @@ impl<'wd> AdaptivePortfolio<'wd> {
     }
 
     /// Snapshots the whole scheduler — every arm plus the bandit
-    /// statistics — for durable storage. Returns `None` if some paused
-    /// arm cannot checkpoint (see [`SteppedAnalysis::checkpoint`]).
-    pub fn checkpoint(&self) -> Option<AdaptiveCheckpoint> {
-        let mut arms = Vec::with_capacity(self.arms.len());
-        for i in 0..self.arms.len() {
-            arms.push(self.lock(i).checkpoint()?);
-        }
-        Some(AdaptiveCheckpoint {
-            arms,
+    /// statistics — for durable storage.
+    pub fn checkpoint(&self) -> AdaptiveCheckpoint {
+        AdaptiveCheckpoint {
+            arms: (0..self.arms.len()).map(|i| self.lock(i).checkpoint()).collect(),
             stats: self
                 .stats
                 .iter()
@@ -1114,7 +1084,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
                     }
                 }),
             }),
-        })
+        }
     }
 
     /// Rebuilds a scheduler from a [`checkpoint`](Self::checkpoint).
@@ -1417,7 +1387,7 @@ mod tests {
                 let done = resumed.step(300);
                 // Serialize, drop, rebuild: the continuation must not
                 // notice the round trip.
-                let ckpt = resumed.checkpoint().expect("stepped backends checkpoint");
+                let ckpt = resumed.checkpoint();
                 let text = serde_json::to_string(&ckpt).expect("render");
                 let back = serde_json::from_str(&text).expect("parse");
                 resumed = SteppedAnalysis::restore(&wd, &config, CancelToken::new(), &back)
@@ -1444,7 +1414,7 @@ mod tests {
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         loop {
             let ran = portfolio.round(1);
-            let ckpt = portfolio.checkpoint().expect("stepped backends checkpoint");
+            let ckpt = portfolio.checkpoint();
             let text = serde_json::to_string(&ckpt).expect("render");
             let back: AdaptiveCheckpoint = serde_json::from_str(&text).expect("parse");
             portfolio = AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &back)
@@ -1474,7 +1444,7 @@ mod tests {
         let cancel = CancelToken::new();
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         while portfolio.round(1) {
-            let ckpt = portfolio.checkpoint().expect("stepped backends checkpoint");
+            let ckpt = portfolio.checkpoint();
             portfolio =
                 AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt)
                     .expect("restore");
@@ -1497,7 +1467,7 @@ mod tests {
         let cancel = CancelToken::new();
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         portfolio.round(1);
-        let ckpt = portfolio.checkpoint().expect("checkpointable");
+        let ckpt = portfolio.checkpoint();
         // Wrong arm count.
         assert!(AdaptivePortfolio::restore(
             &wd,
@@ -1685,7 +1655,7 @@ mod tests {
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         loop {
             let ran = portfolio.round(1);
-            let ckpt = portfolio.checkpoint().expect("stepped backends checkpoint");
+            let ckpt = portfolio.checkpoint();
             let text = serde_json::to_string(&ckpt).expect("render");
             let back: AdaptiveCheckpoint = serde_json::from_str(&text).expect("parse");
             portfolio = AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &back)
@@ -1717,7 +1687,7 @@ mod tests {
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         while portfolio.escalations() == 0 && portfolio.round(1) {}
         assert!(portfolio.escalations() > 0);
-        let ckpt = portfolio.checkpoint().expect("checkpointable");
+        let ckpt = portfolio.checkpoint();
         assert!(ckpt.escalation.is_some());
         // Unknown spec kind.
         let mut bad = ckpt.clone();
@@ -1749,7 +1719,7 @@ mod tests {
         let cancel = CancelToken::new();
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         portfolio.round(1);
-        let mut ckpt = portfolio.checkpoint().expect("checkpointable");
+        let mut ckpt = portfolio.checkpoint();
         // Poison both arms: NaN rewards and NaN play counts.
         for stat in &mut ckpt.stats {
             stat.mean_reward = f64::NAN.to_bits();

@@ -5,10 +5,10 @@
 //! implementations that capture everything above the backend state
 //! machines — the restart loop's merge state
 //! ([`AnalysisCheckpoint`]) and the bandit scheduler's statistics
-//! ([`AdaptiveCheckpoint`]). Together with the backend
-//! [`StepCheckpoint`](wdm_mo::StepCheckpoint) they make a whole
-//! adaptive run durable: serialize, kill the process, restore, and the
-//! continuation is bit-identical to a run that never stopped.
+//! ([`AdaptiveCheckpoint`]). Together with the backend [`StepCheckpoint`]
+//! they make a whole adaptive run durable: serialize, kill the process,
+//! restore, and the continuation is bit-identical to a run that never
+//! stopped.
 //!
 //! As in the backend layer, every `f64` travels as its IEEE-754 bit
 //! pattern (`u64`), because JSON round-trips of decimal floats are not

@@ -99,8 +99,8 @@ impl BackendKind {
     /// Builds the backend as a resumable stepped run — the seam the
     /// adaptive portfolio scheduler ([`crate::adaptive`]) reallocates
     /// budget through. Runs are bit-identical to [`GlobalMinimizer`] runs
-    /// however they are sliced. Powell has no internal checkpoint, so its
-    /// "stepped" run is coarse: the whole run is one slice.
+    /// however they are sliced, and every backend checkpoints at its
+    /// pauses.
     pub fn build_stepped(self) -> Box<dyn SteppedMinimizer> {
         match self {
             BackendKind::BasinHopping => Box::new(BasinHopping::default()),

@@ -3,10 +3,9 @@
 //!
 //! This crate is the paper's primary contribution:
 //!
-//! * [`weak_distance`] — the [`WeakDistance`](weak_distance::WeakDistance)
-//!   abstraction of Definition 3.1 (a nonnegative program whose zeros are
-//!   exactly the solutions of the analysis problem) and its adapter to the
-//!   optimization backends;
+//! * [`weak_distance`] — the [`WeakDistance`] abstraction of Definition
+//!   3.1 (a nonnegative program whose zeros are exactly the solutions of
+//!   the analysis problem) and its adapter to the optimization backends;
 //! * [`driver`] — Algorithm 2: construct a weak distance, minimize it with
 //!   an off-the-shelf MO backend, report the minimum point if the minimum
 //!   is zero, and optionally verify the reported solution against a

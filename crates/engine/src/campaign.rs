@@ -73,7 +73,7 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// The deterministic portion of the report (everything except timing),
     /// in submission order — bit-identical across thread counts, which the
-    /// determinism tests and the speedup experiment assert.
+    /// determinism tests assert.
     pub fn deterministic_results(&self) -> Vec<JobResult> {
         self.jobs.iter().map(|j| j.result.clone()).collect()
     }

@@ -20,11 +20,6 @@
 //! 3. **Campaign mode** ([`Campaign`], [`gsl_suite`]) — a job queue over a
 //!    [`WorkerPool`] that batches whole benchmark suites and reduces the
 //!    results into a single JSON report.
-//! 4. **Pooled batch evaluation** ([`PooledObjective`]) — the
-//!    batched-evaluation seam (`Objective::eval_batch`) spread over scoped
-//!    workers: a Differential Evolution generation or random-search chunk
-//!    is split into contiguous slices, evaluated in parallel and
-//!    reassembled in input order, bit-identical at any thread count.
 //!
 //! Levels 1–2 live in `wdm_core::driver` (they need nothing but scoped
 //! threads) and are re-exported here; this crate adds the pool, the
@@ -49,13 +44,11 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod batch;
 pub mod campaign;
 pub mod portfolio;
 pub mod threads;
 
 pub use adaptive::{adaptive_all, minimize_weak_distance_adaptive, SteppedAnalysis};
-pub use batch::PooledObjective;
 pub use campaign::{
     gsl_portfolio_suite, gsl_suite, Campaign, CampaignJob, CampaignReport, JobReport, JobResult,
 };

@@ -3,7 +3,7 @@
 //!
 //! The pass pipeline is deliberately layered:
 //!
-//! 1. [`cfg`] — per-function control-flow graphs (successors, predecessors,
+//! 1. [`cfg`](mod@cfg) — per-function control-flow graphs (successors, predecessors,
 //!    reverse postorder, reachability, cycle membership) and the module
 //!    call graph with recursion detection;
 //! 2. [`dom`] — dominator trees (Cooper–Harvey–Kennedy), powering the

@@ -252,8 +252,8 @@ impl Interpreter {
     }
 
     /// Executes and also reports how many instructions ran (the fuel
-    /// consumed), the measurement behind the `opt_speedup` benchmark's
-    /// per-evaluation instruction counts.
+    /// consumed), the measurement behind the ledger's
+    /// `fpir.insts_per_eval`.
     ///
     /// # Errors
     ///

@@ -1,11 +1,9 @@
 //! Sparse conditional constant propagation over the interval domain.
 //!
-//! A forward abstract interpretation with
-//! [`AbsVal`](crate::analysis::interval::AbsVal) computes, for every
+//! A forward abstract interpretation with [`AbsVal`] computes, for every
 //! reachable block, a sound abstraction of each register at block entry —
-//! propagating only along branch sides the
-//! [`cmp_possibilities`](comparison feasibility) cannot rule out, the
-//! "sparse conditional" part. The rewrite phase then replays each block
+//! propagating only along branch sides the comparison-feasibility check
+//! (`cmp_possibilities`) cannot rule out, the "sparse conditional" part. The rewrite phase then replays each block
 //! under its fixed entry environment and:
 //!
 //! * folds an **unobserved** `Bin`/`Un` whose operands are both single bit

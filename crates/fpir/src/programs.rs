@@ -153,8 +153,7 @@ pub fn eq_zero_program() -> Module {
 /// overflow-instrumented numeric kernel). The single conditional branch
 /// compares the result against 1 with both successors returning, so the
 /// program has no loops and no calls — the best case for the lanewise
-/// kernel backend and the reference workload of the `kernel_speedup`
-/// experiment.
+/// kernel backend.
 pub fn horner_program(degree: usize) -> Module {
     let mut mb = ModuleBuilder::new();
     let mut f = mb.function("prog", 1);

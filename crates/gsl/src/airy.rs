@@ -4,8 +4,8 @@
 //! Structure of the port (mirroring GSL):
 //!
 //! * `x < -1` — oscillatory region: `airy_mod_phase` computes a modulus and
-//!   a phase from asymptotic correction series, then
-//!   [`cos_err_e`](crate::trig::cos_err_e) combines them;
+//!   a phase from asymptotic correction series, then [`cos_err_e`]
+//!   combines them;
 //! * `-1 <= x <= 1` — Maclaurin series `Ai(x) = c1 f(x) - c2 g(x)`;
 //! * `x > 1` — exponentially decaying asymptotic expansion.
 //!

@@ -345,8 +345,8 @@ impl MinimizerStep for BasinHoppingStep {
         }
     }
 
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        Some(StepCheckpoint::BasinHopping(BhCkpt {
+    fn checkpoint(&self) -> StepCheckpoint {
+        StepCheckpoint::BasinHopping(BhCkpt {
             rng: RngCkpt::of(&self.rng),
             started: self.started,
             hop: self.hop,
@@ -354,7 +354,7 @@ impl MinimizerStep for BasinHoppingStep {
             best: self.best.as_ref().map(ResultCkpt::of),
             total_evals: self.total_evals,
             finished: self.finished.as_ref().map(ResultCkpt::of),
-        }))
+        })
     }
 }
 

@@ -262,8 +262,8 @@ impl MinimizerStep for DiffEvoStep {
         MinimizeResult::new(x, value, self.ev.evals(), Termination::BudgetExhausted)
     }
 
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        Some(StepCheckpoint::DiffEvo(DeCkpt {
+    fn checkpoint(&self) -> StepCheckpoint {
+        StepCheckpoint::DiffEvo(DeCkpt {
             rng: RngCkpt::of(&self.rng),
             ev: self.ev.checkpoint(),
             pop: self.pop.iter().map(|m| bits_of(m)).collect(),
@@ -271,7 +271,7 @@ impl MinimizerStep for DiffEvoStep {
             generation: self.generation,
             initialized: self.initialized,
             finished: self.finished.as_ref().map(ResultCkpt::of),
-        }))
+        })
     }
 }
 

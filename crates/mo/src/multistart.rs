@@ -180,14 +180,14 @@ impl MinimizerStep for MultiStartStep {
         result
     }
 
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        Some(StepCheckpoint::MultiStart(MsCkpt {
+    fn checkpoint(&self) -> StepCheckpoint {
+        StepCheckpoint::MultiStart(MsCkpt {
             starts: self.starts.iter().map(|s| bits_of(s)).collect(),
             next: self.next,
             best: self.best.as_ref().map(ResultCkpt::of),
             total_evals: self.total_evals,
             finished: self.finished.as_ref().map(ResultCkpt::of),
-        }))
+        })
     }
 }
 

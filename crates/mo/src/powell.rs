@@ -13,7 +13,7 @@
 //! bit-identical to the unsliced run — both the local
 //! ([`LocalMinimizer::minimize_from`]) and global interfaces drive the same
 //! state machine — which gives the fair-share scheduler real granularity on
-//! Powell-heavy jobs instead of the former whole-run coarse slices.
+//! Powell-heavy jobs.
 
 use crate::brent::line_minimize;
 use crate::checkpoint::{bits_of, floats_of, PwCkpt, ResultCkpt, StepCheckpoint};
@@ -257,8 +257,8 @@ impl MinimizerStep for PowellStep {
         MinimizeResult::new(x, value, self.ev.evals(), Termination::BudgetExhausted)
     }
 
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        Some(StepCheckpoint::Powell(PwCkpt {
+    fn checkpoint(&self) -> StepCheckpoint {
+        StepCheckpoint::Powell(PwCkpt {
             started: self.started,
             dirs: self.dirs.iter().map(|d| bits_of(d)).collect(),
             x: bits_of(&self.x),
@@ -266,7 +266,7 @@ impl MinimizerStep for PowellStep {
             iter: self.iter,
             ev: self.ev.checkpoint(),
             finished: self.finished.as_ref().map(ResultCkpt::of),
-        }))
+        })
     }
 }
 

@@ -125,14 +125,14 @@ impl MinimizerStep for RandomSearchStep {
         MinimizeResult::new(x, value, self.ev.evals(), Termination::BudgetExhausted)
     }
 
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        Some(StepCheckpoint::RandomSearch(RsCkpt {
+    fn checkpoint(&self) -> StepCheckpoint {
+        StepCheckpoint::RandomSearch(RsCkpt {
             rng: RngCkpt::of(&self.rng),
             ev: self.ev.checkpoint(),
             limit: self.limit,
             done: self.done,
             finished: self.finished.as_ref().map(ResultCkpt::of),
-        }))
+        })
     }
 }
 

@@ -32,7 +32,7 @@
 //! overshoot the slice by one checkpoint.
 
 use crate::checkpoint::StepCheckpoint;
-use crate::result::{MinimizeResult, Termination};
+use crate::result::MinimizeResult;
 use crate::sampling::SampleSink;
 use crate::{GlobalMinimizer, Problem};
 
@@ -75,18 +75,16 @@ pub trait MinimizerStep: Send {
 
     /// The run's result. After `Finished` this is the exact result the
     /// unsliced [`GlobalMinimizer::minimize`] returns; mid-run it is a
-    /// snapshot of the incumbent with [`Termination::BudgetExhausted`]
+    /// snapshot of the incumbent with
+    /// [`Termination::BudgetExhausted`](crate::Termination::BudgetExhausted)
     /// (the caller withdrew the budget).
     fn result(&self) -> MinimizeResult;
 
     /// Serializable snapshot of the paused run, restorable through
     /// [`SteppedMinimizer::restore`] on the same backend instance over the
     /// same problem. Stepping the restored run is bit-identical to stepping
-    /// this one. `None` for steps without checkpoint support (the coarse
-    /// wrapper), which the service treats as non-durable.
-    fn checkpoint(&self) -> Option<StepCheckpoint> {
-        None
-    }
+    /// this one.
+    fn checkpoint(&self) -> StepCheckpoint;
 }
 
 /// A backend whose runs can be sliced and resumed.
@@ -97,26 +95,15 @@ pub trait SteppedMinimizer: GlobalMinimizer {
     /// run performs before its first evaluation.
     fn start(&self, problem: &Problem<'_>, seed: u64) -> Box<dyn MinimizerStep>;
 
-    /// Whether this backend can only pause at whole-run granularity
-    /// ([`CoarseStep`]): any slice, however small, costs a full run.
-    /// Schedulers use this to withhold small exploratory slices they do
-    /// not mean to pay a whole run for.
-    fn is_coarse(&self) -> bool {
-        false
-    }
-
     /// Rebuilds a paused run from a [`MinimizerStep::checkpoint`] snapshot
     /// taken by this backend over the same problem; the backend instance
     /// re-supplies the configuration the snapshot deliberately omits.
-    /// `None` when the snapshot belongs to a different backend (or the
-    /// backend has no checkpoint support).
+    /// `None` when the snapshot belongs to a different backend.
     fn restore(
         &self,
-        _problem: &Problem<'_>,
-        _checkpoint: &StepCheckpoint,
-    ) -> Option<Box<dyn MinimizerStep>> {
-        None
-    }
+        problem: &Problem<'_>,
+        checkpoint: &StepCheckpoint,
+    ) -> Option<Box<dyn MinimizerStep>>;
 }
 
 /// Runs a stepped backend to completion in one slice covering the whole
@@ -133,100 +120,10 @@ pub fn drive(
     run.result()
 }
 
-/// The degenerate stepped run of a backend with no internal checkpoint:
-/// the whole run is one slice.
-///
-/// The bit-identity contract holds trivially; the cost is granularity — an
-/// adaptive scheduler that grants this backend any slice pays for a full
-/// run. Schedulers account actual evaluations, so the budget stays honest.
-pub struct CoarseStep<M> {
-    minimizer: M,
-    seed: u64,
-    dim: usize,
-    finished: Option<MinimizeResult>,
-}
-
-impl<M: GlobalMinimizer + Clone> CoarseStep<M> {
-    /// Captures the (trivial) initial state of a run of `minimizer`.
-    pub fn new(minimizer: &M, problem: &Problem<'_>, seed: u64) -> Self {
-        CoarseStep {
-            minimizer: minimizer.clone(),
-            seed,
-            dim: problem.objective.dim(),
-            finished: None,
-        }
-    }
-}
-
-impl<M: GlobalMinimizer + Clone + 'static> MinimizerStep for CoarseStep<M> {
-    fn step(
-        &mut self,
-        problem: &Problem<'_>,
-        _slice: usize,
-        sink: &mut dyn SampleSink,
-    ) -> StepStatus {
-        if self.finished.is_none() {
-            self.finished = Some(self.minimizer.minimize(problem, self.seed, sink));
-        }
-        StepStatus::Finished
-    }
-
-    fn is_finished(&self) -> bool {
-        self.finished.is_some()
-    }
-
-    fn evals(&self) -> usize {
-        self.finished.as_ref().map(|r| r.evals).unwrap_or(0)
-    }
-
-    fn best_value(&self) -> f64 {
-        self.finished
-            .as_ref()
-            .map(|r| r.value)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    fn result(&self) -> MinimizeResult {
-        self.finished.clone().unwrap_or_else(|| {
-            MinimizeResult::new(
-                vec![f64::NAN; self.dim],
-                f64::INFINITY,
-                0,
-                Termination::BudgetExhausted,
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Bounds, FnObjective, NoTrace, Powell};
-
-    #[test]
-    fn coarse_step_runs_a_whole_backend_in_one_slice() {
-        let f = FnObjective::new(1, |x: &[f64]| (x[0] - 2.0).abs());
-        let p = Problem::new(&f, Bounds::symmetric(1, 10.0)).with_max_evals(2_000);
-        let direct = Powell::default().minimize(&p, 7, &mut NoTrace);
-
-        let mut run = CoarseStep::new(&Powell::default(), &p, 7);
-        assert!(!run.is_finished());
-        assert_eq!(run.evals(), 0);
-        assert!(run.best_value().is_infinite());
-        // Pre-step snapshot is a well-formed placeholder.
-        assert_eq!(run.result().termination, Termination::BudgetExhausted);
-        // Coarse wrappers carry no serializable state.
-        assert!(run.checkpoint().is_none());
-        assert_eq!(run.step(&p, 1, &mut NoTrace), StepStatus::Finished);
-        assert!(run.is_finished());
-        let sliced = run.result();
-        assert_eq!(sliced, direct);
-        assert_eq!(run.evals(), direct.evals);
-        assert_eq!(run.best_value().to_bits(), direct.value.to_bits());
-        // Further steps are no-ops.
-        assert_eq!(run.step(&p, 1, &mut NoTrace), StepStatus::Finished);
-        assert_eq!(run.result(), direct);
-    }
 
     #[test]
     fn sliced_runs_match_unsliced_for_every_stepped_backend() {

@@ -1,4 +1,4 @@
-//! Classic optimization test functions used by unit tests and benches.
+//! Classic optimization test functions used by unit tests.
 
 /// Sphere function: `sum x_i^2`, minimum 0 at the origin.
 ///

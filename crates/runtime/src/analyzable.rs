@@ -94,7 +94,7 @@ pub enum OptPolicy {
 /// open-ended "everything except these" sets observers use.
 ///
 /// Raw `u32` indices are used so one set type serves both
-/// [`OpId`](crate::event::OpId) and [`BranchId`] sites.
+/// [`OpId`] and [`BranchId`] sites.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SiteSet {
     /// Every site.

@@ -2,10 +2,10 @@
 //!
 //! A program port (for instance the `mini-gsl` Bessel function) receives a
 //! [`Ctx`] and reports each floating-point operation and branch comparison
-//! through it. The context forwards the events to the active
-//! [`Observer`](crate::Observer) and keeps track of early-termination
-//! requests, mirroring the `if (w == 0) return;` statements injected by the
-//! paper's instrumentation.
+//! through it. The context forwards the events to the active [`Observer`]
+//! and keeps track of early-termination requests, mirroring the
+//! `if (w == 0) return;` statements injected by the paper's
+//! instrumentation.
 
 use crate::event::{BranchEvent, BranchId, Cmp, FpOp, OpEvent, OpId};
 use crate::recorder::Observer;

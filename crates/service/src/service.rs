@@ -641,22 +641,14 @@ fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
 
     if live {
         let snapshot = portfolio.checkpoint();
-        if snapshot.is_none() {
-            // A backend without checkpoint support cannot be suspended
-            // between turns; degrade to running the job to completion
-            // in this turn rather than losing its progress.
-            while portfolio.round(1) {}
-            finish_job(inner, index, &name, turn, portfolio, &cancel);
-            return;
-        }
         let residual = portfolio.best_value();
         let evals = portfolio.evals_spent();
         let leader = portfolio.leader();
         drop(portfolio);
         let durable = turn % inner.config.checkpoint_every.max(1) == 0
-            && persist_checkpoint(inner, index, &name, turn, false, snapshot.as_ref());
+            && persist_checkpoint(inner, index, &name, turn, false, &snapshot);
         let mut state = inner.lock();
-        state.jobs[index].checkpoint = snapshot;
+        state.jobs[index].checkpoint = Some(snapshot);
         inner.emit(
             &mut state,
             ProgressEvent {
@@ -707,14 +699,7 @@ fn finish_job(
     // same submissions continues the job instead of replaying the
     // cancellation.
     if !cancelled {
-        persist_checkpoint(
-            inner,
-            index,
-            name,
-            turn,
-            true,
-            portfolio.checkpoint().as_ref(),
-        );
+        persist_checkpoint(inner, index, name, turn, true, &portfolio.checkpoint());
     }
     let run = portfolio.into_run();
     let outcome = JobOutcome {
@@ -754,9 +739,9 @@ fn persist_checkpoint(
     name: &str,
     turn: u64,
     finished: bool,
-    snapshot: Option<&AdaptiveCheckpoint>,
+    ckpt: &AdaptiveCheckpoint,
 ) -> bool {
-    let (Some(dir), Some(ckpt)) = (&inner.config.checkpoint_dir, snapshot) else {
+    let Some(dir) = &inner.config.checkpoint_dir else {
         return false;
     };
     let value = Value::Object(vec![

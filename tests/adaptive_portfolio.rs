@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{shaped, thread_counts, trace_bits};
+use common::{matrix_threads, shaped, thread_counts, trace_bits};
 use proptest::prelude::*;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
 use wdm::core::driver::{
@@ -207,6 +207,73 @@ proptest! {
             common::assert_runs_identical(&a.run, &b.run, &format!("{:?}", a.backend));
         }
     }
+}
+
+/// Plateau escalation rescues shelf instances the pure adaptive policy
+/// misses and loses none it solves. The shelf is flat around an
+/// off-center magnitude of a huge log-sampled domain and hides a narrow
+/// zero basin, so the bandit's per-slice improvements go quiet. On the
+/// zero-free control shelf neither policy reports a zero, and escalation
+/// spends at most 5% more evaluations than the pure policy.
+#[test]
+fn escalation_rescues_shelf_instances_without_losses() {
+    const CENTER: f64 = 8.765_432_1e6;
+    const SHELF: f64 = 500.0;
+    const BASIN: f64 = 1.0;
+    let shelf = |with_basin: bool| {
+        FnWeakDistance::new(1, vec![Interval::symmetric(1.0e8)], move |x: &[f64]| {
+            let d = (x[0] - CENTER).abs();
+            if with_basin && (x[0] - (CENTER + 0.8 * SHELF)).abs() <= BASIN {
+                0.0
+            } else if d <= SHELF {
+                0.5
+            } else {
+                0.5 + (d - SHELF) / 1.0e8
+            }
+        })
+    };
+    // Whether each policy found a zero, and its evaluation spend.
+    let compare = |seed: u64, with_basin: bool| {
+        let wd = shelf(with_basin);
+        let pure = AnalysisConfig::quick(seed)
+            .with_rounds(2)
+            .with_max_evals(6_000)
+            .with_parallelism(matrix_threads());
+        let escalated = pure.clone().with_escalation(
+            EscalationConfig::default()
+                .with_threshold(0.25)
+                .with_patience(2)
+                .with_tighten(1.5e-5),
+        );
+        [pure, escalated].map(|config| {
+            let run = minimize_weak_distance_adaptive(&wd, &config, &BackendKind::all());
+            (run.outcome().is_found(), run.outcome().evals())
+        })
+    };
+
+    let (mut pure_found, mut escalated_found) = (0, 0);
+    for seed in 40..=45 {
+        let [(pure, _), (escalated, _)] = compare(seed, true);
+        assert!(escalated || !pure, "seed {seed}: escalation lost a solved instance");
+        pure_found += usize::from(pure);
+        escalated_found += usize::from(escalated);
+    }
+    assert!(
+        escalated_found > pure_found,
+        "escalation solved {escalated_found} shelves, the pure policy {pure_found}"
+    );
+
+    let (mut pure_spend, mut escalated_spend) = (0, 0);
+    for seed in 40..=42 {
+        let [(pure, pure_evals), (escalated, escalated_evals)] = compare(seed, false);
+        assert!(!pure && !escalated, "seed {seed}: a zero on the zero-free shelf");
+        pure_spend += pure_evals;
+        escalated_spend += escalated_evals;
+    }
+    assert!(
+        escalated_spend as f64 <= 1.05 * pure_spend as f64,
+        "control spend: escalated {escalated_spend}, pure {pure_spend}"
+    );
 }
 
 /// Regression (PR 5): portfolio entries charge exactly the evaluations

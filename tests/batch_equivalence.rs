@@ -15,11 +15,10 @@ use common::{bits, points_in_radius, scalar_reference, shaped, trace_bits};
 use proptest::prelude::*;
 use wdm::core::boundary::BoundaryWeakDistance;
 use wdm::core::weak_distance::{WeakDistance, WeakDistanceObjective};
-use wdm::engine::PooledObjective;
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{
-    Bounds, CancelToken, DifferentialEvolution, FnObjective, GlobalMinimizer, Objective, Problem,
-    RandomSearch, SamplingTrace,
+    Bounds, CancelToken, FnObjective, GlobalMinimizer, Objective, Problem, RandomSearch,
+    SamplingTrace,
 };
 
 fn batched(
@@ -111,32 +110,6 @@ proptest! {
         let mut via_adapter = Vec::new();
         adapter.eval_batch(&xs, &mut via_adapter);
         prop_assert_eq!(bits(&via_adapter), bits(&scalar));
-    }
-
-    /// A pooled batch objective never changes what a backend computes,
-    /// whatever the worker count.
-    #[test]
-    fn pooled_objective_is_thread_count_invariant(
-        kind in any::<u8>(),
-        threads in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let f = FnObjective::new(1, move |x: &[f64]| shaped(kind, x[0]));
-        let baseline = {
-            let p = Problem::new(&f, Bounds::symmetric(1, 50.0)).with_max_evals(600);
-            DifferentialEvolution::default()
-                .with_max_generations(8)
-                .minimize(&p, seed, &mut wdm::mo::NoTrace)
-        };
-        let pooled = PooledObjective::new(&f, threads);
-        let p = Problem::new(&pooled, Bounds::symmetric(1, 50.0)).with_max_evals(600);
-        let run = DifferentialEvolution::default()
-            .with_max_generations(8)
-            .minimize(&p, seed, &mut wdm::mo::NoTrace);
-        prop_assert_eq!(bits(&run.x), bits(&baseline.x));
-        prop_assert_eq!(run.value.to_bits(), baseline.value.to_bits());
-        prop_assert_eq!(run.evals, baseline.evals);
-        prop_assert_eq!(run.termination, baseline.termination);
     }
 }
 

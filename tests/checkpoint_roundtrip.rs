@@ -65,10 +65,8 @@ proptest! {
         let mut run = backend.start(&problem, seed);
         let mut hops = 0usize;
         while run.step(&problem, slice, &mut trace) == StepStatus::Paused {
-            let step_json = serde_json::to_string(
-                &run.checkpoint().expect("stepped backends checkpoint at pauses"),
-            )
-            .expect("render step checkpoint");
+            let step_json =
+                serde_json::to_string(&run.checkpoint()).expect("render step checkpoint");
             let trace_json =
                 serde_json::to_string(&trace.checkpoint()).expect("render trace checkpoint");
             drop(run);
@@ -114,10 +112,8 @@ proptest! {
         let mut portfolio = AdaptivePortfolio::new(&objective, &config, &backends, &cancel);
         let mut rounds = 0usize;
         while portfolio.round(1) {
-            let json = serde_json::to_string(
-                &portfolio.checkpoint().expect("portfolio checkpoints between rounds"),
-            )
-            .expect("render portfolio checkpoint");
+            let json = serde_json::to_string(&portfolio.checkpoint())
+                .expect("render portfolio checkpoint");
             drop(portfolio);
             let ckpt = serde_json::from_str(&json).expect("parse portfolio checkpoint");
             portfolio = AdaptivePortfolio::restore(&objective, &config, &backends, &cancel, &ckpt)
@@ -178,10 +174,8 @@ proptest! {
         let mut portfolio = AdaptivePortfolio::new(&objective, &config, &backends, &cancel);
         let mut rounds = 0usize;
         while portfolio.round(1) {
-            let json = serde_json::to_string(
-                &portfolio.checkpoint().expect("portfolio checkpoints between rounds"),
-            )
-            .expect("render portfolio checkpoint");
+            let json = serde_json::to_string(&portfolio.checkpoint())
+                .expect("render portfolio checkpoint");
             drop(portfolio);
             let ckpt = serde_json::from_str(&json).expect("parse portfolio checkpoint");
             portfolio = AdaptivePortfolio::restore(&objective, &config, &backends, &cancel, &ckpt)

@@ -279,39 +279,55 @@ fn overflow_detector_identical_across_opt_policies() {
 }
 
 /// Specialization genuinely shrinks event-only targets: the instrumented
-/// `W` driver (whose `w` bookkeeping is unobserved by the event-folding
-/// boundary analysis) and the single-branch target both lose instructions,
-/// and the specialized interpreter executes measurably fewer of them.
+/// `W` drivers of fig2 and fig1b (whose `w` bookkeeping is unobserved by
+/// the event-folding boundary analysis) and the single-branch target all
+/// lose instructions, and the specialized interpreter executes measurably
+/// fewer of them.
 #[test]
 fn specialization_removes_instructions_for_event_only_targets() {
     use wdm::runtime::{ObservationSpec, SiteSet};
+    let grid: Vec<[f64; 1]> = (0..=2000)
+        .map(|i| [-50.0 + 100.0 * i as f64 / 2000.0])
+        .collect();
     let fig2 = wdm::ir::programs::fig2_program();
-    let e = fig2.function_by_name("prog").unwrap();
-    let w = wdm::ir::instrument::instrument_boundary(&fig2, e);
-    let prog = program(&w, wdm::ir::instrument::W_FUNCTION);
-
     let spec = ObservationSpec::branches(SiteSet::All);
-    let (opt, stats) = prog
-        .specialized_with_stats(&spec, OptPolicy::Auto)
-        .expect("W driver slices under an events-only spec");
-    assert!(stats.insts_removed() > 0, "stats: {stats:?}");
-    for x in [[0.5], [2.0], [-3.0], [100.0]] {
-        let base = prog.instructions_executed(&x).expect("baseline runs");
-        let fast = opt.instructions_executed(&x).expect("specialized runs");
-        assert!(
-            fast < base,
-            "expected fewer instructions at {x:?}: {fast} vs {base}"
-        );
+    for module in [fig2.clone(), wdm::ir::programs::fig1b_program()] {
+        let e = module.function_by_name("prog").unwrap();
+        let w = wdm::ir::instrument::instrument_boundary(&module, e);
+        let prog = program(&w, wdm::ir::instrument::W_FUNCTION);
+
+        let (opt, stats) = prog
+            .specialized_with_stats(&spec, OptPolicy::Auto)
+            .expect("W driver slices under an events-only spec");
+        assert!(stats.insts_removed() > 0, "stats: {stats:?}");
+        for x in [[0.5], [2.0], [-3.0], [100.0]].iter().chain(&grid) {
+            let base = prog.instructions_executed(x).expect("baseline runs");
+            let fast = opt.instructions_executed(x).expect("specialized runs");
+            assert!(
+                fast < base,
+                "expected fewer instructions at {x:?}: {fast} vs {base}"
+            );
+        }
     }
 
     // A single-branch boundary target prunes the untargeted site's event
-    // and the return computation.
+    // and the return computation. Some points execute as many
+    // instructions either way, so the grid's mean is what must fall.
     let prog2 = program(&fig2, "prog");
     let single = ObservationSpec::branches(SiteSet::Only([0].into_iter().collect()));
-    let (_, stats2) = prog2
+    let (opt2, stats2) = prog2
         .specialized_with_stats(&single, OptPolicy::Auto)
         .expect("single-site spec specializes");
     assert!(stats2.removed_anything(), "stats: {stats2:?}");
+    let mean_insts = |p: &ModuleProgram| {
+        let total: u64 = grid
+            .iter()
+            .map(|x| p.instructions_executed(x).expect("runs"))
+            .sum();
+        total as f64 / grid.len() as f64
+    };
+    let (base, fast) = (mean_insts(&prog2), mean_insts(&opt2));
+    assert!(fast < base, "mean instructions per evaluation: {fast} vs {base}");
 }
 
 fn batched_values(
