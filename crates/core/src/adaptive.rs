@@ -11,10 +11,10 @@
 //!
 //! Three pieces make that possible:
 //!
-//! * [`SteppedAnalysis`] — the driver's restart loop (Algorithm 3 step 4)
-//!   as a resumable state machine: rounds of a [`SteppedMinimizer`]
-//!   backend, merged exactly as the sequential driver merges them,
-//!   pausable at any eval-budget slice;
+//! * [`SteppedAnalysis`] — the restart loop (Algorithm 3 step 4) as a
+//!   resumable state machine: rounds of a [`SteppedMinimizer`] backend,
+//!   merged one by one, pausable at any eval-budget slice (the driver's
+//!   [`minimize_weak_distance`] runs it to completion);
 //! * a deterministic **UCB1-style bandit** over per-slice best-residual
 //!   improvement: each scheduler round, the arm maximizing
 //!   `mean_reward + c·sqrt(ln t / n)` (ties broken by a seeded hash)
@@ -37,17 +37,19 @@
 //! the next round boundary and is then observed by every arm.
 //!
 //! [`PortfolioPolicy::Race`]: crate::driver::PortfolioPolicy::Race
+//! [`minimize_weak_distance`]: crate::driver::minimize_weak_distance
 
 use crate::checkpoint::{
     ActiveCkpt, AdaptiveCheckpoint, AnalysisCheckpoint, ArmStatsCkpt, EscalationCkpt,
     EscalationHandoffCkpt, EscalationSpecCkpt,
 };
 use crate::driver::{
-    derive_round_seed, outcome_from_best, pick_winner, round_improves, AnalysisConfig,
-    MinimizationRun, PortfolioEntry, PortfolioRun,
+    derive_round_seed, pick_winner, AnalysisConfig, MinimizationRun, Outcome, PortfolioEntry,
+    PortfolioRun,
 };
 use crate::weak_distance::{WeakDistance, WeakDistanceObjective};
 use crate::BackendKind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use wdm_mo::checkpoint::ResultCkpt;
 use wdm_mo::stepped::{MinimizerStep, StepStatus};
@@ -73,17 +75,17 @@ const PROBE_DIVISOR: usize = 8;
 const TIEBREAK_SALT: u64 = 0x0ADA_97F0_1105_C0DE;
 
 /// One round of a stepped analysis: the backend's resumable run plus the
-/// per-round sampling trace (mirroring the driver's `run_round`).
+/// per-round sampling trace.
 struct ActiveRound {
     machine: Box<dyn MinimizerStep>,
     trace: Option<SamplingTrace>,
 }
 
-/// The driver's restart loop as a resumable state machine: rounds of a
-/// stepped backend with round-derived seeds, merged incrementally exactly
-/// as [`minimize_weak_distance`](crate::driver::minimize_weak_distance)
-/// merges them. Run to completion — in one slice or many — the result is
-/// bit-identical to the direct driver run of the same configuration.
+/// The restart loop as a resumable state machine: rounds of a stepped
+/// backend with round-derived seeds, merged incrementally in round order.
+/// Run to completion — in one slice or many — it is
+/// [`minimize_weak_distance`](crate::driver::minimize_weak_distance) of the
+/// same configuration.
 pub struct SteppedAnalysis<'wd> {
     objective: WeakDistanceObjective<'wd>,
     bounds: wdm_mo::Bounds,
@@ -183,8 +185,64 @@ impl<'wd> SteppedAnalysis<'wd> {
         self.finished
     }
 
-    /// Folds one finished round into the incremental merge — the exact
-    /// logic of the driver's `merge_rounds`, applied round by round.
+    /// Runs the rounds of a fresh analysis on up to `workers` threads
+    /// and folds them in round order, bit-identical to running them one by
+    /// one: every round has its own child token, a round that hits zero
+    /// cancels every later round (the fold discards them, so this only
+    /// saves work), and a round starts only while no earlier round hit zero
+    /// and the analysis is not cancelled (round 0 always runs). The fold
+    /// stops at the first skipped round; the analysis is then finished or
+    /// cancelled, so [`step`](Self::step) stops at once. A later round
+    /// claimed just before a mid-run cancellation may complete anyway; like
+    /// post-hit speculation, its work is discarded and uncharged.
+    pub(crate) fn run_rounds_sharded(&mut self, workers: usize) {
+        debug_assert!(self.round == 0 && self.active.is_none(), "a fresh analysis");
+        let tokens: Vec<CancelToken> = (0..self.rounds).map(|_| self.cancel.child()).collect();
+        // Smallest round index that reached zero so far (usize::MAX = none).
+        let first_hit = AtomicUsize::new(usize::MAX);
+        // `MinimizerStep` is only `Send`, so the workers borrow the fields
+        // they need rather than `self`.
+        let (objective, bounds, config, backend, cancel) = (
+            &self.objective,
+            &self.bounds,
+            &self.config,
+            &*self.backend,
+            &self.cancel,
+        );
+        let runs = wdm_mo::scoped_map(workers, self.rounds, |round| {
+            if first_hit.load(Ordering::Acquire) < round || (round > 0 && cancel.is_cancelled()) {
+                return None;
+            }
+            let problem = Problem::new(objective, bounds.clone())
+                .with_target(0.0)
+                .with_max_evals(config.max_evals)
+                .with_cancel(tokens[round].clone());
+            let seed = derive_round_seed(config.seed, round as u64);
+            let mut trace = SamplingTrace::with_stride(config.sample_stride);
+            let result = if config.record_samples {
+                backend.minimize(&problem, seed, &mut trace)
+            } else {
+                backend.minimize(&problem, seed, &mut NoTrace)
+            };
+            if result.value <= 0.0 {
+                first_hit.fetch_min(round, Ordering::AcqRel);
+                for token in &tokens[round + 1..] {
+                    token.cancel();
+                }
+            }
+            Some((result, trace))
+        });
+        for (result, trace) in runs.into_iter().map_while(|run| run) {
+            self.merge(result, trace);
+            if self.finished {
+                break;
+            }
+        }
+    }
+
+    /// Folds one finished round into the incremental merge: rounds are
+    /// charged in index order up to and including the first round whose
+    /// minimum reached zero.
     fn merge(&mut self, result: MinimizeResult, trace: SamplingTrace) {
         self.total_evals += result.evals;
         self.trace.append(trace);
@@ -363,6 +421,31 @@ impl<'wd> SteppedAnalysis<'wd> {
             });
         }
         Some(analysis)
+    }
+}
+
+/// The restart-merge comparison: does a round's `result` replace the
+/// incumbent best? (Strictly smaller value, or the incumbent is NaN.)
+fn round_improves(result: &MinimizeResult, incumbent: Option<&MinimizeResult>) -> bool {
+    incumbent
+        .map(|b| result.value < b.value || b.value.is_nan())
+        .unwrap_or(true)
+}
+
+/// Assembles the Definition 2.1 outcome from a merged best result and the
+/// total charged evaluations.
+fn outcome_from_best(best: &MinimizeResult, total_evals: usize) -> Outcome {
+    if best.value <= 0.0 {
+        Outcome::Found {
+            input: best.x.clone(),
+            evals: total_evals,
+        }
+    } else {
+        Outcome::NotFound {
+            best_value: best.value,
+            best_input: best.x.clone(),
+            evals: total_evals,
+        }
     }
 }
 

@@ -9,11 +9,8 @@
 use crate::driver::{
     minimize_weak_distance, statically_pruned_run, AnalysisConfig, MinimizationRun, Outcome,
 };
-use crate::weak_distance::{SpecializationCache, WeakDistance};
-use fp_runtime::{
-    Analyzable, BranchEvent, BranchId, Interval, KernelPolicy, ObservationSpec, Observer,
-    OptPolicy, ProbeControl, SiteSet,
-};
+use crate::weak_distance::ObservedWeakDistance;
+use fp_runtime::{Analyzable, BranchEvent, BranchId, Observer, ProbeControl};
 use std::collections::BTreeMap;
 
 /// How the per-branch residuals are folded into `w`.
@@ -37,137 +34,83 @@ pub enum BoundaryMode {
 /// Penalty used when a targeted branch site never executes.
 const UNREACHED_PENALTY: f64 = 1.0e300;
 
-struct BoundaryObserver {
-    mode: BoundaryMode,
-    w: f64,
-}
-
-impl BoundaryObserver {
-    fn new(mode: BoundaryMode) -> Self {
-        let w = match mode {
-            BoundaryMode::Product | BoundaryMode::SquaredResidual | BoundaryMode::Characteristic => 1.0,
-            BoundaryMode::Single(_) => UNREACHED_PENALTY,
-        };
-        BoundaryObserver { mode, w }
-    }
-}
-
-impl Observer for BoundaryObserver {
-    fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
-        let residual = ev.boundary_residual();
-        match self.mode {
-            BoundaryMode::Product => self.w *= residual,
-            BoundaryMode::SquaredResidual => self.w *= residual * residual,
-            BoundaryMode::Characteristic => {
-                if residual == 0.0 {
-                    self.w = 0.0;
-                }
-            }
-            BoundaryMode::Single(target) => {
-                if ev.id == target && residual < self.w {
-                    self.w = residual;
-                }
-            }
-        }
-        ProbeControl::Continue
-    }
-}
-
-/// The boundary-value weak distance of a program.
-#[derive(Debug, Clone)]
-pub struct BoundaryWeakDistance<P> {
-    program: P,
-    mode: BoundaryMode,
-    kernel_policy: KernelPolicy,
-    opt: SpecializationCache,
-}
+/// The boundary-value weak distance of a program; its target is the
+/// [`BoundaryMode`].
+pub type BoundaryWeakDistance<P> = ObservedWeakDistance<P, BoundaryMode>;
 
 impl<P: Analyzable> BoundaryWeakDistance<P> {
     /// Creates the Fig. 3 (product) weak distance.
     pub fn new(program: P) -> Self {
-        BoundaryWeakDistance {
-            program,
-            mode: BoundaryMode::Product,
-            kernel_policy: KernelPolicy::Auto,
-            opt: SpecializationCache::default(),
-        }
+        ObservedWeakDistance::observing(program, BoundaryMode::Product)
     }
 
     /// Selects a different folding mode.
-    pub fn with_mode(mut self, mode: BoundaryMode) -> Self {
-        self.mode = mode;
+    pub fn with_mode(self, mode: BoundaryMode) -> Self {
         // The observation spec depends on the mode; re-specialize.
-        self.opt = SpecializationCache::new(self.opt.policy());
-        self
-    }
-
-    /// Selects the batch backend ([`KernelPolicy::Auto`] by default).
-    /// Never changes values — only which bit-identical backend computes
-    /// them.
-    pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
-        self.kernel_policy = kernel_policy;
-        self
-    }
-
-    /// Selects whether evaluations may run a target-specialized
-    /// (translation-validated) variant of the program
-    /// ([`OptPolicy::Auto`] by default). Never changes values — the
-    /// observer sees a bit-identical event stream either way.
-    pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
-        self.opt = SpecializationCache::new(opt_policy);
-        self
-    }
-
-    /// The program under analysis.
-    pub fn program(&self) -> &P {
-        &self.program
-    }
-
-    /// What this weak distance observes: only the targeted site's branch
-    /// events in [`BoundaryMode::Single`], every branch event otherwise.
-    fn observation_spec(&self) -> ObservationSpec {
-        match self.mode {
-            BoundaryMode::Single(target) => {
-                ObservationSpec::branches(SiteSet::Only([target.0].into()))
-            }
-            _ => ObservationSpec::branches(SiteSet::All),
-        }
+        self.with_target(mode)
     }
 }
 
-impl<P: Analyzable> WeakDistance for BoundaryWeakDistance<P> {
-    fn dim(&self) -> usize {
-        self.program.num_inputs()
+mod observer {
+    use super::{BoundaryMode, UNREACHED_PENALTY};
+    use crate::weak_distance::Target;
+    use fp_runtime::{BranchEvent, ObservationSpec, Observer, ProbeControl, SiteSet};
+
+    pub struct BoundaryObserver {
+        mode: BoundaryMode,
+        w: f64,
     }
 
-    fn domain(&self) -> Vec<Interval> {
-        self.program.search_domain()
+    impl Observer for BoundaryObserver {
+        fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
+            let residual = ev.boundary_residual();
+            match self.mode {
+                BoundaryMode::Product => self.w *= residual,
+                BoundaryMode::SquaredResidual => self.w *= residual * residual,
+                BoundaryMode::Characteristic => {
+                    if residual == 0.0 {
+                        self.w = 0.0;
+                    }
+                }
+                BoundaryMode::Single(target) => {
+                    if ev.id == target && residual < self.w {
+                        self.w = residual;
+                    }
+                }
+            }
+            ProbeControl::Continue
+        }
     }
 
-    fn eval(&self, x: &[f64]) -> f64 {
-        let mut obs = BoundaryObserver::new(self.mode);
-        self.opt
-            .specialized(&self.program, || self.observation_spec())
-            .run(x, &mut obs);
-        obs.w
-    }
+    impl Target for BoundaryMode {
+        type Observer<'t> = BoundaryObserver;
 
-    fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
-        let mut session = self
-            .opt
-            .specialized(&self.program, || self.observation_spec())
-            .batch_executor(self.kernel_policy);
-        crate::weak_distance::batch_observed(
-            session.as_mut(),
-            xs,
-            || BoundaryObserver::new(self.mode),
-            |obs| obs.w,
-            out,
-        );
-    }
+        /// Only the targeted site's branch events in
+        /// [`BoundaryMode::Single`], every branch event otherwise.
+        fn spec(&self) -> ObservationSpec {
+            match self {
+                BoundaryMode::Single(target) => {
+                    ObservationSpec::branches(SiteSet::Only([target.0].into()))
+                }
+                _ => ObservationSpec::branches(SiteSet::All),
+            }
+        }
 
-    fn description(&self) -> String {
-        format!("boundary weak distance of {} ({:?})", self.program.name(), self.mode)
+        fn observer(&self) -> BoundaryObserver {
+            let w = match self {
+                BoundaryMode::Single(_) => UNREACHED_PENALTY,
+                _ => 1.0,
+            };
+            BoundaryObserver { mode: *self, w }
+        }
+
+        fn value(&self, observer: BoundaryObserver) -> f64 {
+            observer.w
+        }
+
+        fn describe(&self, program: &str) -> String {
+            format!("boundary weak distance of {program} ({self:?})")
+        }
     }
 }
 
@@ -218,12 +161,7 @@ impl<P: Analyzable> BoundaryAnalysis<P> {
     /// Like [`BoundaryAnalysis::find_any`] but returns the full minimization
     /// run (including the sampling trace used for Fig. 3(c)).
     pub fn find_any_run(&self, config: &AnalysisConfig) -> MinimizationRun {
-        let wd = BoundaryWeakDistance {
-            program: &self.program,
-            mode: BoundaryMode::Product,
-            kernel_policy: config.kernel_policy,
-            opt: SpecializationCache::new(config.opt_policy),
-        };
+        let wd = ObservedWeakDistance::configured(&self.program, BoundaryMode::Product, config);
         minimize_weak_distance(&wd, config)
     }
 
@@ -251,12 +189,8 @@ impl<P: Analyzable> BoundaryAnalysis<P> {
         {
             return statically_pruned_run(UNREACHED_PENALTY);
         }
-        let wd = BoundaryWeakDistance {
-            program: &self.program,
-            mode: BoundaryMode::Single(site),
-            kernel_policy: config.kernel_policy,
-            opt: SpecializationCache::new(config.opt_policy),
-        };
+        let wd =
+            ObservedWeakDistance::configured(&self.program, BoundaryMode::Single(site), config);
         minimize_weak_distance(&wd, config)
     }
 
@@ -316,6 +250,8 @@ impl<P: Analyzable> BoundaryAnalysis<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weak_distance::WeakDistance;
+    use fp_runtime::KernelPolicy;
     use mini_gsl::toy::Fig2Program;
 
     #[test]

@@ -7,127 +7,80 @@
 //! the round budget is exhausted.
 
 use crate::driver::{minimize_weak_distance, AnalysisConfig, Outcome};
-use crate::weak_distance::{SpecializationCache, WeakDistance};
-use fp_runtime::{
-    Analyzable, BranchCoverage, BranchEvent, BranchId, Interval, KernelPolicy, ObservationSpec,
-    Observer, OptPolicy, ProbeControl, SiteSet,
-};
+use crate::weak_distance::ObservedWeakDistance;
+use fp_runtime::{Analyzable, BranchCoverage, BranchId};
 use std::collections::BTreeSet;
 
 /// Penalty when the targeted branch site is never reached.
 const UNREACHED_PENALTY: f64 = 1.0e300;
 
-struct CoverageObserver<'c> {
-    covered: &'c BTreeSet<(BranchId, bool)>,
-    w: f64,
-}
-
-impl Observer for CoverageObserver<'_> {
-    fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
-        // Covering anything new makes w zero immediately.
-        if !self.covered.contains(&(ev.id, ev.taken)) {
-            self.w = 0.0;
-            return ProbeControl::Stop;
-        }
-        // Otherwise, reward getting close to flipping this branch if its
-        // opposite direction is still uncovered.
-        if !self.covered.contains(&(ev.id, !ev.taken)) {
-            let d = ev.distance_to(!ev.taken).max(f64::MIN_POSITIVE);
-            if d < self.w {
-                self.w = d;
-            }
-        }
-        ProbeControl::Continue
-    }
-}
-
 /// The CoverMe-style weak distance: zero exactly on inputs that cover a
-/// `(branch, direction)` pair outside `covered`.
-#[derive(Debug, Clone)]
-pub struct CoverageWeakDistance<P> {
-    program: P,
-    covered: BTreeSet<(BranchId, bool)>,
-    kernel_policy: KernelPolicy,
-    opt: SpecializationCache,
-}
+/// `(branch, direction)` pair outside its target, the covered set `B`.
+pub type CoverageWeakDistance<P> = ObservedWeakDistance<P, BTreeSet<(BranchId, bool)>>;
 
 impl<P: Analyzable> CoverageWeakDistance<P> {
     /// Creates the weak distance for the given covered set `B`.
     pub fn new(program: P, covered: BTreeSet<(BranchId, bool)>) -> Self {
-        CoverageWeakDistance {
-            program,
-            covered,
-            kernel_policy: KernelPolicy::Auto,
-            opt: SpecializationCache::default(),
-        }
-    }
-
-    /// Selects the batch backend ([`KernelPolicy::Auto`] by default).
-    /// Never changes values — only which bit-identical backend computes
-    /// them.
-    pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
-        self.kernel_policy = kernel_policy;
-        self
-    }
-
-    /// Selects whether evaluations may run a target-specialized
-    /// (translation-validated) variant of the program
-    /// ([`OptPolicy::Auto`] by default). Never changes values.
-    pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
-        self.opt = SpecializationCache::new(opt_policy);
-        self
-    }
-
-    /// What this weak distance observes: every branch event (the observer
-    /// folds — and may stop on — any of them).
-    fn observation_spec(&self) -> ObservationSpec {
-        ObservationSpec::branches(SiteSet::All)
+        ObservedWeakDistance::observing(program, covered)
     }
 }
 
-impl<P: Analyzable> WeakDistance for CoverageWeakDistance<P> {
-    fn dim(&self) -> usize {
-        self.program.num_inputs()
+mod observer {
+    use super::UNREACHED_PENALTY;
+    use crate::weak_distance::Target;
+    use fp_runtime::{BranchEvent, BranchId, ObservationSpec, Observer, ProbeControl, SiteSet};
+    use std::collections::BTreeSet;
+
+    pub struct CoverageObserver<'c> {
+        covered: &'c BTreeSet<(BranchId, bool)>,
+        w: f64,
     }
 
-    fn domain(&self) -> Vec<Interval> {
-        self.program.search_domain()
+    impl Observer for CoverageObserver<'_> {
+        fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
+            // Covering anything new makes w zero immediately.
+            if !self.covered.contains(&(ev.id, ev.taken)) {
+                self.w = 0.0;
+                return ProbeControl::Stop;
+            }
+            // Otherwise, reward getting close to flipping this branch if its
+            // opposite direction is still uncovered.
+            if !self.covered.contains(&(ev.id, !ev.taken)) {
+                let d = ev.distance_to(!ev.taken).max(f64::MIN_POSITIVE);
+                if d < self.w {
+                    self.w = d;
+                }
+            }
+            ProbeControl::Continue
+        }
     }
 
-    fn eval(&self, x: &[f64]) -> f64 {
-        let mut obs = CoverageObserver {
-            covered: &self.covered,
-            w: UNREACHED_PENALTY,
-        };
-        self.opt
-            .specialized(&self.program, || self.observation_spec())
-            .run(x, &mut obs);
-        obs.w
-    }
+    impl Target for BTreeSet<(BranchId, bool)> {
+        type Observer<'t> = CoverageObserver<'t>;
 
-    fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
-        let mut session = self
-            .opt
-            .specialized(&self.program, || self.observation_spec())
-            .batch_executor(self.kernel_policy);
-        crate::weak_distance::batch_observed(
-            session.as_mut(),
-            xs,
-            || CoverageObserver {
-                covered: &self.covered,
+        /// Every branch event (the observer folds — and may stop on — any
+        /// of them).
+        fn spec(&self) -> ObservationSpec {
+            ObservationSpec::branches(SiteSet::All)
+        }
+
+        fn observer(&self) -> CoverageObserver<'_> {
+            CoverageObserver {
+                covered: self,
                 w: UNREACHED_PENALTY,
-            },
-            |obs| obs.w,
-            out,
-        );
-    }
+            }
+        }
 
-    fn description(&self) -> String {
-        format!(
-            "coverage weak distance of {} ({} pairs covered)",
-            self.program.name(),
-            self.covered.len()
-        )
+        fn value(&self, observer: CoverageObserver<'_>) -> f64 {
+            observer.w
+        }
+
+        fn describe(&self, program: &str) -> String {
+            format!(
+                "coverage weak distance of {program} ({} pairs covered)",
+                self.len()
+            )
+        }
     }
 }
 
@@ -199,12 +152,7 @@ impl<P: Analyzable> CoverageAnalysis<P> {
         let max_rounds = total_pairs + config.rounds;
         while covered.union(&pruned).count() < total_pairs && rounds < max_rounds {
             rounds += 1;
-            let wd = CoverageWeakDistance {
-                program: &self.program,
-                covered: covered.clone(),
-                kernel_policy: config.kernel_policy,
-                opt: SpecializationCache::new(config.opt_policy),
-            };
+            let wd = ObservedWeakDistance::configured(&self.program, covered.clone(), config);
             let round_config = AnalysisConfig {
                 seed: config.seed.wrapping_add(rounds as u64 * 104_729),
                 ..config.clone()
@@ -243,6 +191,7 @@ impl<P: Analyzable> CoverageAnalysis<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weak_distance::WeakDistance;
     use mini_gsl::glibc_sin::GlibcSin;
     use mini_gsl::toy::Fig2Program;
 

@@ -1,12 +1,14 @@
 //! The generic weak-distance-minimization driver (Algorithm 2), with an
 //! optional parallel execution mode.
 //!
-//! # Parallel restart sharding
+//! # One restart loop
 //!
-//! The driver's independent minimization rounds (Algorithm 3 step 4) are an
-//! embarrassingly parallel workload. When
-//! [`AnalysisConfig::parallelism`] > 1 the rounds are split across that many
-//! worker threads. Determinism is preserved exactly:
+//! [`minimize_weak_distance`] is a [`SteppedAnalysis`] run to completion:
+//! the independent minimization rounds of Algorithm 3 step 4, merged one
+//! by one by the same incremental merge the adaptive portfolio and the
+//! analysis service slice. When [`AnalysisConfig::parallelism`] > 1 the
+//! rounds are first sharded across that many worker threads, and
+//! determinism is preserved exactly:
 //!
 //! * every round's seed is derived from the root seed by a SplitMix64-style
 //!   bijective mix ([`derive_round_seed`]), independent of scheduling;
@@ -38,13 +40,15 @@
 //! witness is still always a true zero — Theorem 3.3 does not care who
 //! found it), so portfolio mode trades the bit-level determinism of restart
 //! sharding for the lowest time-to-first-solution.
+//!
+//! [`WeakDistanceObjective`]: crate::weak_distance::WeakDistanceObjective
 
-use crate::weak_distance::{WeakDistance, WeakDistanceObjective};
+use crate::adaptive::SteppedAnalysis;
+use crate::weak_distance::WeakDistance;
 use fp_runtime::{KernelPolicy, OptPolicy};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use wdm_mo::{
-    BasinHopping, CancelToken, DifferentialEvolution, GlobalMinimizer, MinimizeResult, MultiStart,
-    NoTrace, Powell, Problem, RandomSearch, SamplingTrace, SteppedMinimizer,
+    BasinHopping, CancelToken, DifferentialEvolution, MinimizeResult, MultiStart, Powell,
+    RandomSearch, SamplingTrace, SteppedMinimizer,
 };
 
 /// Which MO backend Algorithm 2 uses (Section 4.1 treats the backend as an
@@ -86,21 +90,11 @@ impl BackendKind {
         }
     }
 
-    fn build(self) -> Box<dyn GlobalMinimizer> {
-        match self {
-            BackendKind::BasinHopping => Box::new(BasinHopping::default()),
-            BackendKind::DifferentialEvolution => Box::new(DifferentialEvolution::default()),
-            BackendKind::Powell => Box::new(Powell::default()),
-            BackendKind::MultiStart => Box::new(MultiStart::default()),
-            BackendKind::RandomSearch => Box::new(RandomSearch::default()),
-        }
-    }
-
-    /// Builds the backend as a resumable stepped run — the seam the
-    /// adaptive portfolio scheduler ([`crate::adaptive`]) reallocates
-    /// budget through. Runs are bit-identical to [`GlobalMinimizer`] runs
-    /// however they are sliced, and every backend checkpoints at its
-    /// pauses.
+    /// Builds the backend as a resumable stepped run — what the restart
+    /// loop ([`SteppedAnalysis`]) steps and the adaptive portfolio
+    /// scheduler ([`crate::adaptive`]) reallocates budget through. Runs are
+    /// bit-identical to [`wdm_mo::GlobalMinimizer`] runs however they are
+    /// sliced, and every backend checkpoints at its pauses.
     pub fn build_stepped(self) -> Box<dyn SteppedMinimizer> {
         match self {
             BackendKind::BasinHopping => Box::new(BasinHopping::default()),
@@ -462,106 +456,6 @@ pub fn derive_round_seed(root: u64, round: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One completed minimization round: the backend result plus the samples it
-/// recorded (empty unless recording is on).
-struct RoundRun {
-    result: MinimizeResult,
-    trace: SamplingTrace,
-}
-
-/// Runs round `round` of the restart loop: one backend run from the
-/// round-derived seed, recording into a fresh per-round trace.
-fn run_round(
-    objective: &WeakDistanceObjective<'_>,
-    bounds: &wdm_mo::Bounds,
-    config: &AnalysisConfig,
-    round: usize,
-    cancel: CancelToken,
-) -> RoundRun {
-    let problem = Problem::new(objective, bounds.clone())
-        .with_target(0.0)
-        .with_max_evals(config.max_evals)
-        .with_cancel(cancel);
-    let seed = derive_round_seed(config.seed, round as u64);
-    let backend = config.backend.build();
-    let mut trace = SamplingTrace::with_stride(config.sample_stride);
-    let result = if config.record_samples {
-        backend.minimize(&problem, seed, &mut trace)
-    } else {
-        backend.minimize(&problem, seed, &mut NoTrace)
-    };
-    RoundRun { result, trace }
-}
-
-/// The restart-merge comparison: does a round's `result` replace the
-/// incumbent best? (Strictly smaller value, or the incumbent is NaN.)
-/// Shared with the incremental merge of [`crate::adaptive::SteppedAnalysis`],
-/// whose bit-identity to this merge is load-bearing.
-pub(crate) fn round_improves(result: &MinimizeResult, incumbent: Option<&MinimizeResult>) -> bool {
-    incumbent
-        .map(|b| result.value < b.value || b.value.is_nan())
-        .unwrap_or(true)
-}
-
-/// Assembles the Definition 2.1 outcome from a merged best result and the
-/// total charged evaluations. Shared with the incremental merge of
-/// [`crate::adaptive::SteppedAnalysis`].
-pub(crate) fn outcome_from_best(best: &MinimizeResult, total_evals: usize) -> Outcome {
-    if best.value <= 0.0 {
-        Outcome::Found {
-            input: best.x.clone(),
-            evals: total_evals,
-        }
-    } else {
-        Outcome::NotFound {
-            best_value: best.value,
-            best_input: best.x.clone(),
-            evals: total_evals,
-        }
-    }
-}
-
-/// Merges per-round results exactly as the sequential restart loop would:
-/// rounds are charged in index order up to and including the first round
-/// whose minimum reached zero; later rounds (run speculatively by the
-/// parallel path, or never run at all) are discarded. A `None` round was
-/// skipped — an earlier round hit zero, or cancellation stopped the
-/// restart loop before it started — so nothing at or past it is charged.
-/// Under mid-run cancellation with parallelism, a later round claimed
-/// just before the token fired may have completed; like post-hit
-/// speculation, its work is discarded and uncharged — the merge always
-/// reports a sequential prefix (race-mode cancellation timing is
-/// nondeterministic either way; pre-cancelled runs have no in-flight
-/// speculation, so their charged count exactly matches what the objective
-/// observed, which the regression tests pin).
-fn merge_rounds(rounds: Vec<Option<RoundRun>>) -> MinimizationRun {
-    let mut best: Option<MinimizeResult> = None;
-    let mut total_evals = 0usize;
-    let mut trace: Option<SamplingTrace> = None;
-    for round in rounds.into_iter() {
-        let Some(round) = round else { break };
-        total_evals += round.result.evals;
-        match &mut trace {
-            None => trace = Some(round.trace),
-            Some(t) => t.append(round.trace),
-        }
-        if round_improves(&round.result, best.as_ref()) {
-            best = Some(round.result);
-        }
-        if best.as_ref().map(|b| b.value <= 0.0).unwrap_or(false) {
-            break;
-        }
-    }
-
-    let best = best.expect("at least one round ran");
-    let outcome = outcome_from_best(&best, total_evals);
-    MinimizationRun {
-        outcome,
-        best,
-        trace: trace.expect("at least one round ran"),
-    }
-}
-
 /// Algorithm 2: minimizes `wd` with the configured backend and budget.
 ///
 /// The weak distance reaching exactly zero means a solution of the
@@ -577,103 +471,20 @@ pub fn minimize_weak_distance(wd: &dyn WeakDistance, config: &AnalysisConfig) ->
 }
 
 /// [`minimize_weak_distance`] with an external cancellation token: the run
-/// stops at the next objective evaluation once `cancel` fires. The engine's
-/// portfolio and campaign modes use this to stop losing searches early.
+/// stops at the next objective evaluation once `cancel` fires, and starts no
+/// further round. The portfolio racer uses this to stop losing backends
+/// early.
 pub fn minimize_weak_distance_cancellable(
     wd: &dyn WeakDistance,
     config: &AnalysisConfig,
     cancel: &CancelToken,
 ) -> MinimizationRun {
-    let objective = WeakDistanceObjective::new(wd);
-    let bounds = objective.bounds();
-    let rounds = config.rounds.max(1);
-    let workers = config.parallelism.max(1).min(rounds);
-
-    let round_runs: Vec<Option<RoundRun>> = if workers <= 1 {
-        // Sequential path: run rounds in order, stop after the first zero
-        // (exactly what merge_rounds charges). A cancelled run stops
-        // *between* rounds too: round 0 always runs (so the merge has a
-        // result to report), but starting further rounds only to watch
-        // each observe the cancellation would charge spurious evaluations
-        // to the portfolio entry.
-        let mut runs: Vec<Option<RoundRun>> = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            if round > 0 && cancel.is_cancelled() {
-                break;
-            }
-            let run = run_round(&objective, &bounds, config, round, cancel.clone());
-            let hit = run.result.value <= 0.0;
-            runs.push(Some(run));
-            if hit {
-                break;
-            }
-        }
-        runs
-    } else {
-        run_rounds_parallel(&objective, &bounds, config, rounds, workers, cancel)
-    };
-
-    merge_rounds(round_runs)
-}
-
-/// Shards `rounds` rounds over `workers` threads with first-hit
-/// cancellation of the rounds the merge will discard.
-fn run_rounds_parallel(
-    objective: &WeakDistanceObjective<'_>,
-    bounds: &wdm_mo::Bounds,
-    config: &AnalysisConfig,
-    rounds: usize,
-    workers: usize,
-    cancel: &CancelToken,
-) -> Vec<Option<RoundRun>> {
-    // One child token per round so rounds after an early hit can be stopped
-    // individually while earlier rounds (still charged by the merge) finish
-    // undisturbed.
-    let tokens: Vec<CancelToken> = (0..rounds).map(|_| cancel.child()).collect();
-    // Smallest round index that reached zero so far (usize::MAX = none).
-    let first_hit = AtomicUsize::new(usize::MAX);
-
-    let mut runs = wdm_mo::scoped_map(workers, rounds, |round| {
-        // A strictly earlier round already hit zero: this round's result
-        // would be discarded by the merge — skip it.
-        if first_hit.load(Ordering::Acquire) < round {
-            return None;
-        }
-        // The whole run was cancelled: don't start further rounds (the
-        // merge stops at the first skipped round; round 0 still runs so
-        // there is a result to report).
-        if round > 0 && cancel.is_cancelled() {
-            return None;
-        }
-        let run = run_round(objective, bounds, config, round, tokens[round].clone());
-        if run.result.value <= 0.0 {
-            // Record the minimum hit index and cancel every later round —
-            // those are exactly the rounds the merge discards, so
-            // cancelling them cannot change the result.
-            let mut current = first_hit.load(Ordering::Acquire);
-            while round < current {
-                match first_hit.compare_exchange(
-                    current,
-                    round,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(observed) => current = observed,
-                }
-            }
-            for token in tokens.iter().skip(round + 1) {
-                token.cancel();
-            }
-        }
-        Some(run)
-    });
-
-    // Hand the merge only the rounds it will look at: everything up to and
-    // including the first hit (or all rounds when nothing hit zero).
-    let stop = first_hit.load(Ordering::Acquire).min(rounds.saturating_sub(1));
-    runs.truncate(stop + 1);
-    runs
+    let mut analysis = SteppedAnalysis::new(wd, config, cancel.clone());
+    if config.parallelism.min(config.rounds) > 1 {
+        analysis.run_rounds_sharded(config.parallelism);
+    }
+    while !analysis.step(usize::MAX) {}
+    analysis.run()
 }
 
 /// The result of one backend inside a portfolio race.
@@ -1067,6 +878,25 @@ mod tests {
         // The winner's own outcome is a solution.
         assert!(run.entries[run.winner].run.outcome.is_found());
         assert_eq!(run.winning_backend(), run.entries[run.winner].backend);
+    }
+
+    #[test]
+    fn race_runs_every_backend_within_its_budget() {
+        let wd = FnWeakDistance::new(1, vec![Interval::symmetric(10.0)], |x: &[f64]| {
+            (x[0] - 1.0).abs()
+        });
+        let run = minimize_weak_distance_portfolio(
+            &wd,
+            &AnalysisConfig::quick(5).with_rounds(1).with_max_evals(5_000),
+            &BackendKind::all(),
+        );
+        assert_eq!(run.entries.len(), BackendKind::all().len());
+        assert!(run.outcome().is_found());
+        // Losing backends were either cancelled or finished on their own;
+        // every entry still carries a well-formed result.
+        for entry in &run.entries {
+            assert!(entry.run.outcome.evals() <= 5 * 5_000 + 10_000);
+        }
     }
 
     #[test]

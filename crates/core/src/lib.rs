@@ -5,11 +5,18 @@
 //!
 //! * [`weak_distance`] — the [`WeakDistance`] abstraction of Definition
 //!   3.1 (a nonnegative program whose zeros are exactly the solutions of
-//!   the analysis problem) and its adapter to the optimization backends;
+//!   the analysis problem), its adapter to the optimization backends, and
+//!   [`ObservedWeakDistance`], the construction the four analyses below
+//!   share: run the program under an observer that folds its events into
+//!   `w`;
 //! * [`driver`] — Algorithm 2: construct a weak distance, minimize it with
 //!   an off-the-shelf MO backend, report the minimum point if the minimum
 //!   is zero, and optionally verify the reported solution against a
-//!   membership oracle (the Section 5.2 soundness remark);
+//!   membership oracle (the Section 5.2 soundness remark); restart rounds
+//!   can be sharded across threads and backends run as a portfolio;
+//! * [`adaptive`] — the restart loop as a resumable state machine
+//!   ([`SteppedAnalysis`], which the driver runs to completion) and the
+//!   bandit-scheduled adaptive portfolio built on it;
 //! * [`boundary`] — Instance 1, boundary value analysis (Fig. 3);
 //! * [`path`] — Instance 2, path reachability (Fig. 4);
 //! * [`overflow`] — Instance 3, floating-point overflow detection
@@ -61,4 +68,4 @@ pub use driver::{
     minimize_weak_distance_portfolio, statically_pruned_run, AnalysisConfig, BackendKind,
     EscalationConfig, MinimizationRun, Outcome, PortfolioPolicy, PortfolioRun,
 };
-pub use weak_distance::{SpecializationCache, WeakDistance};
+pub use weak_distance::{ObservedWeakDistance, WeakDistance};

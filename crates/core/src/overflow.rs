@@ -10,84 +10,21 @@
 //! most `|L̄|` rounds plus the configured retry budget.
 
 use crate::driver::{minimize_weak_distance, AnalysisConfig, Outcome};
-use crate::weak_distance::{SpecializationCache, WeakDistance};
-use fp_runtime::{
-    Analyzable, Interval, KernelPolicy, ObservationSpec, Observer, OpEvent, OpId, OpSite,
-    OptPolicy, ProbeControl, SiteSet,
-};
+use crate::weak_distance::ObservedWeakDistance;
+use fp_runtime::{Analyzable, Observer, OpEvent, OpId, OpSite, ProbeControl};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Value of `w` when no tracked operation executed at all.
 const NO_TRACKED_OP: f64 = 1.0;
 
-struct OverflowObserver<'s> {
-    skip: &'s BTreeSet<OpId>,
-    w: f64,
-    last_tracked: Option<OpId>,
-    overflowed_at: Option<OpId>,
-}
-
-impl Observer for OverflowObserver<'_> {
-    fn on_op(&mut self, ev: &OpEvent) -> ProbeControl {
-        if self.skip.contains(&ev.id) {
-            return ProbeControl::Continue;
-        }
-        self.last_tracked = Some(ev.id);
-        let a = ev.value.abs();
-        // w = (|a| < MAX) ? MAX - |a| : 0   (NaN compares false, so NaN counts
-        // as an overflow, matching the exceptional-value semantics).
-        self.w = if a < f64::MAX { f64::MAX - a } else { 0.0 };
-        if self.w == 0.0 {
-            self.overflowed_at = Some(ev.id);
-            return ProbeControl::Stop;
-        }
-        ProbeControl::Continue
-    }
-}
-
-/// The Algorithm 3 weak distance, parameterized by the set `L` of sites that
+/// The Algorithm 3 weak distance; its target is the set `L` of sites that
 /// have already been handled.
-#[derive(Debug)]
-pub struct OverflowWeakDistance<P> {
-    program: P,
-    skip: BTreeSet<OpId>,
-    kernel_policy: KernelPolicy,
-    opt: SpecializationCache,
-}
+pub type OverflowWeakDistance<P> = ObservedWeakDistance<P, BTreeSet<OpId>>;
 
 impl<P: Analyzable> OverflowWeakDistance<P> {
     /// Creates the weak distance with handled-site set `skip`.
     pub fn new(program: P, skip: BTreeSet<OpId>) -> Self {
-        OverflowWeakDistance {
-            program,
-            skip,
-            kernel_policy: KernelPolicy::Auto,
-            opt: SpecializationCache::default(),
-        }
-    }
-
-    /// Selects the batch backend ([`KernelPolicy::Auto`] by default).
-    /// Never changes values — only which bit-identical backend computes
-    /// them.
-    pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
-        self.kernel_policy = kernel_policy;
-        self
-    }
-
-    /// Selects whether evaluations may run a target-specialized
-    /// (translation-validated) variant of the program
-    /// ([`OptPolicy::Auto`] by default). Never changes values.
-    pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
-        self.opt = SpecializationCache::new(opt_policy);
-        self
-    }
-
-    /// What this weak distance observes: operation events at every
-    /// not-yet-handled site.
-    fn observation_spec(&self) -> ObservationSpec {
-        ObservationSpec::ops(SiteSet::Except(
-            self.skip.iter().map(|id| id.0).collect(),
-        ))
+        ObservedWeakDistance::observing(program, skip)
     }
 
     /// Evaluates and also reports the last tracked site — the `target`
@@ -95,57 +32,70 @@ impl<P: Analyzable> OverflowWeakDistance<P> {
     /// overflowed. All state lives in the per-call observer, so concurrent
     /// evaluations from the parallel driver do not interact.
     pub fn eval_detailed(&self, x: &[f64]) -> (f64, Option<OpId>, Option<OpId>) {
-        let mut obs = OverflowObserver {
-            skip: &self.skip,
-            w: NO_TRACKED_OP,
-            last_tracked: None,
-            overflowed_at: None,
-        };
-        self.opt
-            .specialized(&self.program, || self.observation_spec())
-            .run(x, &mut obs);
+        let obs = self.observe(x);
         (obs.w, obs.last_tracked, obs.overflowed_at)
     }
 }
 
-impl<P: Analyzable> WeakDistance for OverflowWeakDistance<P> {
-    fn dim(&self) -> usize {
-        self.program.num_inputs()
+mod observer {
+    use super::NO_TRACKED_OP;
+    use crate::weak_distance::Target;
+    use fp_runtime::{ObservationSpec, Observer, OpEvent, OpId, ProbeControl, SiteSet};
+    use std::collections::BTreeSet;
+
+    pub struct OverflowObserver<'s> {
+        skip: &'s BTreeSet<OpId>,
+        pub(super) w: f64,
+        pub(super) last_tracked: Option<OpId>,
+        pub(super) overflowed_at: Option<OpId>,
     }
 
-    fn domain(&self) -> Vec<Interval> {
-        self.program.search_domain()
+    impl Observer for OverflowObserver<'_> {
+        fn on_op(&mut self, ev: &OpEvent) -> ProbeControl {
+            if self.skip.contains(&ev.id) {
+                return ProbeControl::Continue;
+            }
+            self.last_tracked = Some(ev.id);
+            let a = ev.value.abs();
+            // w = (|a| < MAX) ? MAX - |a| : 0   (NaN compares false, so NaN
+            // counts as an overflow, matching the exceptional-value
+            // semantics).
+            self.w = if a < f64::MAX { f64::MAX - a } else { 0.0 };
+            if self.w == 0.0 {
+                self.overflowed_at = Some(ev.id);
+                return ProbeControl::Stop;
+            }
+            ProbeControl::Continue
+        }
     }
 
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.eval_detailed(x).0
-    }
+    impl Target for BTreeSet<OpId> {
+        type Observer<'t> = OverflowObserver<'t>;
 
-    fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
-        let mut session = self
-            .opt
-            .specialized(&self.program, || self.observation_spec())
-            .batch_executor(self.kernel_policy);
-        crate::weak_distance::batch_observed(
-            session.as_mut(),
-            xs,
-            || OverflowObserver {
-                skip: &self.skip,
+        /// Operation events at every not-yet-handled site.
+        fn spec(&self) -> ObservationSpec {
+            ObservationSpec::ops(SiteSet::Except(self.iter().map(|id| id.0).collect()))
+        }
+
+        fn observer(&self) -> OverflowObserver<'_> {
+            OverflowObserver {
+                skip: self,
                 w: NO_TRACKED_OP,
                 last_tracked: None,
                 overflowed_at: None,
-            },
-            |obs| obs.w,
-            out,
-        );
-    }
+            }
+        }
 
-    fn description(&self) -> String {
-        format!(
-            "overflow weak distance of {} ({} handled sites)",
-            self.program.name(),
-            self.skip.len()
-        )
+        fn value(&self, observer: OverflowObserver<'_>) -> f64 {
+            observer.w
+        }
+
+        fn describe(&self, program: &str) -> String {
+            format!(
+                "overflow weak distance of {program} ({} handled sites)",
+                self.len()
+            )
+        }
     }
 }
 
@@ -246,9 +196,7 @@ impl<P: Analyzable> OverflowDetector<P> {
 
         while handled.len() < all_ids.len() && rounds < max_rounds {
             rounds += 1;
-            let wd = OverflowWeakDistance::new(&self.program, handled.clone())
-                .with_kernel_policy(config.kernel_policy)
-                .with_opt_policy(config.opt_policy);
+            let wd = ObservedWeakDistance::configured(&self.program, handled.clone(), config);
             let round_config = AnalysisConfig {
                 seed: config.seed.wrapping_add(rounds as u64 * 7919),
                 ..config.clone()
@@ -341,6 +289,7 @@ impl<P: Analyzable> OverflowDetector<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weak_distance::WeakDistance;
     use fp_runtime::{ClosureProgram, Cmp, FpOp};
     use mini_gsl::bessel::BesselKnuScaled;
 

@@ -9,12 +9,9 @@
 use crate::driver::{
     minimize_weak_distance, statically_pruned_run, AnalysisConfig, MinimizationRun, Outcome,
 };
-use crate::weak_distance::{SpecializationCache, WeakDistance};
-use fp_runtime::{
-    Analyzable, BranchEvent, BranchId, Interval, KernelPolicy, ObservationSpec, Observer,
-    OptPolicy, ProbeControl, SiteSet, TraceRecorder,
-};
-use std::collections::BTreeSet;
+use crate::weak_distance::ObservedWeakDistance;
+use fp_runtime::{Analyzable, BranchId, TraceRecorder};
+use observer::RequiredPath;
 
 /// A (partial) path: the branch sites that must execute and the direction
 /// each must take.
@@ -23,123 +20,85 @@ pub type Path = Vec<(BranchId, bool)>;
 /// Penalty per required branch site that never executed.
 const UNREACHED_PENALTY: f64 = 1.0e300;
 
-struct PathObserver<'p> {
-    path: &'p [(BranchId, bool)],
-    w: f64,
-    reached: BTreeSet<BranchId>,
-}
-
-impl Observer for PathObserver<'_> {
-    fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
-        for &(site, dir) in self.path {
-            if site == ev.id {
-                self.w += ev.distance_to(dir);
-                self.reached.insert(site);
-            }
-        }
-        ProbeControl::Continue
-    }
-}
-
-/// The path-reachability weak distance of Fig. 4(a).
-#[derive(Debug, Clone)]
-pub struct PathWeakDistance<P> {
-    program: P,
-    path: Path,
-    /// The distinct sites of `path`, built once: each evaluation counts
-    /// the ones it never reached.
-    required: BTreeSet<BranchId>,
-    kernel_policy: KernelPolicy,
-    opt: SpecializationCache,
-}
+/// The path-reachability weak distance of Fig. 4(a); its target is the
+/// required path.
+pub type PathWeakDistance<P> = ObservedWeakDistance<P, RequiredPath>;
 
 impl<P: Analyzable> PathWeakDistance<P> {
     /// Creates the weak distance for the given required path.
     pub fn new(program: P, path: Path) -> Self {
-        let required = path.iter().map(|(s, _)| *s).collect();
-        PathWeakDistance {
-            program,
-            path,
-            required,
-            kernel_policy: KernelPolicy::Auto,
-            opt: SpecializationCache::default(),
-        }
-    }
-
-    /// Selects the batch backend ([`KernelPolicy::Auto`] by default).
-    /// Never changes values — only which bit-identical backend computes
-    /// them.
-    pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
-        self.kernel_policy = kernel_policy;
-        self
-    }
-
-    /// Selects whether evaluations may run a target-specialized
-    /// (translation-validated) variant of the program
-    /// ([`OptPolicy::Auto`] by default). Never changes values.
-    pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
-        self.opt = SpecializationCache::new(opt_policy);
-        self
-    }
-
-    /// What this weak distance observes: branch events at the required
-    /// sites only.
-    fn observation_spec(&self) -> ObservationSpec {
-        ObservationSpec::branches(SiteSet::Only(
-            self.path.iter().map(|(site, _)| site.0).collect(),
-        ))
+        ObservedWeakDistance::observing(program, RequiredPath::new(path))
     }
 }
 
-impl<P: Analyzable> WeakDistance for PathWeakDistance<P> {
-    fn dim(&self) -> usize {
-        self.program.num_inputs()
+mod observer {
+    use super::{Path, UNREACHED_PENALTY};
+    use crate::weak_distance::Target;
+    use fp_runtime::{BranchEvent, BranchId, ObservationSpec, Observer, ProbeControl, SiteSet};
+    use std::collections::BTreeSet;
+
+    /// A required path, with its distinct sites built once: each
+    /// evaluation counts the ones it never reached.
+    #[derive(Debug, Clone)]
+    pub struct RequiredPath {
+        path: Path,
+        required: BTreeSet<BranchId>,
     }
 
-    fn domain(&self) -> Vec<Interval> {
-        self.program.search_domain()
+    impl RequiredPath {
+        pub fn new(path: Path) -> Self {
+            let required = path.iter().map(|(s, _)| *s).collect();
+            RequiredPath { path, required }
+        }
     }
 
-    fn eval(&self, x: &[f64]) -> f64 {
-        let mut obs = PathObserver {
-            path: &self.path,
-            w: 0.0,
-            reached: BTreeSet::new(),
-        };
-        self.opt
-            .specialized(&self.program, || self.observation_spec())
-            .run(x, &mut obs);
-        let missing = self.required.difference(&obs.reached).count();
-        obs.w + missing as f64 * UNREACHED_PENALTY
+    pub struct PathObserver<'p> {
+        path: &'p [(BranchId, bool)],
+        w: f64,
+        reached: BTreeSet<BranchId>,
     }
 
-    fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
-        let mut session = self
-            .opt
-            .specialized(&self.program, || self.observation_spec())
-            .batch_executor(self.kernel_policy);
-        crate::weak_distance::batch_observed(
-            session.as_mut(),
-            xs,
-            || PathObserver {
+    impl Observer for PathObserver<'_> {
+        fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
+            for &(site, dir) in self.path {
+                if site == ev.id {
+                    self.w += ev.distance_to(dir);
+                    self.reached.insert(site);
+                }
+            }
+            ProbeControl::Continue
+        }
+    }
+
+    impl Target for RequiredPath {
+        type Observer<'t> = PathObserver<'t>;
+
+        /// Branch events at the required sites only.
+        fn spec(&self) -> ObservationSpec {
+            ObservationSpec::branches(SiteSet::Only(
+                self.path.iter().map(|(site, _)| site.0).collect(),
+            ))
+        }
+
+        fn observer(&self) -> PathObserver<'_> {
+            PathObserver {
                 path: &self.path,
                 w: 0.0,
                 reached: BTreeSet::new(),
-            },
-            |obs| {
-                let missing = self.required.difference(&obs.reached).count();
-                obs.w + missing as f64 * UNREACHED_PENALTY
-            },
-            out,
-        );
-    }
+            }
+        }
 
-    fn description(&self) -> String {
-        format!(
-            "path weak distance of {} over {} required branches",
-            self.program.name(),
-            self.path.len()
-        )
+        fn value(&self, observer: PathObserver<'_>) -> f64 {
+            let missing = self.required.difference(&observer.reached).count();
+            observer.w + missing as f64 * UNREACHED_PENALTY
+        }
+
+        fn describe(&self, program: &str) -> String {
+            format!(
+                "path weak distance of {program} over {} required branches",
+                self.path.len()
+            )
+        }
     }
 }
 
@@ -182,9 +141,11 @@ impl<P: Analyzable> PathAnalysis<P> {
         }) {
             return statically_pruned_run(UNREACHED_PENALTY);
         }
-        let wd = PathWeakDistance::new(&self.program, path.clone())
-            .with_kernel_policy(config.kernel_policy)
-            .with_opt_policy(config.opt_policy);
+        let wd = ObservedWeakDistance::configured(
+            &self.program,
+            RequiredPath::new(path.clone()),
+            config,
+        );
         minimize_weak_distance(&wd, config)
     }
 
@@ -219,6 +180,7 @@ impl<P: Analyzable> PathAnalysis<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weak_distance::WeakDistance;
     use mini_gsl::toy::Fig2Program;
 
     fn both_branches() -> Path {

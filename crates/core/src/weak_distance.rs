@@ -1,122 +1,214 @@
-//! The weak-distance abstraction (Definition 3.1).
+//! The weak-distance abstraction (Definition 3.1), and
+//! [`ObservedWeakDistance`], the construction the analysis instances share.
 
-use fp_runtime::{Analyzable, BatchExecutor, Interval, ObservationSpec, Observer, OptPolicy};
+use crate::driver::AnalysisConfig;
+use fp_runtime::{Analyzable, Interval, KernelPolicy, Observer, OptPolicy};
 use std::sync::OnceLock;
 use wdm_mo::Objective;
 
-/// How many inputs the analysis instances hand to
-/// [`BatchExecutor::execute_many`] at once. One fpir kernel wave
-/// (`fpir::kernel::WAVE_LANES`), so the lanewise backend always runs full
-/// waves while the per-chunk observer storage stays small enough to be
-/// cache-hot for cheap scalar-session programs.
+pub(crate) use target::Target;
+
+/// How many inputs an [`ObservedWeakDistance`] batch hands to
+/// [`fp_runtime::BatchExecutor::execute_many`] at once. One fpir kernel
+/// wave (`fpir::kernel::WAVE_LANES`), so the lanewise backend always runs
+/// full waves while the per-chunk observer storage stays small enough to
+/// be cache-hot for cheap scalar-session programs.
 const OBSERVER_CHUNK: usize = 256;
 
-/// Runs every input of `xs` through `session` with a fresh observer each
-/// (built by `make`), folding each finished observer into the weak-distance
-/// value with `fold`. Inputs are fed in [`OBSERVER_CHUNK`]-sized groups;
-/// per-input results and events are bit-identical to looping
-/// [`BatchExecutor::execute_one`] whatever the chunking.
-pub(crate) fn batch_observed<O: Observer>(
-    session: &mut dyn BatchExecutor,
-    xs: &[Vec<f64>],
-    mut make: impl FnMut() -> O,
-    mut fold: impl FnMut(O) -> f64,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.reserve(xs.len());
-    let mut observers: Vec<O> = Vec::with_capacity(OBSERVER_CHUNK.min(xs.len()));
-    let mut results = Vec::new();
-    for chunk in xs.chunks(OBSERVER_CHUNK) {
-        observers.clear();
-        observers.extend(chunk.iter().map(|_| make()));
-        let mut refs: Vec<&mut dyn Observer> = observers
-            .iter_mut()
-            .map(|o| o as &mut dyn Observer)
-            .collect();
-        session.execute_many(chunk, &mut refs, &mut results);
-        out.extend(observers.drain(..).map(&mut fold));
+mod target {
+    use fp_runtime::{ObservationSpec, Observer};
+
+    /// What one analysis instance observes and how it folds the
+    /// observations into `w` — the only part of an `ObservedWeakDistance`
+    /// that differs between boundary, path, overflow and coverage.
+    pub trait Target: Send + Sync {
+        /// The per-execution observer folding runtime events into `w`.
+        type Observer<'t>: Observer
+        where
+            Self: 't;
+
+        /// The events the observer reads: the spec the program is
+        /// specialized against.
+        fn spec(&self) -> ObservationSpec;
+
+        /// A fresh observer for one execution.
+        fn observer(&self) -> Self::Observer<'_>;
+
+        /// The weak-distance value of one finished execution.
+        fn value(&self, observer: Self::Observer<'_>) -> f64;
+
+        /// The report description of this target's weak distance of the
+        /// program named `program`.
+        fn describe(&self, program: &str) -> String;
     }
 }
 
-/// Lazily specializes a program against an analysis target's
-/// [`ObservationSpec`] under an [`OptPolicy`], holding the resolved program
-/// for the lifetime of the weak distance, so evaluations take no lock.
+/// A weak distance evaluated by *executing* the program under analysis with
+/// an observer that folds its runtime events into `w`: the construction
+/// shared by boundary (Fig. 3), path (Fig. 4), overflow (Algorithm 3) and
+/// coverage analysis. Only the target `T` differs between them — what is
+/// observed, a fresh observer, the value of a finished one, and the
+/// description; see [`BoundaryWeakDistance`], [`PathWeakDistance`],
+/// [`OverflowWeakDistance`] and [`CoverageWeakDistance`].
 ///
-/// The first evaluation triggers [`Analyzable::specialize`]; every later
-/// one reuses the outcome — either the translation-validated specialized
-/// program or the original (when the policy forbids specialization, the
-/// program has no optimizing backend, or validation rejected the rewrite).
-/// Cloning a cache produces a fresh, unfilled one with the same policy, so
-/// derived analyses re-specialize against their own target.
+/// The program is resolved lazily: the first evaluation asks
+/// [`Analyzable::specialize`] for a variant specialized against what the
+/// target observes, under the [`OptPolicy`], and every later evaluation
+/// runs that outcome without taking a lock — the translation-validated
+/// specialized program, or the original when the policy forbids one, the
+/// program has no optimizing backend, or validation rejected the rewrite.
+/// An `fpir` `ModuleProgram` memoizes its validated specializations, so
+/// resolving against a spec the program has seen before re-runs neither
+/// the pipeline nor its validation. A clone starts unresolved, and so does
+/// a weak distance whose target or opt policy changed.
 ///
-/// The work behind that first call is done once per (program, spec), not
-/// once per cache: an `fpir` `ModuleProgram` memoizes its validated
-/// specializations, so a cache filled for a spec the program has seen
-/// before gets a program sharing the specialized module and its static
-/// analysis, without re-running the pipeline or its validation.
-pub struct SpecializationCache {
-    policy: OptPolicy,
-    cell: OnceLock<Option<Box<dyn Analyzable>>>,
+/// [`BoundaryWeakDistance`]: crate::boundary::BoundaryWeakDistance
+/// [`PathWeakDistance`]: crate::path::PathWeakDistance
+/// [`OverflowWeakDistance`]: crate::overflow::OverflowWeakDistance
+/// [`CoverageWeakDistance`]: crate::coverage::CoverageWeakDistance
+pub struct ObservedWeakDistance<P, T> {
+    program: P,
+    target: T,
+    kernel_policy: KernelPolicy,
+    opt_policy: OptPolicy,
+    resolved: OnceLock<Option<Box<dyn Analyzable>>>,
 }
 
-impl SpecializationCache {
-    /// An empty cache with the given policy.
-    pub fn new(policy: OptPolicy) -> Self {
-        SpecializationCache {
-            policy,
-            cell: OnceLock::new(),
+impl<P, T> ObservedWeakDistance<P, T> {
+    /// The weak distance of `program` for `target`, under the default
+    /// kernel and opt policies.
+    pub(crate) fn observing(program: P, target: T) -> Self {
+        ObservedWeakDistance {
+            program,
+            target,
+            kernel_policy: KernelPolicy::Auto,
+            opt_policy: OptPolicy::default(),
+            resolved: OnceLock::new(),
         }
     }
 
-    /// The policy this cache specializes under.
-    pub fn policy(&self) -> OptPolicy {
-        self.policy
+    /// The weak distance an analysis minimizes under `config`: its kernel
+    /// and opt policies.
+    pub(crate) fn configured(program: P, target: T, config: &AnalysisConfig) -> Self {
+        Self::observing(program, target)
+            .with_kernel_policy(config.kernel_policy)
+            .with_opt_policy(config.opt_policy)
     }
 
-    /// The program evaluations should run: the specialized variant when one
-    /// exists, `program` otherwise. `spec` builds the target's observation
-    /// spec; it runs only on the first call, so later evaluations never
-    /// rebuild (or allocate) it.
-    pub fn specialized<'a>(
-        &'a self,
-        program: &'a dyn Analyzable,
-        spec: impl FnOnce() -> ObservationSpec,
-    ) -> &'a dyn Analyzable {
-        match self
-            .cell
-            .get_or_init(|| program.specialize(&spec(), self.policy))
-        {
+    /// Replaces the target; the program is resolved again for it.
+    pub(crate) fn with_target(mut self, target: T) -> Self {
+        self.target = target;
+        self.resolved = OnceLock::new();
+        self
+    }
+
+    /// Selects the batch backend ([`KernelPolicy::Auto`] by default).
+    /// Never changes values — only which bit-identical backend computes
+    /// them.
+    pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
+        self.kernel_policy = kernel_policy;
+        self
+    }
+
+    /// Selects whether evaluations may run a target-specialized
+    /// (translation-validated) variant of the program
+    /// ([`OptPolicy::Auto`] by default). Never changes values — the
+    /// observer sees a bit-identical event stream either way.
+    pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
+        self.opt_policy = opt_policy;
+        self.resolved = OnceLock::new();
+        self
+    }
+
+    /// The program under analysis.
+    pub fn program(&self) -> &P {
+        &self.program
+    }
+}
+
+impl<P: Analyzable, T: Target> ObservedWeakDistance<P, T> {
+    /// The program evaluations run, resolved on the first call.
+    fn resolved(&self) -> &dyn Analyzable {
+        let specialize = || {
+            self.program
+                .specialize(&self.target.spec(), self.opt_policy)
+        };
+        match self.resolved.get_or_init(specialize) {
             Some(p) => &**p,
-            None => program,
+            None => &self.program,
         }
     }
 
-    /// Whether the cache resolved to a specialized program (i.e. at least
-    /// one evaluation happened and specialization succeeded).
-    pub fn is_specialized(&self) -> bool {
-        matches!(self.cell.get(), Some(Some(_)))
+    /// Runs the program on `x` under a fresh observer and returns the
+    /// finished observer.
+    pub(crate) fn observe(&self, x: &[f64]) -> T::Observer<'_> {
+        let mut observer = self.target.observer();
+        self.resolved().run(x, &mut observer);
+        observer
     }
 }
 
-impl Clone for SpecializationCache {
+impl<P: Analyzable, T: Target> WeakDistance for ObservedWeakDistance<P, T> {
+    fn dim(&self) -> usize {
+        self.program.num_inputs()
+    }
+
+    fn domain(&self) -> Vec<Interval> {
+        self.program.search_domain()
+    }
+
+    fn eval(&self, x: &[f64]) -> f64 {
+        self.target.value(self.observe(x))
+    }
+
+    /// Runs the whole batch through one [`fp_runtime::BatchExecutor`] of
+    /// the resolved program, 256 inputs (one fpir kernel wave) at a time,
+    /// with a fresh observer per input: per-input results and events are
+    /// bit-identical to looping [`fp_runtime::BatchExecutor::execute_one`]
+    /// whatever the chunking.
+    fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
+        let mut session = self.resolved().batch_executor(self.kernel_policy);
+        out.clear();
+        out.reserve(xs.len());
+        let mut observers = Vec::with_capacity(OBSERVER_CHUNK.min(xs.len()));
+        let mut results = Vec::new();
+        for chunk in xs.chunks(OBSERVER_CHUNK) {
+            observers.clear();
+            observers.extend(chunk.iter().map(|_| self.target.observer()));
+            let mut refs: Vec<&mut dyn Observer> = observers
+                .iter_mut()
+                .map(|o| o as &mut dyn Observer)
+                .collect();
+            session.execute_many(chunk, &mut refs, &mut results);
+            out.extend(observers.drain(..).map(|o| self.target.value(o)));
+        }
+    }
+
+    fn description(&self) -> String {
+        self.target.describe(self.program.name())
+    }
+}
+
+impl<P: Clone, T: Clone> Clone for ObservedWeakDistance<P, T> {
     fn clone(&self) -> Self {
-        SpecializationCache::new(self.policy)
+        ObservedWeakDistance {
+            program: self.program.clone(),
+            target: self.target.clone(),
+            kernel_policy: self.kernel_policy,
+            opt_policy: self.opt_policy,
+            resolved: OnceLock::new(),
+        }
     }
 }
 
-impl Default for SpecializationCache {
-    fn default() -> Self {
-        SpecializationCache::new(OptPolicy::default())
-    }
-}
-
-impl std::fmt::Debug for SpecializationCache {
+impl<P: std::fmt::Debug, T: std::fmt::Debug> std::fmt::Debug for ObservedWeakDistance<P, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpecializationCache")
-            .field("policy", &self.policy)
-            .field("specialized", &self.is_specialized())
-            .finish()
+        f.debug_struct("ObservedWeakDistance")
+            .field("program", &self.program)
+            .field("target", &self.target)
+            .field("kernel_policy", &self.kernel_policy)
+            .field("opt_policy", &self.opt_policy)
+            .finish_non_exhaustive()
     }
 }
 

@@ -1,29 +1,17 @@
-//! # wdm_engine — parallel portfolio execution engine
+//! # wdm_engine — campaign mode
 //!
 //! The paper's search is dominated by independent restarts and treats the
 //! MO backend as an interchangeable black box — an embarrassingly parallel
-//! workload that the core pipeline runs single-threaded. This crate is the
-//! scheduling layer that exploits it, std-only (the build environment is
-//! offline), at three levels:
-//!
-//! 1. **Portfolio mode** ([`race_all`],
-//!    [`minimize_weak_distance_portfolio`]) — every [`BackendKind`] races
-//!    on one problem; the first backend to find a zero cancels the rest
-//!    through a shared [`CancelToken`]. Under
-//!    [`PortfolioPolicy::Adaptive`] ([`adaptive_all`]) the race is
-//!    replaced by a deterministic bandit scheduler that reallocates one
-//!    run's budget across resumable backends each round.
-//! 2. **Restart sharding** ([`AnalysisConfig::with_parallelism`]) — the
-//!    Algorithm-3 rounds are split across workers with deterministic
-//!    per-shard seeds ([`derive_round_seed`], a SplitMix64-style bijective
-//!    mix), so the merged outcome is bit-identical for any thread count.
-//! 3. **Campaign mode** ([`Campaign`], [`gsl_suite`]) — a job queue over a
-//!    [`WorkerPool`] that batches whole benchmark suites and reduces the
-//!    results into a single JSON report.
-//!
-//! Levels 1–2 live in `wdm_core::driver` (they need nothing but scoped
-//! threads) and are re-exported here; this crate adds the pool, the
-//! campaign layer and thread-count policy.
+//! workload. Backend portfolios
+//! ([`wdm_core::minimize_weak_distance_portfolio`], raced or, under
+//! [`PortfolioPolicy::Adaptive`], bandit-scheduled) and restart sharding
+//! ([`AnalysisConfig::with_parallelism`], with deterministic per-round
+//! seeds from [`derive_round_seed`]) live in `wdm_core`: they need nothing
+//! but scoped threads. This crate, std-only (the build environment is
+//! offline), adds the level above them: **campaign mode** ([`Campaign`],
+//! [`gsl_suite`]), a job queue over a [`WorkerPool`] that batches whole
+//! benchmark suites and reduces the results into a single JSON report,
+//! plus the thread-count policy ([`suggested_parallelism`]).
 //!
 //! # Example: campaign over the GSL suite
 //!
@@ -43,16 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod campaign;
-pub mod portfolio;
 pub mod threads;
 
-pub use adaptive::{adaptive_all, minimize_weak_distance_adaptive, SteppedAnalysis};
 pub use campaign::{
     gsl_portfolio_suite, gsl_suite, Campaign, CampaignJob, CampaignReport, JobReport, JobResult,
 };
-pub use portfolio::{minimize_weak_distance_portfolio, race_all, PortfolioEntry, PortfolioRun};
 pub use threads::suggested_parallelism;
 
 // Re-exported so engine users have the whole parallel surface in one place.

@@ -13,15 +13,16 @@
 //!   (Basinhopping, Differential Evolution, Powell, ...);
 //! * [`gsl`] ([`mini_gsl`]) — Rust ports of the GSL special functions and
 //!   the Glibc `sin` benchmark;
-//! * [`core`] ([`wdm_core`]) — the weak-distance reduction theory and the
-//!   boundary-value / path-reachability / overflow / coverage analyses;
+//! * [`core`] ([`wdm_core`]) — the weak-distance reduction theory, the
+//!   boundary-value / path-reachability / overflow / coverage analyses, and
+//!   the driver's parallel modes: backend portfolios with first-hit
+//!   cancellation (raced, or bandit-scheduled under
+//!   [`PortfolioPolicy::Adaptive`](wdm_core::PortfolioPolicy)) and
+//!   deterministic restart sharding;
 //! * [`xsat`] ([`wdm_xsat`]) — quantifier-free floating-point
 //!   satisfiability on top of the same reduction;
-//! * [`engine`] ([`wdm_engine`]) — the parallel execution engine: backend
-//!   portfolios with first-hit cancellation (raced, or bandit-scheduled
-//!   under [`PortfolioPolicy::Adaptive`](wdm_core::PortfolioPolicy)),
-//!   deterministic restart sharding, and campaign mode batching whole
-//!   benchmark suites over a worker pool;
+//! * [`engine`] ([`wdm_engine`]) — campaign mode: whole benchmark suites
+//!   batched over a worker pool;
 //! * [`service`] ([`wdm_service`]) — the multi-tenant analysis service:
 //!   fair-share slicing of concurrent jobs over one pool, durable
 //!   checkpoint/resume, and progress streaming (in-process or over the

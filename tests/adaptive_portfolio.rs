@@ -113,6 +113,23 @@ fn single_backend_adaptive_equals_direct_run_on_fig2() {
     }
 }
 
+/// The adaptive scheduler over every backend solves the interpreted fig2
+/// boundary problem, and reports every backend's entry.
+#[test]
+fn adaptive_portfolio_solves_fig2_boundary() {
+    let wd = BoundaryWeakDistance::new(
+        ModuleProgram::new(programs::fig2_program(), "prog").expect("fig2 entry"),
+    );
+    let run = minimize_weak_distance_adaptive(
+        &wd,
+        &AnalysisConfig::quick(7).with_rounds(2).with_max_evals(8_000),
+        &BackendKind::all(),
+    );
+    assert_eq!(run.entries.len(), BackendKind::all().len());
+    assert!(run.outcome().is_found());
+    assert!(run.entries[run.winner].run.outcome.is_found());
+}
+
 fn assert_portfolios_identical(actual: &PortfolioRun, expected: &PortfolioRun, what: &str) {
     assert_eq!(actual.winner, expected.winner, "{what}: winner");
     assert_eq!(actual.entries.len(), expected.entries.len(), "{what}");

@@ -152,6 +152,40 @@ fn eval_and_batch_bit_identical_across_policy_matrix() {
     }
 }
 
+/// A weak distance whose target changes after it evaluated resolves its
+/// program again: a single-branch boundary weak distance, switched to
+/// product mode, evaluates exactly like a fresh unoptimized product one.
+#[test]
+fn changing_the_target_after_evaluation_respecializes() {
+    for (name, module, entry) in module_suite() {
+        let prog = program(&module, entry);
+        let Some(first) = prog.branch_sites().first().map(|site| site.id) else {
+            continue;
+        };
+        let xs = suite_points(0xF01D ^ name.len() as u64, 48);
+        let single = BoundaryWeakDistance::new(prog.clone()).with_mode(BoundaryMode::Single(first));
+        for x in &xs {
+            single.eval(x);
+        }
+        let product = single.with_mode(BoundaryMode::Product);
+        let fresh = BoundaryWeakDistance::new(prog.clone()).with_opt_policy(OptPolicy::Never);
+        let expect: Vec<f64> = xs.iter().map(|x| fresh.eval(x)).collect();
+        let scalar: Vec<f64> = xs.iter().map(|x| product.eval(x)).collect();
+        assert_eq!(
+            bits(&scalar),
+            bits(&expect),
+            "{name}: eval after the switch"
+        );
+        let mut batched = Vec::new();
+        product.eval_batch(&xs, &mut batched);
+        assert_eq!(
+            bits(&batched),
+            bits(&expect),
+            "{name}: batch after the switch"
+        );
+    }
+}
+
 fn run_config(seed: u64) -> AnalysisConfig {
     AnalysisConfig::quick(seed)
         .with_rounds(2)

@@ -435,8 +435,13 @@ fn cancelled_jobs_reach_terminal_cancelled_outcomes() {
         AnalysisService::start(ServiceConfig::new(matrix_threads()).with_rounds_per_turn(1));
     let handle = service.handle();
     let events = handle.subscribe();
+    // A pool the job cannot spend before the cancel lands: with the
+    // tenant's 2 rounds it could finish first and correctly report
+    // `Finished`. Turns stay small, since the slice depends only on
+    // `max_evals`.
+    let config = tenant_config(0).with_rounds(1_000_000);
     let id = handle
-        .submit(JobSpec::new("doomed", tenant(0), tenant_config(0)))
+        .submit(JobSpec::new("doomed", tenant(0), config))
         .expect("service accepts submissions");
     // Let it make some progress first, then cancel.
     loop {
