@@ -1,13 +1,11 @@
 //! Adaptive portfolio mode: bandit-driven budget reallocation across
 //! resumable backends.
 //!
-//! Race mode ([`PortfolioPolicy::Race`]) spends up to N full budgets to run
-//! N backends and throws away all but one run. This module implements the
-//! alternative the ROADMAP's "Adaptive portfolios" item calls for: spend
-//! *one* run's budget ([`AnalysisConfig::rounds`] ×
-//! [`AnalysisConfig::max_evals`]) and reallocate it between the backends
-//! while they run, concentrating evaluations on the backend whose residual
-//! (best weak-distance value so far) is improving fastest.
+//! A portfolio runs several backends on one weak distance. It spends *one*
+//! run's budget ([`AnalysisConfig::rounds`] × [`AnalysisConfig::max_evals`])
+//! and reallocates it between the backends while they run, concentrating
+//! evaluations on the backend whose residual (best weak-distance value so
+//! far) is improving fastest.
 //!
 //! Three pieces make that possible:
 //!
@@ -27,26 +25,22 @@
 //!
 //! # Determinism and cancellation
 //!
-//! Unlike race mode, adaptive mode is **bit-identical at any thread
-//! count**: which arm gets budget depends only on merged per-slice
-//! statistics, never on timing. The price is that first-hit cancellation
-//! acts at slice granularity — when an arm finds a zero, the other arms of
-//! that scheduler round finish their (small) slices before the scheduler
-//! fires the shared [`CancelToken`] and stops them — bounded post-hit work
-//! instead of a timing race. External cancellation stops the scheduler at
-//! the next round boundary and is then observed by every arm.
+//! A portfolio run is **bit-identical at any thread count**: which arm
+//! gets budget depends only on merged per-slice statistics, never on
+//! timing. First-hit cancellation therefore acts at slice granularity —
+//! when an arm finds a zero, the other arms of that scheduler round finish
+//! their (small) slices before the scheduler fires the shared first-hit
+//! [`CancelToken`] and stops them — bounded post-hit work instead of a
+//! timing race. External cancellation stops the scheduler at the next
+//! round boundary and is then observed by every arm.
 //!
-//! [`PortfolioPolicy::Race`]: crate::driver::PortfolioPolicy::Race
 //! [`minimize_weak_distance`]: crate::driver::minimize_weak_distance
 
 use crate::checkpoint::{
     ActiveCkpt, AdaptiveCheckpoint, AnalysisCheckpoint, ArmStatsCkpt, EscalationCkpt,
     EscalationHandoffCkpt, EscalationSpecCkpt,
 };
-use crate::driver::{
-    derive_round_seed, pick_winner, AnalysisConfig, MinimizationRun, Outcome, PortfolioEntry,
-    PortfolioRun,
-};
+use crate::driver::{derive_round_seed, AnalysisConfig, MinimizationRun, Outcome};
 use crate::weak_distance::{WeakDistance, WeakDistanceObjective};
 use crate::BackendKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -486,8 +480,8 @@ struct ArmStats {
     seen: bool,
 }
 
-/// Per-arm analysis config: decorrelate the backends' restart streams,
-/// as in race mode (offset 0 leaves the seed unchanged).
+/// Per-arm analysis config: decorrelate the backends' restart streams
+/// (offset 0 leaves the seed unchanged).
 fn arm_config(config: &AnalysisConfig, backend: BackendKind, index: usize) -> AnalysisConfig {
     config
         .clone()
@@ -630,6 +624,76 @@ fn spec_from_ckpt(ckpt: &EscalationSpecCkpt) -> Option<EscalationSpec> {
     Some(EscalationSpec { kind, bounds })
 }
 
+/// The result of one arm of a portfolio.
+#[derive(Debug, Clone)]
+pub struct PortfolioEntry {
+    /// Which backend this is.
+    pub backend: BackendKind,
+    /// The backend's full minimization run (its best may carry
+    /// `Termination::Cancelled` if another arm found a zero first or the
+    /// run was cancelled).
+    pub run: MinimizationRun,
+}
+
+/// The result of running a portfolio of backends on one weak distance.
+#[derive(Debug, Clone)]
+pub struct PortfolioRun {
+    /// The index into `entries` whose outcome is reported (first backend in
+    /// the given order with a solution, otherwise the best residual).
+    pub winner: usize,
+    /// Per-backend results, in the order the backends were given.
+    pub entries: Vec<PortfolioEntry>,
+}
+
+impl PortfolioRun {
+    /// The winning backend.
+    pub fn winning_backend(&self) -> BackendKind {
+        self.entries[self.winner].backend
+    }
+
+    /// The reported outcome (the winner's, with evaluations summed over the
+    /// whole portfolio — every backend's work is charged).
+    pub fn outcome(&self) -> Outcome {
+        let total_evals: usize = self
+            .entries
+            .iter()
+            .map(|e| e.run.outcome.evals())
+            .sum();
+        match &self.entries[self.winner].run.outcome {
+            Outcome::Found { input, .. } => Outcome::Found {
+                input: input.clone(),
+                evals: total_evals,
+            },
+            Outcome::NotFound {
+                best_value,
+                best_input,
+                ..
+            } => Outcome::NotFound {
+                best_value: *best_value,
+                best_input: best_input.clone(),
+                evals: total_evals,
+            },
+        }
+    }
+}
+
+/// Picks the reported entry of a portfolio: the first backend (in the
+/// given order) with a solution, otherwise the best residual (NaN-aware).
+fn pick_winner(runs: &[MinimizationRun]) -> usize {
+    runs.iter()
+        .position(|r| r.outcome.is_found())
+        .unwrap_or_else(|| {
+            let mut best = 0usize;
+            for (i, run) in runs.iter().enumerate() {
+                let (b, c) = (runs[best].best.value, run.best.value);
+                if c < b || (b.is_nan() && !c.is_nan()) {
+                    best = i;
+                }
+            }
+            best
+        })
+}
+
 /// The adaptive scheduler as a resumable value: the bandit statistics
 /// plus every arm's [`SteppedAnalysis`], steppable one scheduler round
 /// at a time. [`minimize_weak_distance_adaptive_cancellable`] is
@@ -649,7 +713,7 @@ pub struct AdaptivePortfolio<'wd> {
     /// The full search box, for tightening around incumbents.
     base_bounds: wdm_mo::Bounds,
     cancel: CancelToken,
-    race: CancelToken,
+    first_hit: CancelToken,
     arms: Vec<Mutex<SteppedAnalysis<'wd>>>,
     stats: Vec<ArmStats>,
     pool: usize,
@@ -681,13 +745,13 @@ impl<'wd> AdaptivePortfolio<'wd> {
         // The shared first-hit token: a child of the external token so
         // outside cancellation reaches the arms, fired by the scheduler
         // when some arm finds a zero.
-        let race = cancel.child();
+        let first_hit = cancel.child();
         let arms: Vec<Mutex<SteppedAnalysis<'_>>> = backends
             .iter()
             .enumerate()
             .map(|(index, &backend)| {
                 let cfg = arm_config(config, backend, index);
-                Mutex::new(SteppedAnalysis::new(wd, &cfg, race.child()))
+                Mutex::new(SteppedAnalysis::new(wd, &cfg, first_hit.child()))
             })
             .collect();
         let stats = backends
@@ -698,7 +762,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 seen: false,
             })
             .collect();
-        Self::assemble(wd, config, backends, cancel.clone(), race, arms, stats)
+        Self::assemble(wd, config, backends, cancel.clone(), first_hit, arms, stats)
     }
 
     /// Shared tail of [`new`](Self::new) and [`restore`](Self::restore):
@@ -708,7 +772,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
         config: &AnalysisConfig,
         backends: &[BackendKind],
         cancel: CancelToken,
-        race: CancelToken,
+        first_hit: CancelToken,
         arms: Vec<Mutex<SteppedAnalysis<'wd>>>,
         stats: Vec<ArmStats>,
     ) -> Self {
@@ -733,7 +797,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
             arm_kinds: backends.to_vec(),
             base_bounds,
             cancel,
-            race,
+            first_hit,
             arms,
             stats,
             pool,
@@ -994,7 +1058,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
             None => SteppedAnalysis::with_parts(
                 self.wd,
                 &cfg,
-                self.race.child(),
+                self.first_hit.child(),
                 machine,
                 Some(spec.bounds.clone()),
             ),
@@ -1002,7 +1066,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 let Some(a) = SteppedAnalysis::restore_with_parts(
                     self.wd,
                     &cfg,
-                    self.race.child(),
+                    self.first_hit.child(),
                     machine,
                     Some(spec.bounds.clone()),
                     c,
@@ -1053,7 +1117,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
     /// [`into_run`](Self::into_run).
     pub fn finalize(&mut self) {
         if self.found || self.cancel.is_cancelled() {
-            self.race.cancel();
+            self.first_hit.cancel();
             for i in 0..self.arms.len() {
                 let mut arm = self.lock(i);
                 while !arm.is_finished() {
@@ -1064,8 +1128,8 @@ impl<'wd> AdaptivePortfolio<'wd> {
     }
 
     /// Consumes the scheduler and reports every arm's run (base arms
-    /// first, then escalation-spawned arms), winner picked exactly as
-    /// race mode picks it.
+    /// first, then escalation-spawned arms): the winner is the first arm
+    /// with a solution, otherwise the best residual.
     pub fn into_run(self) -> PortfolioRun {
         let runs: Vec<MinimizationRun> = self
             .arms
@@ -1172,8 +1236,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
 
     /// Rebuilds a scheduler from a [`checkpoint`](Self::checkpoint).
     /// `wd`, `config` and `backends` are re-supplied and must match the
-    /// checkpointed run; the arm count is validated, backend state tags
-    /// are validated per arm. `cancel` is a fresh external token.
+    /// checkpointed run; the arm count and the last leader's arm index
+    /// are validated, backend state tags are validated per arm. `cancel`
+    /// is a fresh external token.
     ///
     /// # Panics
     ///
@@ -1195,17 +1260,20 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 .collect::<Option<Vec<_>>>()?,
         };
         // Escalation-spawned arms' snapshots follow the base arms.
-        if ckpt.arms.len() != backends.len() + specs.len() || ckpt.stats.len() != ckpt.arms.len() {
+        if ckpt.arms.len() != backends.len() + specs.len()
+            || ckpt.stats.len() != ckpt.arms.len()
+            || ckpt.last_leader.is_some_and(|i| i >= ckpt.arms.len())
+        {
             return None;
         }
-        let race = cancel.child();
+        let first_hit = cancel.child();
         let mut arms = Vec::with_capacity(ckpt.arms.len());
         for (index, (&backend, a)) in backends.iter().zip(&ckpt.arms).enumerate() {
             let cfg = arm_config(config, backend, index);
             arms.push(Mutex::new(SteppedAnalysis::restore(
                 wd,
                 &cfg,
-                race.child(),
+                first_hit.child(),
                 a,
             )?));
         }
@@ -1218,7 +1286,8 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 seen: s.seen,
             })
             .collect();
-        let mut portfolio = Self::assemble(wd, config, backends, cancel.clone(), race, arms, stats);
+        let mut portfolio =
+            Self::assemble(wd, config, backends, cancel.clone(), first_hit, arms, stats);
         for (j, spec) in specs.iter().enumerate() {
             if !portfolio.spawn_escalation_arm(spec, Some(&ckpt.arms[backends.len() + j])) {
                 return None;
@@ -1281,7 +1350,7 @@ pub fn minimize_weak_distance_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{minimize_weak_distance, PortfolioPolicy};
+    use crate::driver::minimize_weak_distance;
     use crate::weak_distance::FnWeakDistance;
     use crate::Outcome;
     use fp_runtime::Interval;
@@ -1393,13 +1462,52 @@ mod tests {
             Outcome::NotFound { best_value, .. } => panic!("not found, best = {best_value}"),
         }
         assert!(run.entries[run.winner].run.outcome.is_found());
+        assert_eq!(run.winning_backend(), run.entries[run.winner].backend);
+    }
+
+    #[test]
+    fn portfolio_runs_every_backend_within_its_budget() {
+        let wd = FnWeakDistance::new(1, vec![Interval::symmetric(10.0)], |x: &[f64]| {
+            (x[0] - 1.0).abs()
+        });
+        let run = minimize_weak_distance_adaptive(
+            &wd,
+            &AnalysisConfig::quick(5).with_rounds(1).with_max_evals(5_000),
+            &BackendKind::all(),
+        );
+        assert_eq!(run.entries.len(), BackendKind::all().len());
+        assert!(run.outcome().is_found());
+        // Losing backends were either cancelled or finished on their own;
+        // every entry still carries a well-formed result.
+        for entry in &run.entries {
+            assert!(entry.run.outcome.evals() <= 5 * 5_000 + 10_000);
+        }
+    }
+
+    #[test]
+    fn portfolio_without_solutions_reports_best_residual() {
+        let wd = FnWeakDistance::new(1, vec![Interval::symmetric(10.0)], |x: &[f64]| {
+            x[0].abs() + 2.0
+        });
+        let run = minimize_weak_distance_adaptive(
+            &wd,
+            &AnalysisConfig::quick(3).with_rounds(1).with_max_evals(3_000),
+            &[BackendKind::BasinHopping, BackendKind::RandomSearch],
+        );
+        match run.outcome() {
+            Outcome::NotFound { best_value, .. } => {
+                assert!((best_value - 2.0).abs() < 1e-9, "best = {best_value}");
+            }
+            Outcome::Found { input, .. } => panic!("spurious solution {input:?}"),
+        }
     }
 
     #[test]
     fn adaptive_budget_is_one_run_not_n_runs() {
         // Zero-free: nothing terminates early, so the scheduler spends the
-        // pool. Five raced backends would cost ~5x rounds*max_evals; the
-        // adaptive pool is 1x (plus bounded slice-granularity overshoot).
+        // pool. Five backends with a full budget each would cost ~5x
+        // rounds*max_evals; the adaptive pool is 1x (plus bounded
+        // slice-granularity overshoot).
         let wd = wd_zero_free();
         let config = AnalysisConfig::quick(7).with_rounds(2).with_max_evals(4_000);
         let run = minimize_weak_distance_adaptive(&wd, &config, &BackendKind::all());
@@ -1428,29 +1536,6 @@ mod tests {
                 assert_eq!(a.run.outcome, b.run.outcome, "threads = {threads}");
                 assert_eq!(a.run.best, b.run.best, "threads = {threads}");
             }
-        }
-    }
-
-    #[test]
-    fn portfolio_dispatches_on_policy() {
-        let wd = wd_zero_free();
-        let config = AnalysisConfig::quick(3)
-            .with_rounds(1)
-            .with_max_evals(2_000)
-            .with_portfolio_policy(PortfolioPolicy::Adaptive);
-        let via_policy = crate::driver::minimize_weak_distance_portfolio(
-            &wd,
-            &config,
-            &[BackendKind::BasinHopping, BackendKind::RandomSearch],
-        );
-        let direct = minimize_weak_distance_adaptive(
-            &wd,
-            &config,
-            &[BackendKind::BasinHopping, BackendKind::RandomSearch],
-        );
-        assert_eq!(via_policy.winner, direct.winner);
-        for (a, b) in via_policy.entries.iter().zip(&direct.entries) {
-            assert_eq!(a.run.outcome, b.run.outcome);
         }
     }
 
@@ -1570,6 +1655,32 @@ mod tests {
             &ckpt
         )
         .is_none());
+    }
+
+    /// Regression: `restore` copied `last_leader` without a check, and
+    /// `leader()` then indexed past the arm list and panicked. A leader
+    /// that names no arm is rejected like any other mismatch.
+    #[test]
+    fn restore_rejects_an_out_of_range_leader() {
+        let wd = wd_zero_free();
+        let config = AnalysisConfig::quick(3).with_rounds(1).with_max_evals(500);
+        let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
+        let cancel = CancelToken::new();
+        let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
+        portfolio.round(1);
+        let mut ckpt = portfolio.checkpoint();
+        for leader in [2, 99] {
+            ckpt.last_leader = Some(leader);
+            assert!(
+                AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt).is_none(),
+                "leader {leader}"
+            );
+        }
+        // The last arm is still a valid leader.
+        ckpt.last_leader = Some(1);
+        let restored =
+            AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt).expect("restore");
+        assert_eq!(restored.leader(), Some(BackendKind::BasinHopping));
     }
 
     #[test]

@@ -32,15 +32,6 @@
 //! any driver-level plumbing. Batching never changes results: every batch
 //! path in the stack is bit-identical to its scalar loop.
 //!
-//! # Portfolio mode
-//!
-//! [`minimize_weak_distance_portfolio`] races several [`BackendKind`]s on
-//! the same weak distance; the first backend to find a zero cancels the
-//! rest. Which backend wins the race is timing-dependent (the returned
-//! witness is still always a true zero — Theorem 3.3 does not care who
-//! found it), so portfolio mode trades the bit-level determinism of restart
-//! sharding for the lowest time-to-first-solution.
-//!
 //! [`WeakDistanceObjective`]: crate::weak_distance::WeakDistanceObjective
 
 use crate::adaptive::SteppedAnalysis;
@@ -104,22 +95,6 @@ impl BackendKind {
             BackendKind::RandomSearch => Box::new(RandomSearch::default()),
         }
     }
-}
-
-/// How [`minimize_weak_distance_portfolio`] spends the backends' budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PortfolioPolicy {
-    /// Race every backend to the end, each with the full round/budget
-    /// configuration; the first backend to find a zero cancels the rest.
-    /// N backends cost up to N full runs, and which backend wins the race
-    /// is timing-dependent (the witness is still always a true zero).
-    #[default]
-    Race,
-    /// Bandit-driven budget reallocation across resumable backends
-    /// ([`crate::adaptive`]): one full run's worth of budget total,
-    /// reallocated each scheduler round toward the backend with the best
-    /// residual trajectory. Bit-identical at any thread count.
-    Adaptive,
 }
 
 /// Plateau-escalation policy of the adaptive portfolio
@@ -201,10 +176,11 @@ pub struct AnalysisConfig {
     pub record_samples: bool,
     /// Keep every `sample_stride`-th sample when recording.
     pub sample_stride: u64,
-    /// Number of worker threads used to shard the minimization rounds.
-    /// `0` and `1` both mean "run sequentially". The outcome is
-    /// bit-identical for every value — parallelism only changes wall-clock
-    /// time.
+    /// Number of worker threads used to shard the minimization rounds,
+    /// and to step the arms of an adaptive portfolio
+    /// ([`crate::adaptive`]) within each scheduler round. `0` and `1` both
+    /// mean "run sequentially". The outcome is bit-identical for every
+    /// value — parallelism only changes wall-clock time.
     pub parallelism: usize,
     /// Which batch backend the weak distances request from the program
     /// under analysis ([`Analyzable::batch_executor`]): under
@@ -215,11 +191,6 @@ pub struct AnalysisConfig {
     /// [`Analyzable::batch_executor`]: fp_runtime::Analyzable::batch_executor
     /// [`KernelPolicy::Auto`]: fp_runtime::KernelPolicy::Auto
     pub kernel_policy: KernelPolicy,
-    /// How [`minimize_weak_distance_portfolio`] spends the backends'
-    /// budget: race them all to the end ([`PortfolioPolicy::Race`], the
-    /// default) or reallocate one run's budget adaptively
-    /// ([`PortfolioPolicy::Adaptive`]).
-    pub portfolio_policy: PortfolioPolicy,
     /// Whether the weak distances may run a target-specialized
     /// (translation-validated, [`Analyzable::specialize`]) variant of the
     /// program under analysis. Like `kernel_policy`, the policy never
@@ -247,7 +218,6 @@ impl AnalysisConfig {
             sample_stride: 1,
             parallelism: 1,
             kernel_policy: KernelPolicy::Auto,
-            portfolio_policy: PortfolioPolicy::Race,
             opt_policy: OptPolicy::Auto,
             escalation: None,
         }
@@ -264,7 +234,6 @@ impl AnalysisConfig {
             sample_stride: 1,
             parallelism: 1,
             kernel_policy: KernelPolicy::Auto,
-            portfolio_policy: PortfolioPolicy::Race,
             opt_policy: OptPolicy::Auto,
             escalation: None,
         }
@@ -295,8 +264,9 @@ impl AnalysisConfig {
         self
     }
 
-    /// Sets the number of worker threads sharding the rounds (`<= 1` means
-    /// sequential). Does not change the outcome, only the wall-clock time.
+    /// Sets the number of worker threads sharding the rounds and stepping
+    /// portfolio arms (`<= 1` means sequential). Does not change the
+    /// outcome, only the wall-clock time.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self
@@ -308,13 +278,6 @@ impl AnalysisConfig {
     /// backend evaluates the program.
     pub fn with_kernel_policy(mut self, kernel_policy: KernelPolicy) -> Self {
         self.kernel_policy = kernel_policy;
-        self
-    }
-
-    /// Sets the portfolio policy [`minimize_weak_distance_portfolio`]
-    /// dispatches on.
-    pub fn with_portfolio_policy(mut self, portfolio_policy: PortfolioPolicy) -> Self {
-        self.portfolio_policy = portfolio_policy;
         self
     }
 
@@ -337,8 +300,8 @@ impl AnalysisConfig {
 
     /// Decorrelates this configuration's restart stream from the root seed:
     /// offset 0 leaves the seed unchanged, every other offset derives a
-    /// distinct stream. The portfolio racer gives each backend its own
-    /// offset so they do not all retrace the same starting points.
+    /// distinct stream. The adaptive portfolio gives each arm its own
+    /// offset so the arms do not all retrace the same starting points.
     pub fn with_seed_offset(mut self, offset: u64) -> Self {
         if offset > 0 {
             // Offsets map far away from the small round indices used by
@@ -472,8 +435,7 @@ pub fn minimize_weak_distance(wd: &dyn WeakDistance, config: &AnalysisConfig) ->
 
 /// [`minimize_weak_distance`] with an external cancellation token: the run
 /// stops at the next objective evaluation once `cancel` fires, and starts no
-/// further round. The portfolio racer uses this to stop losing backends
-/// early.
+/// further round.
 pub fn minimize_weak_distance_cancellable(
     wd: &dyn WeakDistance,
     config: &AnalysisConfig,
@@ -485,152 +447,6 @@ pub fn minimize_weak_distance_cancellable(
     }
     while !analysis.step(usize::MAX) {}
     analysis.run()
-}
-
-/// The result of one backend inside a portfolio race.
-#[derive(Debug, Clone)]
-pub struct PortfolioEntry {
-    /// Which backend this is.
-    pub backend: BackendKind,
-    /// The backend's full minimization run (its best may carry
-    /// `Termination::Cancelled` if it lost the race).
-    pub run: MinimizationRun,
-}
-
-/// The result of racing several backends on one weak distance.
-#[derive(Debug, Clone)]
-pub struct PortfolioRun {
-    /// The index into `entries` whose outcome is reported (first backend in
-    /// the given order with a solution, otherwise the best residual).
-    pub winner: usize,
-    /// Per-backend results, in the order the backends were given.
-    pub entries: Vec<PortfolioEntry>,
-}
-
-impl PortfolioRun {
-    /// The winning backend.
-    pub fn winning_backend(&self) -> BackendKind {
-        self.entries[self.winner].backend
-    }
-
-    /// The reported outcome (the winner's, with evaluations summed over the
-    /// whole portfolio — every backend's work is charged).
-    pub fn outcome(&self) -> Outcome {
-        let total_evals: usize = self
-            .entries
-            .iter()
-            .map(|e| e.run.outcome.evals())
-            .sum();
-        match &self.entries[self.winner].run.outcome {
-            Outcome::Found { input, .. } => Outcome::Found {
-                input: input.clone(),
-                evals: total_evals,
-            },
-            Outcome::NotFound {
-                best_value,
-                best_input,
-                ..
-            } => Outcome::NotFound {
-                best_value: *best_value,
-                best_input: best_input.clone(),
-                evals: total_evals,
-            },
-        }
-    }
-}
-
-/// Picks the reported entry of a portfolio: the first backend (in the
-/// given order) with a solution, otherwise the best residual (NaN-aware).
-pub(crate) fn pick_winner(runs: &[MinimizationRun]) -> usize {
-    runs.iter()
-        .position(|r| r.outcome.is_found())
-        .unwrap_or_else(|| {
-            let mut best = 0usize;
-            for (i, run) in runs.iter().enumerate() {
-                let (b, c) = (runs[best].best.value, run.best.value);
-                if c < b || (b.is_nan() && !c.is_nan()) {
-                    best = i;
-                }
-            }
-            best
-        })
-}
-
-/// Portfolio mode: runs `backends` on `wd` under the configured
-/// [`PortfolioPolicy`].
-///
-/// * [`PortfolioPolicy::Race`] (default) races every backend with the full
-///   round/budget configuration, cancelling the rest as soon as one finds
-///   a zero. The returned witness (if any) is always a true zero of the
-///   weak distance; *which* backend provides it — and how many evaluations
-///   the cancelled backends spent — depends on thread timing. Use restart
-///   sharding ([`AnalysisConfig::parallelism`]) when bit-level
-///   reproducibility matters more than time-to-first-solution.
-/// * [`PortfolioPolicy::Adaptive`] reallocates one run's worth of budget
-///   across resumable backends with a deterministic bandit scheduler
-///   ([`crate::adaptive`]); the result is bit-identical at any
-///   [`AnalysisConfig::parallelism`].
-///
-/// # Panics
-///
-/// Panics if `backends` is empty.
-pub fn minimize_weak_distance_portfolio(
-    wd: &dyn WeakDistance,
-    config: &AnalysisConfig,
-    backends: &[BackendKind],
-) -> PortfolioRun {
-    match config.portfolio_policy {
-        PortfolioPolicy::Race => race_portfolio(wd, config, backends),
-        PortfolioPolicy::Adaptive => {
-            crate::adaptive::minimize_weak_distance_adaptive(wd, config, backends)
-        }
-    }
-}
-
-/// The [`PortfolioPolicy::Race`] implementation.
-fn race_portfolio(
-    wd: &dyn WeakDistance,
-    config: &AnalysisConfig,
-    backends: &[BackendKind],
-) -> PortfolioRun {
-    assert!(!backends.is_empty(), "portfolio needs at least one backend");
-    let race = CancelToken::new();
-    let runs: Vec<MinimizationRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .enumerate()
-            .map(|(index, &backend)| {
-                let race = &race;
-                let config = config
-                    .clone()
-                    .with_backend(backend)
-                    .with_parallelism(1)
-                    // Decorrelate the backends' restart streams.
-                    .with_seed_offset(index as u64);
-                scope.spawn(move || {
-                    let run = minimize_weak_distance_cancellable(wd, &config, &race.child());
-                    if run.outcome.is_found() {
-                        race.cancel();
-                    }
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("portfolio worker panicked"))
-            .collect()
-    });
-
-    let winner = pick_winner(&runs);
-    PortfolioRun {
-        winner,
-        entries: backends
-            .iter()
-            .zip(runs)
-            .map(|(&backend, run)| PortfolioEntry { backend, run })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
@@ -857,64 +673,6 @@ mod tests {
         // One pre-cancelled batch evaluates exactly one sample.
         assert_eq!(run.outcome.evals(), 1);
         assert_eq!(run.best.termination, wdm_mo::Termination::Cancelled);
-    }
-
-    #[test]
-    fn portfolio_reports_a_true_zero_and_all_entries() {
-        let run = minimize_weak_distance_portfolio(
-            &wd_two_zeros(),
-            &AnalysisConfig::quick(2).with_rounds(2),
-            &BackendKind::all(),
-        );
-        assert_eq!(run.entries.len(), 5);
-        let outcome = run.outcome();
-        match outcome {
-            Outcome::Found { input, .. } => {
-                let x = input[0];
-                assert!(x == 1.0 || x == -3.0, "x = {x}");
-            }
-            Outcome::NotFound { best_value, .. } => panic!("not found, best = {best_value}"),
-        }
-        // The winner's own outcome is a solution.
-        assert!(run.entries[run.winner].run.outcome.is_found());
-        assert_eq!(run.winning_backend(), run.entries[run.winner].backend);
-    }
-
-    #[test]
-    fn race_runs_every_backend_within_its_budget() {
-        let wd = FnWeakDistance::new(1, vec![Interval::symmetric(10.0)], |x: &[f64]| {
-            (x[0] - 1.0).abs()
-        });
-        let run = minimize_weak_distance_portfolio(
-            &wd,
-            &AnalysisConfig::quick(5).with_rounds(1).with_max_evals(5_000),
-            &BackendKind::all(),
-        );
-        assert_eq!(run.entries.len(), BackendKind::all().len());
-        assert!(run.outcome().is_found());
-        // Losing backends were either cancelled or finished on their own;
-        // every entry still carries a well-formed result.
-        for entry in &run.entries {
-            assert!(entry.run.outcome.evals() <= 5 * 5_000 + 10_000);
-        }
-    }
-
-    #[test]
-    fn portfolio_without_solutions_reports_best_residual() {
-        let wd = FnWeakDistance::new(1, vec![Interval::symmetric(10.0)], |x: &[f64]| {
-            x[0].abs() + 2.0
-        });
-        let run = minimize_weak_distance_portfolio(
-            &wd,
-            &AnalysisConfig::quick(3).with_rounds(1).with_max_evals(3_000),
-            &[BackendKind::BasinHopping, BackendKind::RandomSearch],
-        );
-        match run.outcome() {
-            Outcome::NotFound { best_value, .. } => {
-                assert!((best_value - 2.0).abs() < 1e-9, "best = {best_value}");
-            }
-            Outcome::Found { input, .. } => panic!("spurious solution {input:?}"),
-        }
     }
 
     #[test]

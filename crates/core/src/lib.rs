@@ -13,10 +13,11 @@
 //!   an off-the-shelf MO backend, report the minimum point if the minimum
 //!   is zero, and optionally verify the reported solution against a
 //!   membership oracle (the Section 5.2 soundness remark); restart rounds
-//!   can be sharded across threads and backends run as a portfolio;
+//!   can be sharded across threads;
 //! * [`adaptive`] — the restart loop as a resumable state machine
 //!   ([`SteppedAnalysis`], which the driver runs to completion) and the
-//!   bandit-scheduled adaptive portfolio built on it;
+//!   portfolio built on it: several backends share one run's budget under
+//!   a deterministic bandit scheduler;
 //! * [`boundary`] — Instance 1, boundary value analysis (Fig. 3);
 //! * [`path`] — Instance 2, path reachability (Fig. 4);
 //! * [`overflow`] — Instance 3, floating-point overflow detection
@@ -60,12 +61,11 @@ pub mod weak_distance;
 
 pub use adaptive::{
     minimize_weak_distance_adaptive, minimize_weak_distance_adaptive_cancellable,
-    AdaptivePortfolio, EscalationHandoff, SteppedAnalysis,
+    AdaptivePortfolio, EscalationHandoff, PortfolioRun, SteppedAnalysis,
 };
 pub use checkpoint::{AdaptiveCheckpoint, AnalysisCheckpoint, EscalationCkpt};
 pub use driver::{
     derive_round_seed, minimize_weak_distance, minimize_weak_distance_cancellable,
-    minimize_weak_distance_portfolio, statically_pruned_run, AnalysisConfig, BackendKind,
-    EscalationConfig, MinimizationRun, Outcome, PortfolioPolicy, PortfolioRun,
+    statically_pruned_run, AnalysisConfig, BackendKind, EscalationConfig, MinimizationRun, Outcome,
 };
 pub use weak_distance::{ObservedWeakDistance, WeakDistance};

@@ -15,9 +15,9 @@ use std::sync::mpsc;
 use std::time::Instant;
 use wdm_service::{AnalysisService, ServiceConfig, ServiceHandle};
 use wdm_core::boundary::{BoundaryAnalysis, BoundaryWeakDistance};
-use wdm_core::driver::{derive_round_seed, minimize_weak_distance_portfolio};
+use wdm_core::driver::derive_round_seed;
 use wdm_core::overflow::OverflowDetector;
-use wdm_core::{AnalysisConfig, BackendKind, Outcome};
+use wdm_core::{minimize_weak_distance_adaptive, AnalysisConfig, BackendKind, Outcome};
 
 /// The deterministic result of one campaign job.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -342,11 +342,10 @@ where
     })
 }
 
-/// A job running a backend *portfolio* on the boundary weak distance of
-/// `program`, under the campaign configuration's
-/// [`PortfolioPolicy`](wdm_core::PortfolioPolicy) — racing or adaptively
-/// reallocating budget across `backends`. The winning backend's name is
-/// recorded in the `analysis` field so reports show who solved what.
+/// A job running an adaptive backend *portfolio*
+/// ([`wdm_core::adaptive`]) over `backends` on the boundary weak distance
+/// of `program`. The winning backend's name is recorded in the `analysis`
+/// field so reports show who solved what.
 fn boundary_portfolio_job<P>(
     name: String,
     program: P,
@@ -358,7 +357,7 @@ where
     CampaignJob::new(name.clone(), move |config| {
         let wd = BoundaryWeakDistance::new(program).with_kernel_policy(config.kernel_policy);
         let program_name = wd.program().name().to_string();
-        let run = minimize_weak_distance_portfolio(&wd, config, &backends);
+        let run = minimize_weak_distance_adaptive(&wd, config, &backends);
         let (found, best_value, evals) = match run.outcome() {
             Outcome::Found { evals, .. } => (1, 0.0, evals),
             Outcome::NotFound {
@@ -379,9 +378,9 @@ where
 }
 
 /// Builds a portfolio campaign over the boundary problems of the GSL
-/// suite's programs: each job runs `backends` under the configuration's
-/// [`PortfolioPolicy`](wdm_core::PortfolioPolicy) — so one campaign can be
-/// raced and another adaptively scheduled, and their reports compared.
+/// suite's programs: each job runs `backends` as an adaptive portfolio,
+/// so the report, including which backend won each job, is bit-identical
+/// at any thread count.
 pub fn gsl_portfolio_suite(config: &AnalysisConfig, backends: &[BackendKind]) -> Campaign {
     use mini_gsl::glibc_sin::GlibcSin;
     use mini_gsl::toy::{EqZeroProgram, Fig2Program};
@@ -488,31 +487,21 @@ mod tests {
 
     #[test]
     fn adaptive_portfolio_campaign_is_deterministic_across_threads() {
-        // Race-mode portfolio jobs are timing-dependent by design; under
-        // the adaptive policy the whole campaign report (including which
-        // backend won each job) is bit-identical at any thread count.
-        let config = quick_config()
-            .with_portfolio_policy(wdm_core::PortfolioPolicy::Adaptive);
+        // The whole campaign report (including which backend won each
+        // job) is bit-identical at any thread count.
+        let config = quick_config();
         let backends = [BackendKind::BasinHopping, BackendKind::RandomSearch];
         let one = gsl_portfolio_suite(&config, &backends).run(1);
         let four = gsl_portfolio_suite(&config, &backends).run(4);
         assert_eq!(one.jobs.len(), 3);
         assert_eq!(one.deterministic_results(), four.deterministic_results());
         assert!(one.jobs[0].result.analysis.starts_with("portfolio/"));
+        for job in &one.jobs {
+            assert!(job.result.evals > 0);
+        }
         // The boundary problems of the toy programs are easy: the
         // portfolio should solve at least one of them.
         assert!(one.jobs_fully_solved >= 1, "report: {:?}", one.jobs);
-    }
-
-    #[test]
-    fn race_portfolio_campaign_runs_and_reports() {
-        let backends = [BackendKind::BasinHopping, BackendKind::RandomSearch];
-        let report = gsl_portfolio_suite(&quick_config(), &backends).run(2);
-        assert_eq!(report.jobs.len(), 3);
-        for job in &report.jobs {
-            assert!(job.result.analysis.starts_with("portfolio/"), "{:?}", job.result);
-            assert!(job.result.evals > 0);
-        }
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //!
 //! The paper's search is dominated by independent restarts and treats the
 //! MO backend as an interchangeable black box — an embarrassingly parallel
-//! workload. Backend portfolios
-//! ([`wdm_core::minimize_weak_distance_portfolio`], raced or, under
-//! [`PortfolioPolicy::Adaptive`], bandit-scheduled) and restart sharding
-//! ([`AnalysisConfig::with_parallelism`], with deterministic per-round
-//! seeds from [`derive_round_seed`]) live in `wdm_core`: they need nothing
-//! but scoped threads. This crate, std-only (the build environment is
-//! offline), adds the level above them: **campaign mode** ([`Campaign`],
-//! [`gsl_suite`]), a job queue over a [`WorkerPool`] that batches whole
-//! benchmark suites and reduces the results into a single JSON report,
-//! plus the thread-count policy ([`suggested_parallelism`]).
+//! workload. Adaptive backend portfolios
+//! ([`wdm_core::minimize_weak_distance_adaptive`], bandit-scheduled and
+//! deterministic) and restart sharding
+//! ([`wdm_core::AnalysisConfig::with_parallelism`], with deterministic
+//! per-round seeds from [`wdm_core::derive_round_seed`]) live in
+//! `wdm_core`: they need nothing but scoped threads. This crate, std-only
+//! (the build environment is offline), adds the level above them:
+//! **campaign mode** ([`Campaign`], [`gsl_suite`]), a job queue over a
+//! [`wdm_mo::WorkerPool`] that batches whole benchmark suites and reduces
+//! the results into a single JSON report, plus the thread-count policy
+//! ([`suggested_parallelism`]).
 //!
 //! # Example: campaign over the GSL suite
 //!
@@ -38,8 +39,3 @@ pub use campaign::{
     gsl_portfolio_suite, gsl_suite, Campaign, CampaignJob, CampaignReport, JobReport, JobResult,
 };
 pub use threads::suggested_parallelism;
-
-// Re-exported so engine users have the whole parallel surface in one place.
-pub use wdm_core::driver::derive_round_seed;
-pub use wdm_core::{AnalysisConfig, BackendKind, PortfolioPolicy};
-pub use wdm_mo::{scoped_map, CancelToken, WorkerPool};

@@ -46,7 +46,6 @@
 pub mod basinhopping;
 pub mod bounds;
 pub mod brent;
-pub mod cancel;
 pub mod checkpoint;
 pub mod diffevo;
 pub mod evaluator;
@@ -66,10 +65,10 @@ pub mod ulp;
 
 pub use basinhopping::BasinHopping;
 pub use bounds::Bounds;
-pub use cancel::CancelToken;
 pub use checkpoint::StepCheckpoint;
 pub use diffevo::DifferentialEvolution;
 pub use evaluator::Evaluator;
+pub use fp_runtime::CancelToken;
 pub use multistart::MultiStart;
 pub use nelder_mead::NelderMead;
 pub use objective::{CountingObjective, FnObjective, Objective};

@@ -1,6 +1,6 @@
 //! The indexed parallel-map primitive shared by every parallel path in the
-//! workspace (restart sharding in `wdm_core`, batch solving in `wdm_xsat`,
-//! and the `wdm_engine` re-export).
+//! workspace: restart sharding and portfolio arm stepping in `wdm_core`,
+//! and batch solving in `wdm_xsat`.
 //!
 //! Std-only by design: the build environment is offline, so no rayon.
 

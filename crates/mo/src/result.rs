@@ -15,8 +15,9 @@ pub enum Termination {
     Converged,
     /// The configured number of iterations completed.
     IterationsCompleted,
-    /// The run was cancelled externally (portfolio race lost, campaign shut
-    /// down); the reported best is whatever was seen before the stop.
+    /// The run was cancelled externally (another portfolio arm found a
+    /// zero first, a job was cancelled); the reported best is whatever was
+    /// seen before the stop.
     Cancelled,
     /// The problem was rejected before any evaluation (e.g. a
     /// zero-dimensional objective).

@@ -1,6 +1,6 @@
 //! Resumable minimization: backends that run in fixed eval-budget slices.
 //!
-//! The adaptive portfolio scheduler (`wdm_engine`/`wdm_core::adaptive`)
+//! The adaptive portfolio scheduler (`wdm_core::adaptive`)
 //! reallocates an evaluation budget across several backends *while they
 //! run*, which requires pausing a backend after a slice of its budget and
 //! resuming it later with no observable difference. [`SteppedMinimizer`] is

@@ -1,11 +1,11 @@
 //! Cooperative cancellation shared by every layer of the workspace.
 //!
-//! The parallel execution engine (`wdm_engine`) races several searches on
-//! the same problem: independent restart shards, or a portfolio of backends.
-//! As soon as one of them finds a zero of the weak distance, the remaining
-//! searches are wasted work; a [`CancelToken`] threaded into the
-//! optimization problem lets the winner stop them at their next objective
-//! evaluation without any backend-specific plumbing. The `fpir` interpreter
+//! Several searches often run on the same problem: the restart shards of
+//! one analysis, or the arms of a backend portfolio. As soon as one of them
+//! finds a zero of the weak distance, the remaining searches are wasted
+//! work; a [`CancelToken`] threaded into the optimization problem lets the
+//! driver stop them at their next objective evaluation without any
+//! backend-specific plumbing. The `fpir` interpreter
 //! additionally polls its token *inside* the interpreter loop, so even a
 //! single long-running interpreted execution stops promptly instead of
 //! waiting for the next evaluation boundary.

@@ -19,8 +19,8 @@
 //! * **Durability** — between turns a job *is* a serializable
 //!   checkpoint ([`AdaptiveCheckpoint`](wdm_core::AdaptiveCheckpoint)),
 //!   re-materialized at the start of every turn; with a checkpoint
-//!   directory configured the snapshot also goes to disk on a cadence,
-//!   and a restarted service resumes re-submitted jobs from it,
+//!   directory configured the snapshot also goes to disk after every
+//!   turn, and a restarted service resumes re-submitted jobs from it,
 //!   replaying to the identical final report.
 //! * **Fairness** — each scheduling cycle grants every unfinished job
 //!   one turn of `weight × rounds_per_turn` adaptive rounds, dispatched

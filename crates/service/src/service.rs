@@ -24,10 +24,10 @@
 //! that value at the start of every turn and checkpoints it back at the
 //! end — the serialization seam is exercised continuously, not only on
 //! kill. With a [`checkpoint_dir`](ServiceConfig::with_checkpoint_dir)
-//! configured, the snapshot is also written to disk every
-//! `checkpoint_every` turns (atomically: temp file + rename) and on
-//! completion; re-submitting the same job after a restart resumes from
-//! the file and replays to the identical final outcome.
+//! configured, the snapshot is also written to disk after every turn
+//! (atomically: temp file + rename) and on completion; re-submitting the
+//! same job after a restart resumes from the file and replays to the
+//! identical final outcome.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -118,11 +118,9 @@ pub struct ServiceConfig {
     pub rounds_per_turn: usize,
     /// Seed of the per-cycle dispatch permutation.
     pub seed: u64,
-    /// Directory for durable checkpoints; `None` disables persistence.
+    /// Directory for durable checkpoints, written after every turn and
+    /// at completion; `None` disables persistence.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Turns between durable checkpoint writes (terminal states are
-    /// always written). Clamped to at least 1.
-    pub checkpoint_every: u64,
     /// Progress-stream buffer per subscriber, in events. A subscriber
     /// that falls this far behind is disconnected (its receiver sees
     /// the stream end) rather than growing an unbounded queue inside
@@ -139,7 +137,6 @@ impl ServiceConfig {
             rounds_per_turn: 4,
             seed: 0,
             checkpoint_dir: None,
-            checkpoint_every: 1,
             subscriber_capacity: 1024,
         }
     }
@@ -159,12 +156,6 @@ impl ServiceConfig {
     /// Enables durable checkpoints under `dir`.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the durable checkpoint cadence, in turns.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = every.max(1);
         self
     }
 
@@ -576,8 +567,9 @@ fn scheduler_loop(inner: Arc<ServiceInner>) {
 }
 
 /// One turn of one job: re-materialize the portfolio from its
-/// checkpoint, run the granted rounds, checkpoint back (and to disk on
-/// cadence), or finish the job and store its outcome.
+/// checkpoint, run the granted rounds, checkpoint back (and to disk when
+/// a checkpoint directory is set), or finish the job and store its
+/// outcome.
 fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
     // Take the durable state out under the lock; the minimization below
     // runs without holding it.
@@ -645,8 +637,7 @@ fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
         let evals = portfolio.evals_spent();
         let leader = portfolio.leader();
         drop(portfolio);
-        let durable = turn % inner.config.checkpoint_every.max(1) == 0
-            && persist_checkpoint(inner, index, &name, turn, false, &snapshot);
+        let durable = persist_checkpoint(inner, index, &name, turn, false, &snapshot);
         let mut state = inner.lock();
         state.jobs[index].checkpoint = Some(snapshot);
         inner.emit(

@@ -3,18 +3,18 @@
 //!
 //! Solving is parallel at three levels, mirroring the execution engine:
 //! [`AnalysisConfig::parallelism`] shards the restart rounds of a single
-//! `solve` deterministically, [`Solver::solve_portfolio`] races several MO
-//! backends on one formula with first-hit cancellation, and [`solve_all`]
-//! spreads a batch of independent formulas over worker threads.
+//! `solve` deterministically, [`Solver::solve_portfolio`] runs several MO
+//! backends on one formula as a deterministic adaptive portfolio with
+//! first-hit cancellation, and [`solve_all`] spreads a batch of
+//! independent formulas over worker threads.
 
 use crate::ast::Cnf;
 use crate::distance::{CnfWeakDistance, DistanceMetric};
 use fp_runtime::Interval;
-use wdm_core::adaptive::{minimize_weak_distance_adaptive_cancellable, AdaptivePortfolio};
-use wdm_core::driver::{
-    minimize_weak_distance, minimize_weak_distance_portfolio, AnalysisConfig, BackendKind, Outcome,
-    PortfolioPolicy,
+use wdm_core::adaptive::{
+    minimize_weak_distance_adaptive, minimize_weak_distance_adaptive_cancellable, AdaptivePortfolio,
 };
+use wdm_core::driver::{minimize_weak_distance, AnalysisConfig, BackendKind, Outcome};
 use wdm_core::weak_distance::WeakDistance;
 use wdm_mo::CancelToken;
 
@@ -90,26 +90,21 @@ impl Solver {
         self.verdict_of(&wd, run.outcome)
     }
 
-    /// Solves the formula by running several MO backends in portfolio
-    /// mode, under the configured
-    /// [`portfolio_policy`](AnalysisConfig::portfolio_policy): racing with
-    /// first-hit cancellation by default (fastest time-to-model, but which
-    /// backend wins — and hence the `Unknown` residual — is
-    /// timing-dependent), or deterministic bandit-scheduled budget
-    /// reallocation under `PortfolioPolicy::Adaptive`. A returned model is
-    /// always re-verified.
+    /// Solves the formula by running several MO backends as an adaptive
+    /// portfolio ([`wdm_core::adaptive`]): one run's budget, reallocated
+    /// by a deterministic bandit, with first-hit cancellation. The verdict
+    /// is bit-identical at any [`AnalysisConfig::parallelism`]. A returned
+    /// model is always re-verified.
     pub fn solve_portfolio(&self, config: &AnalysisConfig, backends: &[BackendKind]) -> Verdict {
         let wd = self.weak_distance();
-        let race = minimize_weak_distance_portfolio(&wd, config, backends);
-        self.verdict_of(&wd, race.outcome())
+        let run = minimize_weak_distance_adaptive(&wd, config, backends);
+        self.verdict_of(&wd, run.outcome())
     }
 
-    /// Like [`solve_portfolio`](Self::solve_portfolio) under
-    /// [`PortfolioPolicy::Adaptive`], but cancellable mid-run: when
-    /// `cancel` fires, every arm stops at its next evaluation check and
-    /// the verdict reports the best residual reached so far. This is the
-    /// entry point escalating drivers use to race a focused sub-solve
-    /// against the main portfolio without orphaning its budget.
+    /// Like [`solve_portfolio`](Self::solve_portfolio), but cancellable
+    /// mid-run: when `cancel` fires, every arm stops at its next
+    /// evaluation check and the verdict reports the best residual reached
+    /// so far.
     pub fn solve_portfolio_cancellable(
         &self,
         config: &AnalysisConfig,
@@ -126,10 +121,10 @@ impl Solver {
     /// escalation handoff (see
     /// [`AdaptivePortfolio::take_handoff`]), the
     /// tightened incumbent box becomes the domain of a fresh focused
-    /// sub-solve over the same formula ([`Self::solve_portfolio`] under
-    /// [`PortfolioPolicy::Adaptive`]), seeded from a disjoint stream per
-    /// event. A verified model from either level wins; the sub-solve's
-    /// budget is one round of the configured budget per event.
+    /// sub-solve over the same formula ([`Self::solve_portfolio`]), seeded
+    /// from a disjoint stream per event. A verified model from either
+    /// level wins; the sub-solve's budget is one round of the configured
+    /// budget per event.
     ///
     /// With [`AnalysisConfig::escalation`] unset this degrades to a plain
     /// adaptive portfolio solve. The verdict is a pure function of
@@ -153,8 +148,7 @@ impl Solver {
             let mut sub_config = config
                 .clone()
                 .with_rounds(1)
-                .with_seed_offset(1 + handoff.ordinal as u64)
-                .with_portfolio_policy(PortfolioPolicy::Adaptive);
+                .with_seed_offset(1 + handoff.ordinal as u64);
             // The sub-solve is the escalation: it must not recurse.
             sub_config.escalation = None;
             let sub = self.clone().with_domain(domain);

@@ -15,10 +15,11 @@
 //!   the Glibc `sin` benchmark;
 //! * [`core`] ([`wdm_core`]) — the weak-distance reduction theory, the
 //!   boundary-value / path-reachability / overflow / coverage analyses, and
-//!   the driver's parallel modes: backend portfolios with first-hit
-//!   cancellation (raced, or bandit-scheduled under
-//!   [`PortfolioPolicy::Adaptive`](wdm_core::PortfolioPolicy)) and
-//!   deterministic restart sharding;
+//!   the driver's parallel modes: deterministic restart sharding and the
+//!   adaptive backend portfolio
+//!   ([`minimize_weak_distance_adaptive`](wdm_core::minimize_weak_distance_adaptive)),
+//!   bandit-scheduled with first-hit cancellation and bit-identical at any
+//!   thread count;
 //! * [`xsat`] ([`wdm_xsat`]) — quantifier-free floating-point
 //!   satisfiability on top of the same reduction;
 //! * [`engine`] ([`wdm_engine`]) — campaign mode: whole benchmark suites

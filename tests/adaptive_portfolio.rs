@@ -5,7 +5,7 @@
 //!    RandomSearch), run in random eval-budget slices through the
 //!    [`SteppedMinimizer`](wdm::mo::SteppedMinimizer) seam, produces
 //!    exactly the unsliced run's result and sampling trace;
-//! 2. **Single-backend `Adaptive` ≡ direct run** — an adaptive portfolio
+//! 2. **Single-backend portfolio ≡ direct run** — an adaptive portfolio
 //!    of one backend is the direct driver run, bit for bit;
 //! 3. **Scheduler determinism** — the adaptive portfolio outcome is
 //!    bit-identical at every thread count (the CI matrix runs this suite
@@ -20,10 +20,10 @@ use common::{matrix_threads, shaped, thread_counts, trace_bits};
 use proptest::prelude::*;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
 use wdm::core::driver::{
-    minimize_weak_distance, minimize_weak_distance_cancellable, minimize_weak_distance_portfolio,
-    AnalysisConfig, BackendKind, EscalationConfig, PortfolioPolicy, PortfolioRun,
+    minimize_weak_distance, minimize_weak_distance_cancellable, AnalysisConfig, BackendKind,
+    EscalationConfig,
 };
-use wdm::core::AdaptivePortfolio;
+use wdm::core::{AdaptivePortfolio, PortfolioRun};
 use wdm::core::boundary::BoundaryWeakDistance;
 use wdm::core::weak_distance::FnWeakDistance;
 use wdm::ir::{programs, ModuleProgram};
@@ -155,16 +155,15 @@ fn adaptive_scheduler_is_deterministic_at_any_thread_count() {
     let base = AnalysisConfig::quick(17)
         .with_rounds(2)
         .with_max_evals(3_000)
-        .recording(4)
-        .with_portfolio_policy(PortfolioPolicy::Adaptive);
+        .recording(4);
 
-    let reference_free = minimize_weak_distance_portfolio(&zero_free, &base, &BackendKind::all());
-    let reference_hit = minimize_weak_distance_portfolio(&solvable(), &base, &BackendKind::all());
+    let reference_free = minimize_weak_distance_adaptive(&zero_free, &base, &BackendKind::all());
+    let reference_hit = minimize_weak_distance_adaptive(&solvable(), &base, &BackendKind::all());
     for threads in thread_counts() {
         let config = base.clone().with_parallelism(threads);
-        let free = minimize_weak_distance_portfolio(&zero_free, &config, &BackendKind::all());
+        let free = minimize_weak_distance_adaptive(&zero_free, &config, &BackendKind::all());
         assert_portfolios_identical(&free, &reference_free, &format!("zero-free, {threads} threads"));
-        let hit = minimize_weak_distance_portfolio(&solvable(), &config, &BackendKind::all());
+        let hit = minimize_weak_distance_adaptive(&solvable(), &config, &BackendKind::all());
         assert_portfolios_identical(&hit, &reference_hit, &format!("solvable, {threads} threads"));
     }
 }
@@ -341,30 +340,12 @@ fn cancelled_entry_eval_counts_match_the_objective() {
     }
 }
 
-/// The adaptive policy plumbs through `AnalysisConfig` end to end: the
-/// same call site flips between racing and adaptive scheduling on the
-/// config alone, and the engine's campaign layer follows it.
+/// The engine's portfolio campaigns run the adaptive scheduler, so the
+/// whole campaign report is deterministic across thread counts.
 #[test]
-fn portfolio_policy_flows_through_config_and_campaign() {
-    let wd = FnWeakDistance::new(1, vec![Interval::symmetric(50.0)], |x: &[f64]| {
-        (x[0] - 2.0).abs() + 0.25
-    });
+fn portfolio_campaign_is_deterministic_at_any_thread_count() {
     let backends = [BackendKind::BasinHopping, BackendKind::RandomSearch];
-    let base = AnalysisConfig::quick(5).with_rounds(1).with_max_evals(2_000);
-
-    // Adaptive through the policy-dispatching entry point equals the
-    // direct adaptive call.
-    let via_policy = minimize_weak_distance_portfolio(
-        &wd,
-        &base.clone().with_portfolio_policy(PortfolioPolicy::Adaptive),
-        &backends,
-    );
-    let direct = minimize_weak_distance_adaptive(&wd, &base, &backends);
-    assert_portfolios_identical(&via_policy, &direct, "policy dispatch");
-
-    // Campaign mode under the adaptive policy is deterministic across
-    // thread counts (race campaigns are timing-dependent by design).
-    let campaign_config = base.with_portfolio_policy(PortfolioPolicy::Adaptive);
+    let campaign_config = AnalysisConfig::quick(5).with_rounds(1).with_max_evals(2_000);
     let reference = wdm::engine::gsl_portfolio_suite(&campaign_config, &backends)
         .run(1)
         .deterministic_results();

@@ -7,8 +7,8 @@
 //! the sorted order — so the guarantee is bit-exact, not approximate.
 
 use proptest::prelude::*;
-use wdm::core::derive_round_seed;
-use wdm::engine::{gsl_portfolio_suite, AnalysisConfig, BackendKind, CampaignReport, JobReport, JobResult};
+use wdm::core::{derive_round_seed, AnalysisConfig, BackendKind};
+use wdm::engine::{gsl_portfolio_suite, CampaignReport, JobReport, JobResult};
 
 /// Deterministic synthetic report: `jobs` jobs derived from `seed`, with
 /// deliberately colliding names (4-name pool) so the merge order has to
@@ -108,7 +108,6 @@ fn real_suite_reports_merge_losslessly() {
         AnalysisConfig::quick(seed)
             .with_rounds(1)
             .with_max_evals(1_500)
-            .with_portfolio_policy(wdm::core::PortfolioPolicy::Adaptive)
     };
     let first = gsl_portfolio_suite(&config(3), &backends).run(2);
     let second = gsl_portfolio_suite(&config(4), &backends).run(2);

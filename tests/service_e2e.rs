@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use common::matrix_threads;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
-use wdm::core::driver::{AnalysisConfig, BackendKind, EscalationConfig, PortfolioRun};
+use wdm::core::driver::{AnalysisConfig, BackendKind, EscalationConfig};
 use wdm::core::weak_distance::FnWeakDistance;
-use wdm::core::WeakDistance;
+use wdm::core::{PortfolioRun, WeakDistance};
 use wdm::runtime::Interval;
 use wdm::service::{AnalysisService, EventKind, JobSpec, ServiceConfig};
 
