@@ -416,6 +416,42 @@ mod tests {
         assert!(solved.outcome.evals() > 0);
     }
 
+    /// Regression: the residual of a branch whose operands are the same
+    /// infinity was `inf - inf`, NaN, so an overflowing input that sits on
+    /// `x*x <= +inf` got no zero and every search missed the boundary.
+    #[test]
+    fn a_boundary_at_equal_infinities_is_a_zero() {
+        use fp_runtime::{BranchSite, ClosureProgram, Cmp, Interval};
+        let program = || {
+            ClosureProgram::new("square-le-inf", 1, |x, ctx| {
+                let y = x[0] * x[0];
+                ctx.branch(0, y, Cmp::Le, f64::INFINITY);
+                Some(y)
+            })
+            .with_branch_sites(vec![BranchSite::new(0, Cmp::Le, "x*x <= inf")])
+            .with_domain(vec![Interval::symmetric(1.0e300)])
+        };
+        for mode in [
+            BoundaryMode::Product,
+            BoundaryMode::Single(BranchId(0)),
+            BoundaryMode::Characteristic,
+            BoundaryMode::SquaredResidual,
+        ] {
+            let wd = BoundaryWeakDistance::new(program()).with_mode(mode);
+            assert_eq!(wd.eval(&[1.0e200]), 0.0, "{mode:?}");
+        }
+        let analysis = BoundaryAnalysis::new(program());
+        assert_eq!(analysis.triggered_conditions(&[1.0e200]), vec![BranchId(0)]);
+        for seed in 1..=5 {
+            let outcome = analysis.find_condition(BranchId(0), &AnalysisConfig::quick(seed));
+            let input = outcome.into_input().expect("the boundary is reachable");
+            assert!(
+                analysis.triggered_conditions(&input).contains(&BranchId(0)),
+                "seed {seed}: {input:?} is not on the boundary"
+            );
+        }
+    }
+
     #[test]
     fn squared_residual_mode_underflows_limitation2() {
         // The Section 5.2 example: for `if (x == 0)` a squared residual

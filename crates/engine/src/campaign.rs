@@ -1,10 +1,11 @@
-//! Campaign mode: batch whole benchmark suites through the worker pool and
-//! reduce the per-job results into a single JSON-serializable report.
+//! Campaign mode: batch whole benchmark suites through an analysis
+//! service's workers and reduce the per-job results into a single
+//! JSON-serializable report.
 //!
 //! A campaign is a queue of named, self-contained jobs (one analysis of one
 //! program — a boundary condition of the Glibc `sin` port, the overflow
 //! study of one GSL special function, ...). Jobs are independent, so the
-//! pool runs them embarrassingly parallel; each job is internally
+//! workers run them embarrassingly parallel; each job is internally
 //! sequential with a fixed per-job seed derived from its queue position, so
 //! the *deterministic* part of the report (what was found, at which inputs,
 //! after how many evaluations) is bit-identical for every thread count —
@@ -216,8 +217,8 @@ impl Campaign {
     /// Submits every job to an already-running analysis service and
     /// blocks until the reduced report is in. Campaign jobs are opaque
     /// closures, so they ride the service's task lane: they run FIFO on
-    /// the shared pool, interleaved with (but invisible to) the
-    /// fair-share analysis tenants.
+    /// the service's workers, each ahead of the next analysis turn and
+    /// invisible to the analysis tenants.
     pub fn run_on(self, handle: &ServiceHandle) -> CampaignReport {
         let started = Instant::now();
         let threads = handle.threads();

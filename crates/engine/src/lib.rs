@@ -9,10 +9,10 @@
 //! per-round seeds from [`wdm_core::derive_round_seed`]) live in
 //! `wdm_core`: they need nothing but scoped threads. This crate, std-only
 //! (the build environment is offline), adds the level above them:
-//! **campaign mode** ([`Campaign`], [`gsl_suite`]), a job queue over a
-//! [`wdm_mo::WorkerPool`] that batches whole benchmark suites and reduces
-//! the results into a single JSON report, plus the thread-count policy
-//! ([`suggested_parallelism`]).
+//! **campaign mode** ([`Campaign`], [`gsl_suite`]), a job queue on the
+//! workers of a [`wdm_service::AnalysisService`] that batches whole
+//! benchmark suites and reduces the results into a single JSON report,
+//! plus the thread-count policy ([`suggested_parallelism`]).
 //!
 //! # Example: campaign over the GSL suite
 //!

@@ -54,7 +54,6 @@ pub mod nelder_mead;
 pub mod objective;
 pub mod parallel;
 pub mod polish;
-pub mod pool;
 pub mod powell;
 pub mod random_search;
 pub mod result;
@@ -74,7 +73,6 @@ pub use nelder_mead::NelderMead;
 pub use objective::{CountingObjective, FnObjective, Objective};
 pub use parallel::scoped_map;
 pub use polish::Polish;
-pub use pool::WorkerPool;
 pub use powell::Powell;
 pub use random_search::RandomSearch;
 pub use result::{MinimizeResult, Termination};

@@ -368,8 +368,14 @@ pub struct BranchEvent {
 impl BranchEvent {
     /// The boundary residual `|lhs - rhs|` used by boundary value analysis
     /// (Fig. 3 of the paper): zero exactly on the boundary condition.
+    /// Equal infinities are on the boundary too, although their
+    /// difference is NaN.
     pub fn boundary_residual(&self) -> f64 {
-        (self.lhs - self.rhs).abs()
+        if self.lhs == self.rhs {
+            0.0
+        } else {
+            (self.lhs - self.rhs).abs()
+        }
     }
 
     /// Branch distance towards forcing this branch in direction `dir`.

@@ -4,10 +4,10 @@
 //! layer: clients submit analysis jobs (a
 //! [`WeakDistance`](wdm_core::WeakDistance) plus an
 //! [`AnalysisConfig`](wdm_core::AnalysisConfig) and a backend
-//! portfolio), a fair-share scheduler time-slices every admitted job
-//! over one shared [`WorkerPool`](wdm_mo::WorkerPool), progress streams
-//! to subscribers after every slice, and terminal outcomes land in a
-//! result store.
+//! portfolio), the service's workers time-slice every admitted job in
+//! turns, new jobs first and the rest in rotation, progress streams to
+//! subscribers after every turn, and terminal outcomes land in a result
+//! store.
 //!
 //! Three properties define the design:
 //!
@@ -15,17 +15,19 @@
 //!   [`AdaptivePortfolio`](wdm_core::AdaptivePortfolio), whose rounds
 //!   are bit-identical at any worker count, so a job's terminal outcome
 //!   is exactly the solo run's outcome regardless of how many tenants
-//!   share the pool or how turns interleave.
+//!   share the workers or how turns interleave.
 //! * **Durability** — between turns a job *is* a serializable
 //!   checkpoint ([`AdaptiveCheckpoint`](wdm_core::AdaptiveCheckpoint)),
 //!   re-materialized at the start of every turn; with a checkpoint
 //!   directory configured the snapshot also goes to disk after every
 //!   turn, and a restarted service resumes re-submitted jobs from it,
 //!   replaying to the identical final report.
-//! * **Fairness** — each scheduling cycle grants every unfinished job
-//!   one turn of `weight × rounds_per_turn` adaptive rounds, dispatched
-//!   in a seeded per-cycle permutation; weights skew throughput without
-//!   affecting any job's outcome.
+//! * **Fairness** — a turn is `weight × rounds_per_turn` adaptive
+//!   rounds, and at each turn boundary a worker runs a job that has not
+//!   run yet (the oldest first) or else the job whose latest turn started
+//!   longest ago, so a new job goes next, no job is held back while newer
+//!   ones arrive, no worker idles while a job can run, and weights skew
+//!   throughput without affecting any job's outcome.
 //!
 //! The service is exposed two ways: the in-process [`ServiceHandle`]
 //! (used by `wdm_engine::campaign`) and the line-delimited JSON TCP

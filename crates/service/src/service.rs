@@ -1,26 +1,36 @@
-//! The analysis service proper: job admission, the fair-share
-//! scheduler, progress streaming, the result store, and durable
-//! checkpointing.
+//! The analysis service proper: job admission, turn scheduling,
+//! progress streaming, the result store, and durable checkpointing.
 //!
 //! # Scheduling model
 //!
-//! The service owns one [`WorkerPool`] and a scheduler thread. Time is
-//! divided into *cycles*; each cycle, every admitted unfinished job
-//! receives one *turn* of `weight × rounds_per_turn` adaptive scheduler
-//! rounds (see [`AdaptivePortfolio::round`]). Turns of different jobs
-//! run concurrently on the pool — they are independent state machines —
-//! and the dispatch order within a cycle is a seeded hash of
-//! `(cycle, job)`, so no tenant systematically goes first. Because a
-//! job's outcome depends only on its own round sequence, never on when
-//! its slices run, each job's terminal outcome is **bit-identical to a
-//! solo run** of the same configuration at any tenant mix and any
-//! thread count.
+//! The service owns [`threads`](ServiceConfig::threads) workers and no
+//! other thread. A job runs in *turns* of `weight × rounds_per_turn`
+//! adaptive scheduler rounds (see [`AdaptivePortfolio::round`]). At each
+//! turn boundary, a worker takes the oldest queued opaque task or, if
+//! there is none, one turn of an unfinished job not running elsewhere: a
+//! job that has had no turn in this service yet goes first, lowest
+//! [`JobId`] first, and the others take turns in rotation, the one whose
+//! latest turn started longest ago going next. So a new job waits only
+//! for the turns already running and for new jobs admitted before it,
+//! and a weight-`w` job gets `w` times the rounds of a weight-1 job per
+//! rotation. There are no cycles: no worker waits for another's turn,
+//! and a worker parks only when nothing can run. Turns of different jobs
+//! run concurrently — they are independent state machines — and
+//! because a job's outcome depends only on its own round sequence,
+//! never on when its turns run, each job's terminal outcome is
+//! **bit-identical to a solo run** of the same configuration at any
+//! tenant mix and any thread count.
+//!
+//! The rotation is deliberate: fewest turns first (least attained
+//! service) also puts new jobs first, but under a steady stream of
+//! submissions it holds back the jobs that have run longest for as long
+//! as newer ones keep arriving.
 //!
 //! # Durability
 //!
 //! Between turns a job's entire state is a serializable value
 //! ([`AdaptiveCheckpoint`]): backend state machines, bandit statistics,
-//! merged incumbents. The scheduler re-materializes the portfolio from
+//! merged incumbents. A worker re-materializes the portfolio from
 //! that value at the start of every turn and checkpoints it back at the
 //! end — the serialization seam is exercised continuously, not only on
 //! kill. With a [`checkpoint_dir`](ServiceConfig::with_checkpoint_dir)
@@ -31,20 +41,15 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use serde::Value;
 use wdm_core::adaptive::AdaptivePortfolio;
 use wdm_core::checkpoint::AdaptiveCheckpoint;
-use wdm_core::driver::derive_round_seed;
 use wdm_core::{AnalysisConfig, BackendKind, PortfolioRun, WeakDistance};
-use wdm_mo::{CancelToken, WorkerPool};
-
-/// Salt decorrelating the cycle permutation stream from every other
-/// consumer of [`derive_round_seed`].
-const WRR_SALT: u64 = 0x5E21_11CE_FA12_5A1E;
+use wdm_mo::CancelToken;
 
 const LOCK: &str = "service state lock";
 
@@ -73,7 +78,7 @@ pub struct JobSpec {
     pub config: AnalysisConfig,
     /// The backend portfolio, in arm order.
     pub backends: Vec<BackendKind>,
-    /// Fair-share weight: rounds granted per cycle relative to a
+    /// Fair-share weight: rounds granted per turn relative to a
     /// weight-1 job. Clamped to at least 1.
     pub weight: usize,
 }
@@ -110,14 +115,13 @@ impl JobSpec {
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the shared pool.
+    /// Worker threads: the service's only threads, each running queued
+    /// tasks and job turns.
     pub threads: usize,
     /// Adaptive scheduler rounds per weight-1 turn: the slicing
     /// granularity. Smaller values interleave tenants more finely at
     /// the cost of more checkpoint/restore cycles.
     pub rounds_per_turn: usize,
-    /// Seed of the per-cycle dispatch permutation.
-    pub seed: u64,
     /// Directory for durable checkpoints, written after every turn and
     /// at completion; `None` disables persistence.
     pub checkpoint_dir: Option<PathBuf>,
@@ -135,7 +139,6 @@ impl ServiceConfig {
         ServiceConfig {
             threads: threads.max(1),
             rounds_per_turn: 4,
-            seed: 0,
             checkpoint_dir: None,
             subscriber_capacity: 1024,
         }
@@ -144,12 +147,6 @@ impl ServiceConfig {
     /// Sets the slicing granularity.
     pub fn with_rounds_per_turn(mut self, rounds: usize) -> Self {
         self.rounds_per_turn = rounds.max(1);
-        self
-    }
-
-    /// Sets the dispatch-permutation seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -256,6 +253,11 @@ struct JobEntry {
     cancel: CancelToken,
     checkpoint: Option<AdaptiveCheckpoint>,
     turns: u64,
+    /// The service's [`turns_started`](ServiceState::turns_started) when
+    /// this job's latest turn started; 0 before its first turn here.
+    served_at: u64,
+    /// A worker is running one of the job's turns.
+    running: bool,
     outcome: Option<JobOutcome>,
 }
 
@@ -266,11 +268,15 @@ struct ServiceState {
     tasks: VecDeque<Task>,
     subscribers: Vec<SyncSender<ProgressEvent>>,
     shutdown: bool,
+    /// Turns started since the service started: the clock of the
+    /// rotation.
+    turns_started: u64,
 }
 
 struct ServiceInner {
     state: Mutex<ServiceState>,
-    /// Wakes the scheduler on submission, cancellation, shutdown.
+    /// Wakes parked workers on submission, cancellation and shutdown,
+    /// and when a worker exits.
     wake: Condvar,
     /// Wakes `wait` callers on job completion.
     done: Condvar,
@@ -284,7 +290,7 @@ impl ServiceInner {
 
     /// Delivers an event to every live subscriber. Subscriber buffers
     /// are bounded ([`ServiceConfig::subscriber_capacity`]): emission
-    /// never blocks the scheduler, and a subscriber whose buffer is
+    /// never blocks a worker, and a subscriber whose buffer is
     /// full — it stopped draining, or drains slower than events arrive
     /// — is disconnected along with closed ones. Its receiver observes
     /// the stream ending, the same signal a shutdown sends, instead of
@@ -331,6 +337,8 @@ impl ServiceHandle {
             cancel: CancelToken::new(),
             checkpoint,
             turns,
+            served_at: 0,
+            running: false,
             outcome: None,
         });
         self.inner.emit(
@@ -347,9 +355,10 @@ impl ServiceHandle {
         Ok(id)
     }
 
-    /// Enqueues an opaque task on the shared pool. Tasks are atomic
-    /// units: they bypass fair-share slicing and run FIFO as pool
-    /// workers free up (campaign mode submits its closure jobs here).
+    /// Enqueues an opaque task. Tasks are atomic units: they bypass
+    /// turn scheduling and run FIFO, each on the next worker to reach a
+    /// turn boundary, ahead of any job turn (campaign mode submits its
+    /// closure jobs here).
     pub fn submit_task(&self, task: impl FnOnce() + Send + 'static) -> Result<(), ServiceClosed> {
         let mut state = self.inner.lock();
         if state.shutdown {
@@ -410,7 +419,7 @@ impl ServiceHandle {
         self.inner.lock().jobs.len()
     }
 
-    /// Worker threads in the shared pool.
+    /// Worker threads running the service's tasks and turns.
     pub fn threads(&self) -> usize {
         self.inner.config.threads.max(1)
     }
@@ -433,33 +442,39 @@ impl ServiceHandle {
 
 /// The multi-tenant analysis service. Dropping it (or calling
 /// [`shutdown`](Self::shutdown)) cancels unfinished jobs, drives them
-/// to their terminal (cancelled) outcomes, and joins the scheduler.
+/// to their terminal (cancelled) outcomes, and joins the workers.
 pub struct AnalysisService {
     inner: Arc<ServiceInner>,
-    scheduler: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl AnalysisService {
-    /// Starts a service: spawns the scheduler thread, which owns the
-    /// shared worker pool.
+    /// Starts a service: spawns its [`threads`](ServiceConfig::threads)
+    /// workers, named `wdm-worker-{i}`.
     pub fn start(config: ServiceConfig) -> Self {
+        let threads = config.threads.max(1);
         let inner = Arc::new(ServiceInner {
             state: Mutex::new(ServiceState {
                 jobs: Vec::new(),
                 tasks: VecDeque::new(),
                 subscribers: Vec::new(),
                 shutdown: false,
+                turns_started: 0,
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
             config,
         });
-        let scheduler_inner = Arc::clone(&inner);
-        let scheduler = std::thread::spawn(move || scheduler_loop(scheduler_inner));
-        AnalysisService {
-            inner,
-            scheduler: Some(scheduler),
-        }
+        let workers = (0..threads)
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("wdm-worker-{i}"))
+                    .spawn(move || worker_loop(&inner))
+                    .expect("spawn service worker")
+            })
+            .collect();
+        AnalysisService { inner, workers }
     }
 
     /// A cloneable handle for submitting and observing jobs.
@@ -471,7 +486,7 @@ impl AnalysisService {
 
     /// Stops the service: rejects further submissions, cancels
     /// unfinished jobs, waits for every job to reach its terminal
-    /// outcome, and joins the scheduler thread.
+    /// outcome, and joins the workers.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -479,17 +494,14 @@ impl AnalysisService {
 
 impl Drop for AnalysisService {
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.lock();
-            state.shutdown = true;
-        }
+        self.inner.lock().shutdown = true;
         self.inner.wake.notify_all();
-        if let Some(handle) = self.scheduler.take() {
-            // A panicking scheduler already poisoned every waiter;
-            // surface it.
-            if handle.join().is_err() {
-                panic!("analysis service scheduler panicked");
-            }
+        let mut panicked = false;
+        for worker in self.workers.drain(..) {
+            panicked |= worker.join().is_err();
+        }
+        if panicked {
+            panic!("analysis service worker panicked");
         }
         // Close every progress stream: subscribers iterating the
         // channel see it end instead of blocking forever.
@@ -497,72 +509,57 @@ impl Drop for AnalysisService {
     }
 }
 
-/// The scheduler: runs cycles until shut down and drained.
-fn scheduler_loop(inner: Arc<ServiceInner>) {
-    let pool = WorkerPool::new(inner.config.threads);
-    let mut cycle: u64 = 0;
+/// One worker. At each turn boundary it runs the oldest queued task or,
+/// if there is none, one turn of the unfinished job no other worker is
+/// running whose latest turn started first, a job that has not run yet
+/// counting as earliest and ties going to the lowest id. It parks when
+/// there is neither, and exits once the service is shut down and drained.
+///
+/// A worker parks only when no task is queued and every unfinished job is
+/// running: a submission wakes the parked workers, and a worker whose
+/// turn ends picks again itself, so no notification is needed there.
+fn worker_loop(inner: &ServiceInner) {
+    let mut state = inner.lock();
     loop {
-        // Admission phase: drain opaque tasks onto the pool, collect
-        // the cycle's runnable jobs, park when idle.
-        let runnable: Vec<(usize, usize)> = {
-            let mut state = inner.lock();
-            loop {
-                while let Some(task) = state.tasks.pop_front() {
-                    pool.submit(task);
-                }
-                if state.shutdown {
-                    // Shutdown cancels stragglers; the cycles below
-                    // drive them to terminal (cancelled) outcomes fast.
-                    for job in state.jobs.iter_mut().filter(|j| j.outcome.is_none()) {
-                        job.cancel.cancel();
-                    }
-                }
-                let pending: Vec<(usize, usize)> = state
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, j)| j.outcome.is_none())
-                    .map(|(i, j)| (i, j.weight))
-                    .collect();
-                if !pending.is_empty() {
-                    break pending;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = inner.wake.wait(state).expect(LOCK);
+        if let Some(task) = state.tasks.pop_front() {
+            drop(state);
+            task();
+            state = inner.lock();
+            continue;
+        }
+        // `min_by_key` keeps the first of equal keys: the lowest id.
+        let next = state
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.outcome.is_none() && !j.running)
+            .min_by_key(|(_, j)| j.served_at)
+            .map(|(index, _)| index);
+        if let Some(index) = next {
+            state.turns_started += 1;
+            let (shutdown, started) = (state.shutdown, state.turns_started);
+            let job = &mut state.jobs[index];
+            if shutdown {
+                // Shutdown cancels a job between its turns, never mid-turn:
+                // a turn cut short would still checkpoint, and a resumed
+                // job would replay from it. The turn below then drives the
+                // job to its terminal (cancelled) outcome fast.
+                job.cancel.cancel();
             }
-        };
-
-        // Fair-share dispatch: one turn per unfinished job per cycle
-        // (weight scales the turn's round count), dispatched in a
-        // seeded per-cycle permutation so no tenant systematically
-        // goes first. The interleaving affects latency only — job
-        // outcomes are a pure function of their own round sequence.
-        let mut order = runnable;
-        order.sort_by_key(|&(i, _)| {
-            derive_round_seed(
-                inner.config.seed ^ WRR_SALT,
-                cycle.wrapping_mul(0x0010_0001).wrapping_add(i as u64),
-            )
-        });
-        let (tx, rx) = channel::<()>();
-        let turns = order.len();
-        for (index, weight) in order {
-            let inner = Arc::clone(&inner);
-            let tx = tx.clone();
-            pool.submit(move || {
-                run_turn(&inner, index, weight);
-                let _ = tx.send(());
-            });
+            job.served_at = started;
+            job.running = true;
+            drop(state);
+            run_turn(inner, index);
+            state = inner.lock();
+            state.jobs[index].running = false;
+            continue;
         }
-        drop(tx);
-        // Cycle barrier: wait for every turn, then re-plan. Turns of
-        // distinct jobs still overlap freely within the cycle.
-        for _ in 0..turns {
-            let _ = rx.recv();
+        if state.shutdown && state.jobs.iter().all(|j| j.outcome.is_some()) {
+            // Parked workers exit too once they see the drained state.
+            inner.wake.notify_all();
+            return;
         }
-        cycle = cycle.wrapping_add(1);
+        state = inner.wake.wait(state).expect(LOCK);
     }
 }
 
@@ -570,21 +567,19 @@ fn scheduler_loop(inner: Arc<ServiceInner>) {
 /// checkpoint, run the granted rounds, checkpoint back (and to disk when
 /// a checkpoint directory is set), or finish the job and store its
 /// outcome.
-fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
+fn run_turn(inner: &ServiceInner, index: usize) {
     // Take the durable state out under the lock; the minimization below
     // runs without holding it.
-    let (name, wd, config, backends, cancel, checkpoint, turn) = {
+    let (name, wd, config, backends, weight, cancel, checkpoint, turn) = {
         let mut state = inner.lock();
         let job = &mut state.jobs[index];
-        if job.outcome.is_some() {
-            return;
-        }
         job.turns += 1;
         (
             job.name.clone(),
             Arc::clone(&job.wd),
             job.config.clone(),
             job.backends.clone(),
+            job.weight,
             job.cancel.clone(),
             job.checkpoint.take(),
             job.turns,
@@ -672,7 +667,7 @@ fn run_turn(inner: &ServiceInner, index: usize, weight: usize) {
 /// store the outcome, notify waiters and subscribers.
 ///
 /// The terminal snapshot goes to disk only: nothing reads a finished
-/// job's checkpoint in memory again (`run_turn` skips finished jobs, and
+/// job's checkpoint in memory again (no worker runs a finished job, and
 /// a resumed service reads the file), so the entry keeps none.
 fn finish_job(
     inner: &ServiceInner,

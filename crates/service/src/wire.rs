@@ -348,9 +348,12 @@ fn json_text(value: &Value) -> std::io::Result<String> {
     serde_json::to_string(value).map_err(|e| std::io::Error::other(format!("{e:?}")))
 }
 
+/// Writes `value` and its newline in one write: a reply split in two
+/// writes waits for the client's delayed ACK before its second part.
 fn write_line(stream: &mut TcpStream, value: &Value) -> std::io::Result<()> {
-    let text = json_text(value)?;
-    writeln!(stream, "{text}")
+    let mut text = json_text(value)?;
+    text.push('\n');
+    stream.write_all(text.as_bytes())
 }
 
 /// Sends an error reply saying `why`, then ends the connection's output.
@@ -429,7 +432,10 @@ fn handle_connection(
     stop: Arc<AtomicBool>,
     idle_timeout: Duration,
 ) {
-    if stream.set_read_timeout(Some(idle_timeout)).is_err() {
+    // No Nagle delay: a reply sent while the previous one is unacknowledged
+    // (pipelined requests) goes out at once, not after the client's
+    // delayed ACK.
+    if stream.set_read_timeout(Some(idle_timeout)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let Ok(reader_stream) = stream.try_clone() else {
@@ -506,7 +512,7 @@ fn handle_connection(
 
 /// Serves the wire protocol on `listener` until a client sends
 /// `shutdown`. Owns the service: on shutdown, unfinished jobs are
-/// cancelled to terminal outcomes, the scheduler is joined, and every
+/// cancelled to terminal outcomes, the workers are joined, and every
 /// subscriber stream is closed before `serve` returns.
 pub fn serve(listener: TcpListener, service: AnalysisService, catalog: Catalog) {
     serve_with_idle_timeout(listener, service, catalog, IDLE_TIMEOUT);
@@ -560,7 +566,7 @@ fn serve_with_idle_timeout(
             }
         }));
     }
-    // Terminal outcomes for every job, scheduler joined, subscriber
+    // Terminal outcomes for every job, workers joined, subscriber
     // senders dropped — which ends the streaming connections joined
     // below.
     service.shutdown();
@@ -692,6 +698,36 @@ mod tests {
         assert!(streamed.contains("\"pending\":true"), "{streamed}");
         handle.cancel(pending);
         handle.wait(pending);
+        stop(addr, server);
+    }
+
+    /// Regression: each reply went out in two writes, the line and then
+    /// its newline, and Nagle's algorithm held the second until the
+    /// client's delayed ACK arrived, ~40 ms per reply. In a burst of
+    /// pipelined requests the next reply waited for the same ACK too,
+    /// until the server turned Nagle's algorithm off.
+    #[test]
+    fn pipelined_replies_arrive_without_a_stall() {
+        let (addr, _handle, server) = start();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let burst = "{\"cmd\":\"ping\"}\n".repeat(4);
+        let started = Instant::now();
+        let mut reply = String::new();
+        for _ in 0..50 {
+            stream.write_all(burst.as_bytes()).expect("send pings");
+            for _ in 0..4 {
+                reply.clear();
+                reader.read_line(&mut reply).expect("read reply");
+                assert_eq!(reply, "{\"ok\":true}\n");
+            }
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "200 pipelined pings took {elapsed:?}"
+        );
+        drop((stream, reader));
         stop(addr, server);
     }
 

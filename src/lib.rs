@@ -23,9 +23,9 @@
 //! * [`xsat`] ([`wdm_xsat`]) — quantifier-free floating-point
 //!   satisfiability on top of the same reduction;
 //! * [`engine`] ([`wdm_engine`]) — campaign mode: whole benchmark suites
-//!   batched over a worker pool;
+//!   batched over the analysis service's workers;
 //! * [`service`] ([`wdm_service`]) — the multi-tenant analysis service:
-//!   fair-share slicing of concurrent jobs over one pool, durable
+//!   turn slicing of concurrent jobs (new jobs first), durable
 //!   checkpoint/resume, and progress streaming (in-process or over the
 //!   line-delimited JSON TCP protocol).
 //!

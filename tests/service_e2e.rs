@@ -2,20 +2,25 @@
 //!
 //! 1. **Multi-tenancy is invisible** — every job's terminal outcome is
 //!    bit-identical to a solo adaptive run of the same configuration,
-//!    at any tenant mix, fair-share weight, service seed, and thread
-//!    count (the CI matrix runs this suite under `WDM_TEST_THREADS=1`
-//!    and `=8`);
+//!    at any tenant mix, fair-share weight, slicing granularity, and
+//!    thread count (the CI matrix runs this suite under
+//!    `WDM_TEST_THREADS=1` and `=8`);
 //! 2. **Kill/resume is invisible** — stopping the service mid-run and
 //!    resuming from durable checkpoints replays every job to the
 //!    identical final report;
 //! 3. **Progress streaming** — subscribers see admission, per-slice
 //!    progress with monotone evaluation counts, and a terminal event;
 //! 4. **Task passthrough and cancellation** — opaque tasks run on the
-//!    shared pool, and cancelled jobs still reach terminal outcomes.
+//!    service's workers, and cancelled jobs still reach terminal
+//!    outcomes;
+//! 5. **New jobs first, then a rotation** — a job that has not run yet
+//!    gets the next free worker, ahead of jobs that have had turns, and
+//!    jobs that have had turns take them in rotation, so a newer job does
+//!    not hold an older one back.
 
 mod common;
 
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +30,9 @@ use wdm::core::driver::{AnalysisConfig, BackendKind, EscalationConfig};
 use wdm::core::weak_distance::FnWeakDistance;
 use wdm::core::{PortfolioRun, WeakDistance};
 use wdm::runtime::Interval;
-use wdm::service::{AnalysisService, EventKind, JobSpec, ServiceConfig};
+use wdm::service::{
+    AnalysisService, EventKind, JobId, JobSpec, ProgressEvent, ServiceConfig, ServiceHandle,
+};
 
 const EVENT_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -79,21 +86,17 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn multi_tenant_outcomes_match_solo_runs_at_any_weight_and_seed() {
+fn multi_tenant_outcomes_match_solo_runs_at_any_weight_and_slicing() {
     let backends = BackendKind::all();
     let solo: Vec<PortfolioRun> = (0..3)
         .map(|kind| minimize_weak_distance_adaptive(&*tenant(kind), &tenant_config(kind), &backends))
         .collect();
 
-    // Tenant mixes, fair-share weights, service seeds and slicing
-    // granularities vary; outcomes must not.
-    for (service_seed, rounds_per_turn, weights) in
-        [(0u64, 1usize, [1usize, 1, 1]), (7, 3, [3, 1, 2]), (99, 2, [1, 5, 1])]
-    {
+    // Tenant mixes, fair-share weights and slicing granularities vary;
+    // outcomes must not.
+    for (rounds_per_turn, weights) in [(1usize, [1usize, 1, 1]), (3, [3, 1, 2]), (2, [1, 5, 1])] {
         let service = AnalysisService::start(
-            ServiceConfig::new(matrix_threads())
-                .with_rounds_per_turn(rounds_per_turn)
-                .with_seed(service_seed),
+            ServiceConfig::new(matrix_threads()).with_rounds_per_turn(rounds_per_turn),
         );
         let handle = service.handle();
         let ids: Vec<_> = (0..3)
@@ -111,7 +114,7 @@ fn multi_tenant_outcomes_match_solo_runs_at_any_weight_and_seed() {
             assert_portfolios_identical(
                 &outcome.run,
                 &solo[kind],
-                &format!("tenant {kind}, seed {service_seed}, rpt {rounds_per_turn}"),
+                &format!("tenant {kind}, rpt {rounds_per_turn}"),
             );
         }
         service.shutdown();
@@ -462,5 +465,93 @@ fn cancelled_jobs_reach_terminal_cancelled_outcomes() {
             _ => {}
         }
     }
+    service.shutdown();
+}
+
+/// Submits a zero-free job with a pool it cannot spend: it runs until
+/// cancelled.
+fn submit_long(handle: &ServiceHandle, name: &str, kind: usize) -> JobId {
+    let config = tenant_config(kind).with_rounds(1_000_000);
+    handle
+        .submit(JobSpec::new(name, tenant(kind), config))
+        .expect("service accepts submissions")
+}
+
+/// The job of the next `Progress` event on the stream.
+fn next_progress(events: &Receiver<ProgressEvent>) -> JobId {
+    loop {
+        let event = events.recv_timeout(EVENT_TIMEOUT).expect("progress");
+        if let EventKind::Progress { .. } = event.kind {
+            return event.job;
+        }
+    }
+}
+
+#[test]
+fn a_job_that_has_not_run_goes_before_jobs_that_have() {
+    // One worker at any matrix setting: the subject is the order of
+    // turns, which the stream records as the worker emits them.
+    let service = AnalysisService::start(ServiceConfig::new(1).with_rounds_per_turn(1));
+    let handle = service.handle();
+    let events = handle.subscribe();
+    let long: Vec<_> = [0usize, 1, 0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| submit_long(&handle, &format!("long-{i}"), kind))
+        .collect();
+    // Every long job has had a turn, and then one more turn has run.
+    let mut progressed = vec![false; long.len()];
+    let mut after_all = false;
+    while !after_all {
+        let job = next_progress(&events);
+        after_all = progressed.iter().all(|&p| p);
+        progressed[job.0] = true;
+    }
+
+    let fresh = handle
+        .submit(JobSpec::new("fresh", tenant(0), tenant_config(0)))
+        .expect("service accepts submissions");
+    // Turns of other jobs that end between the fresh job's admission and
+    // its first turn: only the one running at admission may.
+    let mut admitted = false;
+    let mut overtaken = 0;
+    loop {
+        let event = events
+            .recv_timeout(EVENT_TIMEOUT)
+            .expect("the fresh job runs");
+        match event.kind {
+            EventKind::Admitted { .. } if event.job == fresh => admitted = true,
+            EventKind::Progress { .. } | EventKind::Finished { .. } if event.job == fresh => break,
+            EventKind::Progress { .. } if admitted => overtaken += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        overtaken <= 1,
+        "{overtaken} turns of other jobs ran before the fresh job's first"
+    );
+    for id in long {
+        handle.cancel(id);
+    }
+    service.shutdown();
+}
+
+#[test]
+fn jobs_that_have_run_take_turns_in_rotation() {
+    // One worker, as above. Fewest turns first would run the newer job
+    // until it had had as many turns as the older one.
+    let service = AnalysisService::start(ServiceConfig::new(1).with_rounds_per_turn(1));
+    let handle = service.handle();
+    let events = handle.subscribe();
+    let older = submit_long(&handle, "older", 0);
+    for _ in 0..3 {
+        next_progress(&events);
+    }
+    let newer = submit_long(&handle, "newer", 1);
+    while next_progress(&events) != newer {}
+    let order: Vec<JobId> = (0..4).map(|_| next_progress(&events)).collect();
+    assert_eq!(order, [older, newer, older, newer]);
+    handle.cancel(older);
+    handle.cancel(newer);
     service.shutdown();
 }
