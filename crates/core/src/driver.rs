@@ -28,8 +28,8 @@
 //! [`WeakDistance::eval_batch`]: population backends (Differential
 //! Evolution evaluates each generation as one batch, random search each
 //! sampling chunk) therefore reach the analysis instances' batched program
-//! sessions — and the `fpir` interpreter's batch-interpret mode — without
-//! any driver-level plumbing. Batching never changes results: every batch
+//! sessions — and the `fpir` lanewise kernel — without any driver-level
+//! plumbing. Batching never changes results: every batch
 //! path in the stack is bit-identical to its scalar loop.
 //!
 //! [`WeakDistanceObjective`]: crate::weak_distance::WeakDistanceObjective

@@ -34,36 +34,78 @@ impl<P: Analyzable> PathWeakDistance<P> {
 mod observer {
     use super::{Path, UNREACHED_PENALTY};
     use crate::weak_distance::Target;
-    use fp_runtime::{BranchEvent, BranchId, ObservationSpec, Observer, ProbeControl, SiteSet};
-    use std::collections::BTreeSet;
+    use fp_runtime::{BranchEvent, ObservationSpec, Observer, ProbeControl, SiteSet};
 
-    /// A required path, with its distinct sites built once: each
-    /// evaluation counts the ones it never reached.
+    /// A required path, with the index of each step's site among the
+    /// path's distinct sites (numbered by first occurrence) built once:
+    /// each evaluation marks the indices it reaches and counts the rest.
     #[derive(Debug, Clone)]
     pub struct RequiredPath {
         path: Path,
-        required: BTreeSet<BranchId>,
+        site_index: Vec<usize>,
+        distinct: usize,
     }
 
     impl RequiredPath {
         pub fn new(path: Path) -> Self {
-            let required = path.iter().map(|(s, _)| *s).collect();
-            RequiredPath { path, required }
+            let mut sites = Vec::new();
+            let site_index = path
+                .iter()
+                .map(|(site, _)| {
+                    sites.iter().position(|s| s == site).unwrap_or_else(|| {
+                        sites.push(*site);
+                        sites.len() - 1
+                    })
+                })
+                .collect();
+            RequiredPath {
+                path,
+                site_index,
+                distinct: sites.len(),
+            }
+        }
+    }
+
+    /// The distinct required sites an execution reached, one bit per site
+    /// index: inline for the first 64, spilled to the heap past them.
+    #[derive(Default)]
+    struct Reached {
+        first: u64,
+        rest: Vec<u64>,
+    }
+
+    impl Reached {
+        fn insert(&mut self, index: usize) {
+            if index < 64 {
+                self.first |= 1 << index;
+            } else {
+                let word = index / 64 - 1;
+                if self.rest.len() <= word {
+                    self.rest.resize(word + 1, 0);
+                }
+                self.rest[word] |= 1 << (index % 64);
+            }
+        }
+
+        fn len(&self) -> usize {
+            let rest: u32 = self.rest.iter().map(|w| w.count_ones()).sum();
+            (self.first.count_ones() + rest) as usize
         }
     }
 
     pub struct PathObserver<'p> {
-        path: &'p [(BranchId, bool)],
+        target: &'p RequiredPath,
         w: f64,
-        reached: BTreeSet<BranchId>,
+        reached: Reached,
     }
 
     impl Observer for PathObserver<'_> {
         fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
-            for &(site, dir) in self.path {
+            let target = self.target;
+            for (&(site, dir), &index) in target.path.iter().zip(&target.site_index) {
                 if site == ev.id {
                     self.w += ev.distance_to(dir);
-                    self.reached.insert(site);
+                    self.reached.insert(index);
                 }
             }
             ProbeControl::Continue
@@ -82,14 +124,14 @@ mod observer {
 
         fn observer(&self) -> PathObserver<'_> {
             PathObserver {
-                path: &self.path,
+                target: self,
                 w: 0.0,
-                reached: BTreeSet::new(),
+                reached: Reached::default(),
             }
         }
 
         fn value(&self, observer: PathObserver<'_>) -> f64 {
-            let missing = self.required.difference(&observer.reached).count();
+            let missing = self.distinct - observer.reached.len();
             observer.w + missing as f64 * UNREACHED_PENALTY
         }
 
@@ -268,6 +310,77 @@ mod tests {
         let feasible = analysis.reach_run(&vec![(BranchId(0), false)], &config);
         assert!(!feasible.statically_pruned());
         assert!(feasible.outcome.is_found(), "else side is always taken");
+    }
+
+    /// W by the construction the bitset observer replaced: the distance of
+    /// every required step at each event, then a penalty for each distinct
+    /// required site left out of the set of reached sites.
+    fn reached_set_reference(program: &dyn Analyzable, path: &Path, x: f64) -> f64 {
+        let mut rec = TraceRecorder::new();
+        program.run(&[x], &mut rec);
+        let mut w = 0.0;
+        let mut reached = std::collections::BTreeSet::new();
+        for ev in rec.branches() {
+            for &(site, dir) in path {
+                if site == ev.id {
+                    w += ev.distance_to(dir);
+                    reached.insert(site);
+                }
+            }
+        }
+        let required: std::collections::BTreeSet<BranchId> =
+            path.iter().map(|(site, _)| *site).collect();
+        w + required.difference(&reached).count() as f64 * UNREACHED_PENALTY
+    }
+
+    #[test]
+    fn path_weak_distance_equals_the_reached_set_construction() {
+        use fp_runtime::{BranchSite, ClosureProgram, Cmp};
+        // Site i compares x with i; only the first |x| sites (at most 70)
+        // run, the first ten of them twice, so the rest are never reached.
+        let program = ClosureProgram::new("seventy sites", 1, |x: &[f64], ctx| {
+            let runs = x[0].abs().min(70.0) as u32;
+            for i in 0..runs {
+                ctx.branch(i, x[0], Cmp::Le, f64::from(i));
+            }
+            for i in 0..runs.min(10) {
+                ctx.branch(i, 0.5 * x[0], Cmp::Gt, f64::from(i));
+            }
+            Some(x[0])
+        })
+        .with_branch_sites(
+            (0..70)
+                .map(|i| BranchSite::new(i, Cmp::Le, format!("x <= {i}")))
+                .collect(),
+        );
+        let site = |i: u32, dir: bool| (BranchId(i), dir);
+        let paths: Vec<Path> = vec![
+            vec![site(3, true), site(3, false), site(5, true), site(3, true)],
+            vec![
+                site(2, true),
+                site(60, false),
+                site(69, true),
+                site(60, true),
+            ],
+            (0..70).map(|i| site(i, i % 3 == 0)).collect(),
+            (0..70)
+                .rev()
+                .chain(0..8)
+                .map(|i| site(i, i % 2 == 0))
+                .collect(),
+        ];
+        for path in &paths {
+            let wd = PathWeakDistance::new(&program, path.clone());
+            for x in [
+                -80.0, -65.5, -30.25, -3.0, 0.0, 1.5, 7.0, 42.0, 64.5, 66.0, 69.0, 75.0,
+            ] {
+                assert_eq!(
+                    wd.eval(&[x]).to_bits(),
+                    reached_set_reference(&program, path, x).to_bits(),
+                    "{path:?} at {x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,28 @@
 //! The IR interpreter and its [`Analyzable`] adapter.
 //!
-//! # Batch interpretation
+//! # Execution scratch
 //!
-//! Interpreting one input pays a fixed setup cost — allocating a register
-//! frame, materializing the module's global variables, looking up the entry
-//! function. [`Interpreter::execute_batch`] and the [`BatchExecutor`]
-//! returned by [`ModuleProgram`]'s [`Analyzable::batch_executor`] pay that
-//! cost once and run N inputs over the decoded program, reusing register
-//! frames (a per-state frame pool also serves recursive calls) and the
-//! globals buffer. Results and reported events are bit-identical to
-//! interpreting each input on its own.
+//! An execution needs a globals buffer and one register frame per active
+//! call, plus an argument buffer per call in flight. These come from a
+//! per-thread scratch: each execution takes the calling thread's globals
+//! buffer and frame pool when it starts and gives them back when it ends,
+//! so once a thread has run a program, further executions allocate
+//! nothing. Every frame is cleared and zero-filled when taken and the
+//! globals are re-initialized, so no value carries from one execution to
+//! the next: results and events are bit-identical to running on fresh
+//! buffers. An execution nested on the same thread (an observer that runs
+//! another program, a lane the kernel resumes while an observer runs)
+//! finds the slot empty and starts from empty buffers; whichever execution
+//! ends last leaves its buffers in the slot. A thread keeps at most two
+//! buffers per level of the deepest call chain it ran (a register frame and
+//! the argument buffer of the call below it), each as wide as the widest
+//! function it ran.
+//!
+//! The scratch is per thread rather than per program because one program
+//! runs on several threads at once ([`Analyzable::execute`] takes
+//! `&self`): a thread's buffers serve every module it runs, with no lock.
+//! The [`BatchExecutor`] of a program the lanewise kernel does not run is
+//! therefore a plain loop over [`Analyzable::run`].
 //!
 //! # Cancellation
 //!
@@ -27,6 +40,7 @@ use fp_runtime::{
     Analyzable, BatchExecutor, BranchId, BranchSite, CancelToken, Ctx, Interval, KernelPolicy,
     ObservationSpec, Observer, OpId, OpSite, OptPolicy, Reachability,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -97,60 +111,65 @@ impl Default for Interpreter {
     }
 }
 
+/// One thread's execution buffers: the globals buffer and the pool of
+/// retired register frames and call argument buffers.
+#[derive(Default)]
+struct ExecScratch {
+    globals: Vec<f64>,
+    frames: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    /// The calling thread's [`ExecScratch`]: taken by [`ExecState`] when an
+    /// execution starts and put back when it ends (see the module docs).
+    static EXEC_SCRATCH: Cell<Option<ExecScratch>> = const { Cell::new(None) };
+}
+
 pub(crate) struct ExecState<'a> {
     globals: Vec<f64>,
     fuel: u64,
     max_depth: usize,
     module: &'a Module,
     cancel: &'a CancelToken,
-    /// Retired register frames, reused by later calls (and later batch
-    /// inputs) instead of allocating a fresh `Vec` per frame.
+    /// Retired register frames and call argument buffers, reused by later
+    /// calls instead of allocating a fresh `Vec` per frame.
     frames: Vec<Vec<f64>>,
 }
 
 impl<'a> ExecState<'a> {
     pub(crate) fn new(interpreter: &'a Interpreter, module: &'a Module) -> Self {
-        ExecState {
-            globals: module.globals.iter().map(|g| g.init).collect(),
-            fuel: interpreter.fuel,
-            max_depth: interpreter.max_call_depth,
-            module,
-            cancel: &interpreter.cancel,
-            frames: Vec::new(),
-        }
+        let globals = module.globals.iter().map(|g| g.init);
+        Self::for_resume(interpreter, module, interpreter.fuel, globals)
     }
 
-    /// A state for resuming one lane of the lanewise kernel on the scalar
-    /// interpreter: the lane's globals and the fuel it has left, exactly as
-    /// a from-scratch scalar execution would hold at the same point.
+    /// A state with `fuel` left and the global values `globals`: for a
+    /// fresh execution, or for resuming one lane of the lanewise kernel on
+    /// the scalar interpreter exactly as a from-scratch scalar execution
+    /// would hold it at the same point. Takes the thread's buffers.
     pub(crate) fn for_resume(
         interpreter: &'a Interpreter,
         module: &'a Module,
         fuel: u64,
-        globals: Vec<f64>,
+        globals: impl IntoIterator<Item = f64>,
     ) -> Self {
+        let ExecScratch {
+            globals: mut buffer,
+            frames,
+        } = EXEC_SCRATCH
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        buffer.clear();
+        buffer.extend(globals);
         ExecState {
-            globals,
+            globals: buffer,
             fuel,
             max_depth: interpreter.max_call_depth,
             module,
             cancel: &interpreter.cancel,
-            frames: Vec::new(),
+            frames,
         }
-    }
-
-    /// Hands the globals buffer back, so the lanewise kernel can recycle
-    /// the allocation across lane resumes.
-    pub(crate) fn into_globals(self) -> Vec<f64> {
-        self.globals
-    }
-
-    /// Rearms the state for the next input of a batch: fresh fuel, globals
-    /// back to their initial values. Pooled frames stay pooled.
-    pub(crate) fn reset(&mut self, interpreter: &Interpreter) {
-        self.fuel = interpreter.fuel;
-        self.globals.clear();
-        self.globals.extend(self.module.globals.iter().map(|g| g.init));
     }
 
     /// Charges one instruction: fuel accounting plus the periodic
@@ -175,6 +194,20 @@ impl<'a> ExecState<'a> {
 
     fn put_frame(&mut self, frame: Vec<f64>) {
         self.frames.push(frame);
+    }
+}
+
+impl Drop for ExecState<'_> {
+    /// Gives the buffers back to the thread, replacing whatever a nested
+    /// execution left there.
+    fn drop(&mut self) {
+        let scratch = ExecScratch {
+            globals: std::mem::take(&mut self.globals),
+            frames: std::mem::take(&mut self.frames),
+        };
+        // Fails only while the thread is being torn down; the buffers are
+        // then simply freed.
+        let _ = EXEC_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
     }
 }
 
@@ -248,7 +281,7 @@ impl Interpreter {
         }
         let mut state = ExecState::new(self, module);
         let ret = Self::exec_function(&mut state, func, args, ctx, 0)?;
-        Ok((ret, state.globals))
+        Ok((ret, state.globals.clone()))
     }
 
     /// Executes and also reports how many instructions ran (the fuel
@@ -275,40 +308,6 @@ impl Interpreter {
         let mut state = ExecState::new(self, module);
         let ret = Self::exec_function(&mut state, func, args, ctx, 0)?;
         Ok((ret, self.fuel - state.fuel))
-    }
-
-    /// Batch-interpret mode: sets the program up once (entry lookup,
-    /// globals buffer, register-frame pool) and runs every input of
-    /// `inputs` over it, giving each input a fresh probe context over
-    /// `observer` and its full fuel budget. Results and reported events are
-    /// bit-identical to calling [`Interpreter::execute`] once per input.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first input whose execution fails, propagating its
-    /// [`ExecError`].
-    pub fn execute_batch(
-        &self,
-        module: &Module,
-        func: FuncId,
-        inputs: &[Vec<f64>],
-        observer: &mut dyn Observer,
-    ) -> Result<Vec<Option<f64>>, ExecError> {
-        let function = module.function(func);
-        let mut state = ExecState::new(self, module);
-        let mut results = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            if input.len() != function.num_params {
-                return Err(ExecError::ArityMismatch {
-                    expected: function.num_params,
-                    got: input.len(),
-                });
-            }
-            state.reset(self);
-            let mut ctx = Ctx::new(observer);
-            results.push(Self::exec_function(&mut state, func, input, &mut ctx, 0)?);
-        }
-        Ok(results)
     }
 
     pub(crate) fn exec_function(
@@ -402,9 +401,11 @@ impl Interpreter {
                         };
                     }
                     Inst::Call { dst, func, args: call_args } => {
-                        let vals: Vec<f64> = call_args.iter().map(|r| regs[r.0]).collect();
-                        let ret = Self::exec_function(state, *func, &vals, ctx, depth + 1)?;
-                        regs[dst.0] = ret.unwrap_or(f64::NAN);
+                        let mut vals = state.take_frame(0);
+                        vals.extend(call_args.iter().map(|r| regs[r.0]));
+                        let ret = Self::exec_function(state, *func, &vals, ctx, depth + 1);
+                        state.put_frame(vals);
+                        regs[dst.0] = ret?.unwrap_or(f64::NAN);
                         if ctx.stopped() {
                             return Ok(None);
                         }
@@ -680,37 +681,13 @@ impl ModuleProgram {
     }
 }
 
-/// One scalar-session execution: the arity check, state rearm and
-/// entry-function run shared by the interpreter session and the lanewise
-/// kernel's [`BatchExecutor::execute_one`] — one definition, so the two
-/// backends cannot drift apart.
-pub(crate) fn run_session_one(
-    program: &ModuleProgram,
-    state: &mut ExecState<'_>,
-    input: &[f64],
-    observer: &mut dyn Observer,
-) -> Option<f64> {
-    if input.len() != program.module.function(program.entry).num_params {
-        return None;
-    }
-    state.reset(&program.interpreter);
-    let mut ctx = Ctx::new(observer);
-    Interpreter::exec_function(state, program.entry, input, &mut ctx, 0)
-        .ok()
-        .flatten()
-}
-
-/// The batch-interpret session handed out by [`ModuleProgram`]'s
-/// [`Analyzable::batch_executor`]: one [`ExecState`] (globals buffer +
-/// register-frame pool) reused across every input of the batch.
-struct InterpSession<'a> {
-    program: &'a ModuleProgram,
-    state: ExecState<'a>,
-}
+/// The [`BatchExecutor`] of a program the lanewise kernel does not run:
+/// one [`Analyzable::run`] per input, on the thread's execution scratch.
+struct InterpSession<'a>(&'a ModuleProgram);
 
 impl BatchExecutor for InterpSession<'_> {
     fn execute_one(&mut self, input: &[f64], observer: &mut dyn Observer) -> Option<f64> {
-        run_session_one(self.program, &mut self.state, input, observer)
+        self.0.run(input, observer)
     }
 }
 
@@ -766,7 +743,7 @@ impl Analyzable for ModuleProgram {
 
     /// Selects the batch backend: the lanewise SoA kernel
     /// ([`crate::kernel::KernelExecutor`]) when the policy and the module
-    /// allow it, the per-input interpreter session otherwise. Both are
+    /// allow it, one [`Analyzable::run`] per input otherwise. Both are
     /// bit-identical to [`Interpreter::execute`] per input.
     fn batch_executor(&self, policy: KernelPolicy) -> Box<dyn BatchExecutor + '_> {
         let use_kernel = match policy {
@@ -777,10 +754,7 @@ impl Analyzable for ModuleProgram {
         if use_kernel {
             Box::new(crate::kernel::KernelExecutor::new(self))
         } else {
-            Box::new(InterpSession {
-                state: ExecState::new(&self.interpreter, &self.module),
-                program: self,
-            })
+            Box::new(InterpSession(self))
         }
     }
 
@@ -797,7 +771,8 @@ mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::ir::{BinOp, UnOp};
-    use fp_runtime::{Cmp, NullObserver, TraceRecorder};
+    use fp_runtime::{BranchEvent, Cmp, NullObserver, OpEvent, ProbeControl, TraceRecorder};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// `double f(double x) { if (x <= 1) x = x + 1; return x * x; }`
     fn square_gate() -> Module {
@@ -1023,34 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_scalar_execution() {
-        let m = square_gate();
-        let id = m.function_by_name("f").unwrap();
-        let interp = Interpreter::default();
-        let inputs: Vec<Vec<f64>> = (-10..10).map(|i| vec![i as f64 * 0.37]).collect();
-        let mut obs = NullObserver;
-        let batch = interp
-            .execute_batch(&m, id, &inputs, &mut obs)
-            .expect("batch runs");
-        for (input, batched) in inputs.iter().zip(&batch) {
-            let mut ctx = Ctx::new(&mut obs);
-            let scalar = interp.execute(&m, id, input, &mut ctx).unwrap();
-            assert_eq!(*batched, scalar, "input {input:?}");
-        }
-    }
-
-    #[test]
-    fn execute_batch_rejects_bad_arity_mid_batch() {
-        let m = square_gate();
-        let id = m.function_by_name("f").unwrap();
-        let mut obs = NullObserver;
-        let err = Interpreter::default()
-            .execute_batch(&m, id, &[vec![1.0], vec![1.0, 2.0]], &mut obs)
-            .unwrap_err();
-        assert_eq!(err, ExecError::ArityMismatch { expected: 1, got: 2 });
-    }
-
-    #[test]
     fn batch_executor_reuses_state_without_changing_results_or_events() {
         // Globals must reset between batch inputs, frames must be reused,
         // and the event stream must be identical to scalar runs.
@@ -1125,5 +1072,199 @@ mod tests {
                 .iter()
                 .all(|s| memo.contains_key(s)));
         }
+    }
+
+    /// `main(x) { callee(x); return w; }` with
+    /// `callee(x) { if (x < 0) x = 0 - x; w = w * x; return x; }`: a call,
+    /// a divergent branch, sited ops and a global `w` that starts at 1, so
+    /// a value an earlier run left in the thread's scratch would show.
+    fn scaled_global() -> ModuleProgram {
+        let mut mb = ModuleBuilder::new();
+        let w = mb.global("w", 1.0);
+        let mut callee = mb.function("callee", 1);
+        let x = callee.param(0);
+        let zero = callee.constant(0.0);
+        let xvar = callee.copy(x);
+        let negative = callee.new_block();
+        let join = callee.new_block();
+        callee.cond_br(Some(0), xvar, Cmp::Lt, zero, negative, join);
+        callee.switch_to(negative);
+        let flipped = callee.bin(BinOp::Sub, zero, xvar, Some(0));
+        callee.assign(xvar, flipped);
+        callee.jump(join);
+        callee.switch_to(join);
+        let wv = callee.load_global(w);
+        let prod = callee.bin(BinOp::Mul, wv, xvar, Some(1));
+        callee.store_global(w, prod);
+        callee.ret(Some(xvar));
+        let callee_id = callee.finish();
+        let mut main = mb.function("main", 1);
+        let x = main.param(0);
+        let _ = main.call(callee_id, vec![x]);
+        let back = main.load_global(w);
+        main.ret(Some(back));
+        main.finish();
+        ModuleProgram::new(mb.build(), "main").unwrap()
+    }
+
+    /// What one run reports: the bits of its result and its events.
+    type Run = (Option<u64>, String);
+
+    fn recorded(program: &ModuleProgram, x: f64) -> Run {
+        let mut rec = TraceRecorder::new();
+        let result = program.run(&[x], &mut rec);
+        (result.map(f64::to_bits), format!("{:?}", rec.events()))
+    }
+
+    fn batch_recorded(program: &ModuleProgram, inputs: &[Vec<f64>]) -> Vec<Run> {
+        let mut recs: Vec<TraceRecorder> = inputs.iter().map(|_| TraceRecorder::new()).collect();
+        let mut refs: Vec<&mut dyn Observer> =
+            recs.iter_mut().map(|r| r as &mut dyn Observer).collect();
+        let mut results = Vec::new();
+        program
+            .batch_executor(KernelPolicy::Auto)
+            .execute_many(inputs, &mut refs, &mut results);
+        results
+            .iter()
+            .zip(&recs)
+            .map(|(r, rec)| (r.map(f64::to_bits), format!("{:?}", rec.events())))
+            .collect()
+    }
+
+    /// `f` on a thread that has run nothing, so its scratch is empty.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("fresh thread"))
+    }
+
+    /// Records its events and, at each one, runs `inner` on the event's
+    /// value: an execution nested in the middle of another.
+    struct Nesting<'p> {
+        inner: &'p ModuleProgram,
+        events: TraceRecorder,
+        inner_runs: Vec<(f64, Run)>,
+    }
+
+    impl<'p> Nesting<'p> {
+        fn new(inner: &'p ModuleProgram) -> Self {
+            Nesting {
+                inner,
+                events: TraceRecorder::new(),
+                inner_runs: Vec::new(),
+            }
+        }
+
+        /// Checks the outer run of `x` (its `result` and the events this
+        /// observer saw) and every nested run against fresh threads.
+        fn assert_matches_fresh_threads(&self, outer: &ModuleProgram, x: f64, result: Option<f64>) {
+            let outer_run = (
+                result.map(f64::to_bits),
+                format!("{:?}", self.events.events()),
+            );
+            assert_eq!(
+                outer_run,
+                on_fresh_thread(|| recorded(outer, x)),
+                "outer run of {x}"
+            );
+            assert!(!self.inner_runs.is_empty());
+            for (input, run) in &self.inner_runs {
+                let fresh = on_fresh_thread(|| recorded(self.inner, *input));
+                assert_eq!(*run, fresh, "run of {input} nested in the run of {x}");
+            }
+        }
+    }
+
+    impl Observer for Nesting<'_> {
+        fn on_op(&mut self, ev: &OpEvent) -> ProbeControl {
+            self.events.on_op(ev);
+            self.inner_runs
+                .push((ev.value, recorded(self.inner, ev.value)));
+            ProbeControl::Continue
+        }
+
+        fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
+            self.events.on_branch(ev);
+            self.inner_runs.push((ev.lhs, recorded(self.inner, ev.lhs)));
+            ProbeControl::Continue
+        }
+    }
+
+    #[test]
+    fn an_execution_nested_in_an_observer_matches_fresh_threads() {
+        let outer = scaled_global();
+        let square = ModuleProgram::new(square_gate(), "f").unwrap();
+        // Warm this thread's scratch with both programs first.
+        for x in [-5.0, 2.5] {
+            outer.run(&[x], &mut NullObserver);
+            square.run(&[x], &mut NullObserver);
+        }
+        for inner in [&square, &outer] {
+            for x in [-3.0, 0.5, 4.0] {
+                let mut observer = Nesting::new(inner);
+                let result = outer.run(&[x], &mut observer);
+                observer.assert_matches_fresh_threads(&outer, x, result);
+            }
+        }
+    }
+
+    #[test]
+    fn a_kernel_batch_whose_observers_execute_matches_fresh_threads() {
+        let outer = scaled_global();
+        assert!(outer.kernel_eligible());
+        let square = ModuleProgram::new(square_gate(), "f").unwrap();
+        // Mixed signs diverge inside the callee, so some lanes resume on the
+        // scalar interpreter while their observers run executions.
+        let inputs: Vec<Vec<f64>> = (0..24).map(|i| vec![i as f64 * 0.75 - 9.0]).collect();
+        for inner in [&square, &outer] {
+            let mut observers: Vec<Nesting> = inputs.iter().map(|_| Nesting::new(inner)).collect();
+            let mut refs: Vec<&mut dyn Observer> = observers
+                .iter_mut()
+                .map(|o| o as &mut dyn Observer)
+                .collect();
+            let mut results = Vec::new();
+            outer
+                .batch_executor(KernelPolicy::Auto)
+                .execute_many(&inputs, &mut refs, &mut results);
+            for ((input, result), observer) in inputs.iter().zip(&results).zip(&observers) {
+                observer.assert_matches_fresh_threads(&outer, input[0], *result);
+            }
+        }
+    }
+
+    #[test]
+    fn an_observer_panic_leaves_later_executions_unchanged() {
+        /// Panics at its second operation event, inside the callee.
+        struct PanicAtSecondOp(bool);
+        impl Observer for PanicAtSecondOp {
+            fn on_op(&mut self, _ev: &OpEvent) -> ProbeControl {
+                assert!(!std::mem::replace(&mut self.0, true), "observer panic");
+                ProbeControl::Continue
+            }
+        }
+        let program = scaled_global();
+        let inputs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 * 1.5 - 7.0]).collect();
+        let scalar = catch_unwind(AssertUnwindSafe(|| {
+            program.run(&[-2.0], &mut PanicAtSecondOp(false))
+        }));
+        assert!(scalar.is_err());
+        let batch = catch_unwind(AssertUnwindSafe(|| {
+            let mut observers: Vec<PanicAtSecondOp> =
+                inputs.iter().map(|_| PanicAtSecondOp(false)).collect();
+            let mut refs: Vec<&mut dyn Observer> = observers
+                .iter_mut()
+                .map(|o| o as &mut dyn Observer)
+                .collect();
+            program.batch_executor(KernelPolicy::Auto).execute_many(
+                &inputs,
+                &mut refs,
+                &mut Vec::new(),
+            );
+        }));
+        assert!(batch.is_err());
+        for input in &inputs {
+            let fresh = on_fresh_thread(|| recorded(&program, input[0]));
+            assert_eq!(recorded(&program, input[0]), fresh, "run of {input:?}");
+        }
+        let fresh = on_fresh_thread(|| batch_recorded(&program, &inputs));
+        assert_eq!(batch_recorded(&program, &inputs), fresh);
     }
 }

@@ -73,9 +73,10 @@
 //! [`Interpreter::execute`]: crate::Interpreter::execute
 
 use crate::analysis::FrameLayout;
-use crate::interp::{run_session_one, ExecState, Interpreter, ModuleProgram, CANCEL_POLL_INTERVAL};
+use crate::interp::{ExecState, Interpreter, ModuleProgram, CANCEL_POLL_INTERVAL};
 use crate::ir::{BlockId, FuncId, Inst, Module, Reg, Terminator};
-use fp_runtime::{BatchExecutor, CancelToken, Ctx, Observer};
+use fp_runtime::{Analyzable, BatchExecutor, CancelToken, Ctx, Observer};
+use std::cell::Cell;
 
 /// Maximum number of lanes executed in one lockstep wave. Bounds the SoA
 /// register file to `num_slots * WAVE_LANES` values while amortizing the
@@ -118,22 +119,10 @@ struct WaveFrame {
     args: Vec<f64>,
 }
 
-/// The lanewise SoA kernel session handed out by
-/// [`ModuleProgram`]'s [`fp_runtime::Analyzable::batch_executor`] under a
-/// kernel-selecting policy.
-///
-/// Scratch buffers (register file, global file, lane masks, the wave
-/// frame stack) are owned by the session and reused across waves, so a
-/// long batch allocates a near-constant amount of memory.
-pub struct KernelExecutor<'a> {
-    program: &'a ModuleProgram,
-    /// Whether the entry function is wave-safe
-    /// ([`ModuleProgram::kernel_eligible`]): when it is not, waves evict
-    /// all lanes at the first non-wave-safe `call`, so batches effectively
-    /// run on the scalar resume path.
-    lanewise: bool,
-    /// Scalar interpreter session backing [`BatchExecutor::execute_one`].
-    scalar: ExecState<'a>,
+/// The buffers a wave runs in, owned by a kernel session and kept per
+/// thread between sessions (see [`KernelExecutor`]).
+#[derive(Default)]
+struct KernelScratch {
     /// SoA register file of the current frame: `regs[slot * lanes + lane]`.
     regs: Vec<f64>,
     /// SoA argument file of the current frame: `args[i * lanes + lane]`.
@@ -142,16 +131,49 @@ pub struct KernelExecutor<'a> {
     globals: Vec<f64>,
     /// Suspended caller frames (lockstep calls in flight).
     frames: Vec<WaveFrame>,
+    /// Register and argument files of returned callees, reused by later
+    /// lockstep calls.
+    spare: Vec<Vec<f64>>,
     /// Lanes still executing in lockstep.
     active: Vec<usize>,
     then_lanes: Vec<usize>,
     else_lanes: Vec<usize>,
     evicted: Vec<usize>,
-    /// One lane's registers/arguments/globals, recycled across scalar
-    /// resumes so an eviction allocates nothing (amortized).
+    /// One lane's registers and arguments, rebuilt for each scalar resume.
     lane_regs: Vec<f64>,
     lane_args: Vec<f64>,
-    lane_globals: Vec<f64>,
+}
+
+thread_local! {
+    /// The calling thread's [`KernelScratch`], taken by
+    /// [`KernelExecutor::new`] and put back when the session drops.
+    static KERNEL_SCRATCH: Cell<Option<KernelScratch>> = const { Cell::new(None) };
+}
+
+/// The lanewise SoA kernel session handed out by
+/// [`ModuleProgram`]'s [`fp_runtime::Analyzable::batch_executor`] under a
+/// kernel-selecting policy.
+///
+/// The session's scratch (register, argument and global files, lane lists,
+/// the wave frame stack and the lane-resume buffers) is reused across its
+/// waves and kept per thread between sessions: [`KernelExecutor::new`]
+/// takes the calling thread's scratch and dropping the session gives it
+/// back, so once a thread has run a batch, later sessions on no wider
+/// batches allocate no wave buffers. A session nested on the same thread (an
+/// observer that runs a batch) starts from empty buffers, and whichever
+/// session drops last leaves its scratch behind. Lockstep calls reuse the
+/// files of returned callees. A thread keeps one such scratch, sized for at
+/// most [`WAVE_LANES`] lanes. Lanes resumed on the scalar interpreter and
+/// [`BatchExecutor::execute_one`] run on the thread's interpreter scratch
+/// (see [`crate::interp`]).
+pub struct KernelExecutor<'a> {
+    program: &'a ModuleProgram,
+    /// Whether the entry function is wave-safe
+    /// ([`ModuleProgram::kernel_eligible`]): when it is not, waves evict
+    /// all lanes at the first non-wave-safe `call`, so batches effectively
+    /// run on the scalar resume path.
+    lanewise: bool,
+    scratch: KernelScratch,
 }
 
 impl<'a> KernelExecutor<'a> {
@@ -159,35 +181,37 @@ impl<'a> KernelExecutor<'a> {
     pub fn new(program: &'a ModuleProgram) -> Self {
         KernelExecutor {
             lanewise: program.kernel_eligible(),
-            scalar: ExecState::new(program.interpreter(), program.module()),
             program,
-            regs: Vec::new(),
-            args: Vec::new(),
-            globals: Vec::new(),
-            frames: Vec::new(),
-            active: Vec::new(),
-            then_lanes: Vec::new(),
-            else_lanes: Vec::new(),
-            evicted: Vec::new(),
-            lane_regs: Vec::new(),
-            lane_args: Vec::new(),
-            lane_globals: Vec::new(),
+            scratch: KERNEL_SCRATCH
+                .try_with(Cell::take)
+                .ok()
+                .flatten()
+                .unwrap_or_default(),
         }
     }
 
     /// Whether batches stay lanewise to the end (`false` means the entry
     /// function is not wave-safe — recursion or an ill-formed call — so
     /// every wave hands its lanes to the scalar resume path at the first
-    /// such call; [`fp_runtime::KernelPolicy::Auto`] picks the plain
-    /// interpreter session for such modules).
+    /// such call; [`fp_runtime::KernelPolicy::Auto`] runs such modules one
+    /// scalar execution per input instead).
     pub fn is_lanewise(&self) -> bool {
         self.lanewise
     }
 }
 
+impl Drop for KernelExecutor<'_> {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        // Fails only while the thread is being torn down; the buffers are
+        // then simply freed.
+        let _ = KERNEL_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
+    }
+}
+
 impl BatchExecutor for KernelExecutor<'_> {
     fn execute_one(&mut self, input: &[f64], observer: &mut dyn Observer) -> Option<f64> {
-        run_session_one(self.program, &mut self.scalar, input, observer)
+        self.program.run(input, observer)
     }
 
     fn execute_many(
@@ -207,36 +231,9 @@ impl BatchExecutor for KernelExecutor<'_> {
         while offset < inputs.len() {
             let width = WAVE_LANES.min(inputs.len() - offset);
             let end = offset + width;
-            let Self {
-                program,
-                regs,
-                args,
-                globals,
-                frames,
-                active,
-                then_lanes,
-                else_lanes,
-                evicted,
-                lane_regs,
-                lane_args,
-                lane_globals,
-                ..
-            } = self;
             run_wave(
-                program,
-                WaveScratch {
-                    regs,
-                    args,
-                    globals,
-                    frames,
-                    active,
-                    then_lanes,
-                    else_lanes,
-                    evicted,
-                    lane_regs,
-                    lane_args,
-                    lane_globals,
-                },
+                self.program,
+                &mut self.scratch,
                 &inputs[offset..end],
                 &mut observers[offset..end],
                 &mut results[offset..end],
@@ -252,21 +249,6 @@ impl std::fmt::Debug for KernelExecutor<'_> {
             .field("lanewise", &self.lanewise)
             .finish_non_exhaustive()
     }
-}
-
-/// The session-owned scratch buffers a wave runs in.
-struct WaveScratch<'s> {
-    regs: &'s mut Vec<f64>,
-    args: &'s mut Vec<f64>,
-    globals: &'s mut Vec<f64>,
-    frames: &'s mut Vec<WaveFrame>,
-    active: &'s mut Vec<usize>,
-    then_lanes: &'s mut Vec<usize>,
-    else_lanes: &'s mut Vec<usize>,
-    evicted: &'s mut Vec<usize>,
-    lane_regs: &'s mut Vec<f64>,
-    lane_args: &'s mut Vec<f64>,
-    lane_globals: &'s mut Vec<f64>,
 }
 
 /// One shared fuel/cancellation tick for the whole lockstep wave; returns
@@ -306,17 +288,10 @@ fn resume_lane_stack(
     inst: usize,
     lane_regs: &mut Vec<f64>,
     lane_args: &mut Vec<f64>,
-    lane_globals: &mut Vec<f64>,
 ) -> Option<f64> {
     let module = program.module();
-    lane_globals.clear();
-    lane_globals.extend((0..module.globals.len()).map(|g| globals[g * lanes + lane]));
-    let mut state = ExecState::for_resume(
-        program.interpreter(),
-        module,
-        fuel,
-        std::mem::take(lane_globals),
-    );
+    let lane_globals = (0..module.globals.len()).map(|g| globals[g * lanes + lane]);
+    let mut state = ExecState::for_resume(program.interpreter(), module, fuel, lane_globals);
 
     // Materialize one lane of an SoA frame as the full scalar register
     // file: slot-sharing is invisible here because a dead register's stale
@@ -391,7 +366,6 @@ fn resume_lane_stack(
             frame.inst + 1,
         );
     }
-    *lane_globals = state.into_globals();
     val.ok().flatten()
 }
 
@@ -400,7 +374,7 @@ fn resume_lane_stack(
 /// writing one result per lane.
 fn run_wave(
     program: &ModuleProgram,
-    scratch: WaveScratch<'_>,
+    scratch: &mut KernelScratch,
     inputs: &[Vec<f64>],
     observers: &mut [&mut dyn Observer],
     results: &mut [Option<f64>],
@@ -411,18 +385,18 @@ fn run_wave(
     let layouts = &info.analysis.layouts;
     let wave_safe = &info.analysis.wave_safe;
     let lanes = inputs.len();
-    let WaveScratch {
+    let KernelScratch {
         regs,
         args,
         globals,
         frames,
+        spare,
         active,
         then_lanes,
         else_lanes,
         evicted,
         lane_regs,
         lane_args,
-        lane_globals,
     } = scratch;
 
     let mut cur_func = program.entry();
@@ -451,7 +425,12 @@ fn run_wave(
             args[i * lanes + lane] = v;
         }
     }
-    frames.clear();
+    // Frames an earlier wave left suspended (it stopped inside a callee)
+    // hand their files to later lockstep calls.
+    for frame in frames.drain(..) {
+        spare.push(frame.regs);
+        spare.push(frame.args);
+    }
     globals.clear();
     globals.reserve(module.globals.len() * lanes);
     for g in &module.globals {
@@ -487,7 +466,6 @@ fn run_wave(
                 $resume_inst,
                 lane_regs,
                 lane_args,
-                lane_globals,
             );
         }};
     }
@@ -650,7 +628,9 @@ fn run_wave(
                     }
                     let callee_fn = module.function(*callee);
                     let callee_layout = &layouts[callee.0];
-                    let mut new_args = vec![0.0; callee_fn.num_params * lanes];
+                    let mut new_args = spare.pop().unwrap_or_default();
+                    new_args.clear();
+                    new_args.resize(callee_fn.num_params * lanes, 0.0);
                     for (i, r) in call_args.iter().enumerate() {
                         let scol = layout.slot[r.0] * lanes;
                         for &lane in active.iter() {
@@ -660,7 +640,9 @@ fn run_wave(
                     // The callee's frame zero-fills like a scalar frame
                     // (observable only under an identity layout, where a
                     // register may be read before any write).
-                    let new_regs = vec![0.0; callee_layout.num_slots * lanes];
+                    let mut new_regs = spare.pop().unwrap_or_default();
+                    new_regs.clear();
+                    new_regs.resize(callee_layout.num_slots * lanes, 0.0);
                     frames.push(WaveFrame {
                         func: cur_func,
                         ret_dst: *dst,
@@ -722,8 +704,8 @@ fn run_wave(
                             }
                         }
                     }
-                    *regs = frame.regs;
-                    *args = frame.args;
+                    spare.push(std::mem::replace(regs, frame.regs));
+                    spare.push(std::mem::replace(args, frame.args));
                     cur_func = frame.func;
                     function = module.function(cur_func);
                     layout = parent_layout;

@@ -15,7 +15,7 @@
 
 use crate::checkpoint::{BhCkpt, ResultCkpt, RngCkpt, StepCheckpoint};
 use crate::evaluator::Evaluator;
-use crate::nelder_mead::NelderMead;
+use crate::nelder_mead::{self, NelderMead};
 use crate::result::{MinimizeResult, Termination};
 use crate::sampling::SampleSink;
 use crate::stepped::{MinimizerStep, StepStatus, SteppedMinimizer};
@@ -134,13 +134,22 @@ impl BasinHopping {
         merged
     }
 
-    fn propose<R: Rng + ?Sized>(&self, rng: &mut R, x: &[f64], bounds: &crate::Bounds) -> Vec<f64> {
-        let mut y = x.to_vec();
+    /// Writes a proposed move away from `x` into `y`.
+    fn propose<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        x: &[f64],
+        bounds: &crate::Bounds,
+        y: &mut Vec<f64>,
+    ) {
         // Occasionally restart from a fresh random point to escape flat
         // plateaus (weak distances are often flat far from the solution set).
         if rng.gen::<f64>() < 0.1 {
-            return bounds.sample(rng);
+            bounds.sample_into(rng, y);
+            return;
         }
+        y.clear();
+        y.extend_from_slice(x);
         for yi in y.iter_mut() {
             if rng.gen::<f64>() < self.exponent_jump_prob {
                 // Exponent jump: rescale by 10^U(-j, j), occasionally flip sign.
@@ -169,8 +178,7 @@ impl BasinHopping {
                 *yi += u * scale;
             }
         }
-        bounds.clamp(&mut y);
-        y
+        bounds.clamp(y);
     }
 
     fn local_refine(
@@ -179,10 +187,11 @@ impl BasinHopping {
         x0: &[f64],
         budget: usize,
         sink: &mut dyn SampleSink,
+        workspace: &mut nelder_mead::Workspace,
     ) -> MinimizeResult {
         match self.local_search {
             LocalSearch::NelderMead => {
-                NelderMead::default().minimize_from(problem, x0, budget, sink)
+                NelderMead::default().minimize_in(problem, x0, budget, sink, workspace)
             }
             LocalSearch::Powell => crate::Powell::default()
                 .with_max_iters(20)
@@ -199,6 +208,8 @@ impl BasinHopping {
 
 /// The resumable state of one basin-hopping run: the RNG stream, the
 /// current and best local minima, the hop counter and the charged total.
+/// The proposal buffer and the Nelder–Mead workspace every hop reuses are
+/// scratch, not state: checkpoints leave them out.
 struct BasinHoppingStep {
     cfg: BasinHopping,
     dim: usize,
@@ -209,6 +220,8 @@ struct BasinHoppingStep {
     best: Option<MinimizeResult>,
     total_evals: usize,
     finished: Option<MinimizeResult>,
+    proposal: Vec<f64>,
+    workspace: nelder_mead::Workspace,
 }
 
 impl BasinHoppingStep {
@@ -239,9 +252,13 @@ impl MinimizerStep for BasinHoppingStep {
 
         if !self.started {
             // Starting point and its local refinement.
-            let start = problem.bounds.sample(&mut self.rng);
+            problem
+                .bounds
+                .sample_into(&mut self.rng, &mut self.proposal);
             let budget0 = self.cfg.local_max_evals.min(problem.max_evals);
-            let refined = self.cfg.local_refine(problem, &start, budget0, sink);
+            let refined =
+                self.cfg
+                    .local_refine(problem, &self.proposal, budget0, sink, &mut self.workspace);
             let current = self.cfg.maybe_polish(problem, refined, sink);
             self.total_evals += current.evals;
             self.best = Some(current.clone());
@@ -270,7 +287,12 @@ impl MinimizerStep for BasinHoppingStep {
             self.hop += 1;
             let current = self.current.as_ref().expect("start phase ran");
             let best_value = self.best.as_ref().expect("start phase ran").value;
-            let proposal = self.cfg.propose(&mut self.rng, &current.x, &problem.bounds);
+            self.cfg.propose(
+                &mut self.rng,
+                &current.x,
+                &problem.bounds,
+                &mut self.proposal,
+            );
             let budget = self
                 .cfg
                 .local_max_evals
@@ -278,7 +300,9 @@ impl MinimizerStep for BasinHoppingStep {
             if budget == 0 {
                 return self.finish(Termination::BudgetExhausted);
             }
-            let refined = self.cfg.local_refine(problem, &proposal, budget, sink);
+            let refined =
+                self.cfg
+                    .local_refine(problem, &self.proposal, budget, sink, &mut self.workspace);
             let trial = if better(refined.value, best_value) {
                 self.cfg.maybe_polish(problem, refined, sink)
             } else {
@@ -370,6 +394,8 @@ impl SteppedMinimizer for BasinHopping {
             best: None,
             total_evals: 0,
             finished: crate::reject_invalid(problem),
+            proposal: Vec::new(),
+            workspace: nelder_mead::Workspace::default(),
         })
     }
 
@@ -391,6 +417,8 @@ impl SteppedMinimizer for BasinHopping {
             best: c.best.as_ref().map(ResultCkpt::restore),
             total_evals: c.total_evals,
             finished: c.finished.as_ref().map(ResultCkpt::restore),
+            proposal: Vec::new(),
+            workspace: nelder_mead::Workspace::default(),
         }))
     }
 }

@@ -7,7 +7,7 @@
 //! random starting point in every round.
 
 use crate::checkpoint::{bits_of, floats_of, MsCkpt, ResultCkpt, StepCheckpoint};
-use crate::nelder_mead::NelderMead;
+use crate::nelder_mead::{self, NelderMead};
 use crate::powell::Powell;
 use crate::result::{MinimizeResult, Termination};
 use crate::sampling::SampleSink;
@@ -66,7 +66,8 @@ impl MultiStart {
 /// The resumable state of one multi-start run: the pre-generated starting
 /// points, the cursor into them, the incumbent and the charged total. The
 /// RNG is fully consumed at [`SteppedMinimizer::start`] time (start-point
-/// sampling is its only consumer), so it is not carried.
+/// sampling is its only consumer), so it is not carried. Neither is the
+/// Nelder–Mead workspace every start reuses, which is scratch.
 struct MultiStartStep {
     cfg: MultiStart,
     dim: usize,
@@ -75,6 +76,7 @@ struct MultiStartStep {
     best: Option<MinimizeResult>,
     total_evals: usize,
     finished: Option<MinimizeResult>,
+    workspace: nelder_mead::Workspace,
 }
 
 impl MultiStartStep {
@@ -126,9 +128,13 @@ impl MinimizerStep for MultiStartStep {
                 .local_max_evals
                 .min(problem.max_evals.saturating_sub(self.total_evals));
             let r = match self.cfg.local {
-                StartLocal::NelderMead => {
-                    NelderMead::default().minimize_from(problem, x0, budget, sink)
-                }
+                StartLocal::NelderMead => NelderMead::default().minimize_in(
+                    problem,
+                    x0,
+                    budget,
+                    sink,
+                    &mut self.workspace,
+                ),
                 StartLocal::Powell => Powell::default().minimize_from(problem, x0, budget, sink),
             };
             self.total_evals += r.evals;
@@ -215,6 +221,7 @@ impl SteppedMinimizer for MultiStart {
             best: None,
             total_evals: 0,
             finished,
+            workspace: nelder_mead::Workspace::default(),
         })
     }
 
@@ -234,6 +241,7 @@ impl SteppedMinimizer for MultiStart {
             best: c.best.as_ref().map(ResultCkpt::restore),
             total_evals: c.total_evals,
             finished: c.finished.as_ref().map(ResultCkpt::restore),
+            workspace: nelder_mead::Workspace::default(),
         }))
     }
 }

@@ -28,6 +28,25 @@ pub struct NelderMead {
     pub max_iters: usize,
 }
 
+/// The buffers of one Nelder–Mead search: the simplex, its values, the
+/// sort order, the sorted copy, the centroid and the trial points. Every
+/// search rewrites them in place, so a stepped backend that runs many
+/// searches in a round (basin hopping's hops, multi-start's starts) lends
+/// one workspace to all of them instead of allocating per search. It is
+/// scratch, not state: checkpoints leave it out.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    simplex: Vec<Vec<f64>>,
+    values: Vec<f64>,
+    order: Vec<usize>,
+    sorted: Vec<Vec<f64>>,
+    sorted_values: Vec<f64>,
+    centroid: Vec<f64>,
+    reflect: Vec<f64>,
+    expand: Vec<f64>,
+    contract: Vec<f64>,
+}
+
 impl Default for NelderMead {
     fn default() -> Self {
         NelderMead {
@@ -54,18 +73,19 @@ impl NelderMead {
         self
     }
 
-    /// Builds the initial simplex around `x0`.
+    /// Builds the initial simplex around `x0` into `simplex`.
     ///
     /// The i-th extra vertex displaces coordinate i by `initial_scale`
     /// relatively (or absolutely when the coordinate is zero), matching the
     /// usual practice for functions whose coordinates span many orders of
     /// magnitude.
-    fn initial_simplex(&self, x0: &[f64]) -> Vec<Vec<f64>> {
-        let n = x0.len();
-        let mut simplex = Vec::with_capacity(n + 1);
-        simplex.push(x0.to_vec());
-        for i in 0..n {
-            let mut v = x0.to_vec();
+    fn initial_simplex(&self, x0: &[f64], simplex: &mut Vec<Vec<f64>>) {
+        simplex.resize_with(x0.len() + 1, Vec::new);
+        for v in simplex.iter_mut() {
+            v.clear();
+            v.extend_from_slice(x0);
+        }
+        for (i, v) in simplex[1..].iter_mut().enumerate() {
             if v[i] == 0.0 {
                 v[i] = self.initial_scale.max(1.0e-4);
             } else {
@@ -74,24 +94,32 @@ impl NelderMead {
                     v[i] = x0[i] + self.initial_scale;
                 }
             }
-            simplex.push(v);
         }
-        simplex
     }
 
-    fn run(&self, ev: &mut Evaluator<'_, '_>, x0: &[f64]) -> (Vec<f64>, f64) {
+    fn run(&self, ev: &mut Evaluator<'_, '_>, x0: &[f64], ws: &mut Workspace) -> (Vec<f64>, f64) {
         let n = x0.len();
-        let mut simplex = self.initial_simplex(x0);
-        let mut values: Vec<f64> = simplex.iter().map(|v| ev.eval(v)).collect();
-        // Work buffers, allocated once per call: every iteration rewrites
-        // them in place, so the loop itself never allocates.
-        let mut order: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut sorted = simplex.clone();
-        let mut sorted_values = values.clone();
-        let mut centroid = vec![0.0; n];
-        let mut reflect = vec![0.0; n];
-        let mut expand = vec![0.0; n];
-        let mut contract = vec![0.0; n];
+        // The loop rewrites every buffer in place, so it never allocates.
+        let Workspace {
+            simplex,
+            values,
+            order,
+            sorted,
+            sorted_values,
+            centroid,
+            reflect,
+            expand,
+            contract,
+        } = ws;
+        self.initial_simplex(x0, simplex);
+        values.clear();
+        values.extend(simplex.iter().map(|v| ev.eval(v)));
+        sorted.clone_from(simplex);
+        sorted_values.clone_from(values);
+        for point in [&mut *centroid, &mut *reflect, &mut *expand, &mut *contract] {
+            point.clear();
+            point.resize(n, 0.0);
+        }
 
         for _ in 0..self.max_iters {
             if ev.should_stop() {
@@ -105,12 +133,16 @@ impl NelderMead {
                     .partial_cmp(&values[b])
                     .unwrap_or(std::cmp::Ordering::Greater)
             });
-            for ((vertex, value), &i) in sorted.iter_mut().zip(&mut sorted_values).zip(&order) {
+            for ((vertex, value), &i) in sorted
+                .iter_mut()
+                .zip(sorted_values.iter_mut())
+                .zip(order.iter())
+            {
                 vertex.copy_from_slice(&simplex[i]);
                 *value = values[i];
             }
-            std::mem::swap(&mut simplex, &mut sorted);
-            std::mem::swap(&mut values, &mut sorted_values);
+            std::mem::swap(simplex, sorted);
+            std::mem::swap(values, sorted_values);
 
             let spread = (values[n] - values[0]).abs();
             if spread.is_finite() && spread <= self.f_tol {
@@ -126,32 +158,32 @@ impl NelderMead {
             }
 
             let worst = &simplex[n];
-            for ((r, c), w) in reflect.iter_mut().zip(&centroid).zip(worst) {
+            for ((r, c), w) in reflect.iter_mut().zip(centroid.iter()).zip(worst) {
                 *r = c + self.alpha * (c - w);
             }
-            let f_reflect = ev.eval(&reflect);
+            let f_reflect = ev.eval(reflect);
 
             if f_reflect < values[0] {
                 // Try expansion.
-                for ((e, c), w) in expand.iter_mut().zip(&centroid).zip(worst) {
+                for ((e, c), w) in expand.iter_mut().zip(centroid.iter()).zip(worst) {
                     *e = c + self.gamma * self.alpha * (c - w);
                 }
-                let f_expand = ev.eval(&expand);
+                let f_expand = ev.eval(expand);
                 if f_expand < f_reflect {
-                    simplex[n].copy_from_slice(&expand);
+                    simplex[n].copy_from_slice(expand);
                     values[n] = f_expand;
                 } else {
-                    simplex[n].copy_from_slice(&reflect);
+                    simplex[n].copy_from_slice(reflect);
                     values[n] = f_reflect;
                 }
             } else if f_reflect < values[n - 1] {
-                simplex[n].copy_from_slice(&reflect);
+                simplex[n].copy_from_slice(reflect);
                 values[n] = f_reflect;
             } else {
                 // Contraction (outside if the reflected point improved on the
                 // worst vertex, inside otherwise).
-                let towards = if f_reflect < values[n] {
-                    &reflect
+                let towards: &[f64] = if f_reflect < values[n] {
+                    reflect
                 } else {
                     worst
                 };
@@ -160,12 +192,12 @@ impl NelderMead {
                 } else {
                     values[n]
                 };
-                for ((k, c), t) in contract.iter_mut().zip(&centroid).zip(towards) {
+                for ((k, c), t) in contract.iter_mut().zip(centroid.iter()).zip(towards) {
                     *k = c + self.rho * (t - c);
                 }
-                let f_contract = ev.eval(&contract);
+                let f_contract = ev.eval(contract);
                 if f_contract < f_towards {
-                    simplex[n].copy_from_slice(&contract);
+                    simplex[n].copy_from_slice(contract);
                     values[n] = f_contract;
                 } else {
                     // Shrink towards the best vertex, in place: each
@@ -187,6 +219,27 @@ impl NelderMead {
     }
 }
 
+impl NelderMead {
+    /// [`LocalMinimizer::minimize_from`] in the buffers of `workspace`.
+    pub(crate) fn minimize_in(
+        &self,
+        problem: &Problem<'_>,
+        x0: &[f64],
+        max_evals: usize,
+        sink: &mut dyn SampleSink,
+        workspace: &mut Workspace,
+    ) -> MinimizeResult {
+        if let Some(invalid) = crate::reject_invalid(problem) {
+            return invalid;
+        }
+        // Respect both the problem budget and the per-call budget.
+        let mut ev = Evaluator::new(problem, sink).capped(max_evals);
+        let (x, value) = self.run(&mut ev, x0, workspace);
+        let termination = ev.termination(Termination::Converged);
+        MinimizeResult::new(x, value, ev.evals(), termination)
+    }
+}
+
 impl LocalMinimizer for NelderMead {
     fn minimize_from(
         &self,
@@ -195,14 +248,7 @@ impl LocalMinimizer for NelderMead {
         max_evals: usize,
         sink: &mut dyn SampleSink,
     ) -> MinimizeResult {
-        if let Some(invalid) = crate::reject_invalid(problem) {
-            return invalid;
-        }
-        // Respect both the problem budget and the per-call budget.
-        let mut ev = Evaluator::new(problem, sink).capped(max_evals);
-        let (x, value) = self.run(&mut ev, x0);
-        let termination = ev.termination(Termination::Converged);
-        MinimizeResult::new(x, value, ev.evals(), termination)
+        self.minimize_in(problem, x0, max_evals, sink, &mut Workspace::default())
     }
 }
 
@@ -290,7 +336,8 @@ mod tests {
     #[test]
     fn initial_simplex_handles_zero_coordinates() {
         let nm = NelderMead::default();
-        let s = nm.initial_simplex(&[0.0, 1.0]);
+        let mut s = Vec::new();
+        nm.initial_simplex(&[0.0, 1.0], &mut s);
         assert_eq!(s.len(), 3);
         assert_ne!(s[1][0], 0.0);
         assert_ne!(s[2][1], 1.0);

@@ -1,24 +1,31 @@
 //! Allocation regression: a scalar or batch evaluation through the
-//! `Evaluator` never touches the heap, and the local searches and the
-//! batch backends (random search, Differential Evolution) allocate a fixed
-//! number of times per call, whatever their budget.
+//! `Evaluator` never touches the heap, `fpir` programs included; a batch
+//! through the lanewise kernel and a basin-hopping hop allocate a fixed
+//! handful of times; and the local searches and the batch backends
+//! (random search, Differential Evolution) allocate a fixed number of
+//! times per call, whatever their budget.
 //!
 //! A counting global allocator tallies allocations per thread, so the test
 //! threads the harness runs in parallel do not see each other's traffic.
+//! The `fpir` interpreter and kernel keep their buffers per thread, so the
+//! first evaluation on a thread allocates them: measure after a warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wdm::core::boundary::{BoundaryMode, BoundaryWeakDistance};
+use wdm::core::coverage::CoverageWeakDistance;
 use wdm::core::overflow::OverflowWeakDistance;
+use wdm::core::path::PathWeakDistance;
 use wdm::core::weak_distance::{FnWeakDistance, WeakDistance, WeakDistanceObjective};
 use wdm::gsl::bessel::BesselKnuScaled;
 use wdm::gsl::glibc_sin::GlibcSin;
+use wdm::ir::{instrument, programs, Module, ModuleProgram};
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{
-    Bounds, DifferentialEvolution, FnObjective, GlobalMinimizer, LocalMinimizer, NelderMead,
-    NoTrace, Problem, RandomSearch, Termination, UlpSearch,
+    BasinHopping, Bounds, DifferentialEvolution, FnObjective, GlobalMinimizer, LocalMinimizer,
+    NelderMead, NoTrace, Problem, RandomSearch, Termination, UlpSearch,
 };
 use wdm::runtime::{BranchId, Interval, OpId};
 use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
@@ -141,6 +148,136 @@ fn cnf_evaluations_do_not_allocate() {
                 .or(Atom::le(Expr::var(0).sin(), Expr::constant(-0.5))),
         );
     assert_eval_allocation_free("xsat cnf", &CnfWeakDistance::new(cnf), &points(2));
+}
+
+/// An `fpir` program over `module`'s `entry` on [−1e3, 1e3].
+fn fpir_program(module: Module, entry: &str) -> ModuleProgram {
+    ModuleProgram::new(module, entry)
+        .expect("entry exists")
+        .with_domain(vec![Interval::symmetric(1.0e3)])
+}
+
+/// `fig2`'s instrumented boundary driver `W`: a call into the instrumented
+/// copy of `fig2`, and the global `w`.
+fn fig2_driver() -> ModuleProgram {
+    let fig2 = programs::fig2_program();
+    let entry = fig2.function_by_name("prog").expect("entry exists");
+    fpir_program(
+        instrument::instrument_boundary(&fig2, entry),
+        instrument::W_FUNCTION,
+    )
+}
+
+#[test]
+fn fpir_evaluations_do_not_allocate() {
+    let fig2 = || fpir_program(programs::fig2_program(), "prog");
+    let single = BoundaryMode::Single(BranchId(0));
+    let path = vec![(BranchId(0), true), (BranchId(1), false)];
+    let skip: BTreeSet<OpId> = [OpId(1)].into();
+    let covered: BTreeSet<(BranchId, bool)> = [(BranchId(0), true), (BranchId(1), false)].into();
+    let cases: [(&str, Box<dyn WeakDistance>); 5] = [
+        (
+            "fig2 boundary",
+            Box::new(BoundaryWeakDistance::new(fig2()).with_mode(single)),
+        ),
+        (
+            "W(fig2) boundary",
+            Box::new(BoundaryWeakDistance::new(fig2_driver()).with_mode(single)),
+        ),
+        (
+            "fig1b path",
+            Box::new(PathWeakDistance::new(
+                fpir_program(programs::fig1b_program(), "prog"),
+                path,
+            )),
+        ),
+        (
+            "fig2 overflow",
+            Box::new(OverflowWeakDistance::new(fig2(), skip)),
+        ),
+        (
+            "fig2 coverage",
+            Box::new(CoverageWeakDistance::new(fig2(), covered)),
+        ),
+    ];
+    for (name, wd) in &cases {
+        assert_eval_allocation_free(name, wd.as_ref(), &points(1));
+    }
+}
+
+#[test]
+fn kernel_batches_allocate_a_fixed_handful() {
+    let fig2 = fpir_program(programs::fig2_program(), "prog");
+    let driver = fig2_driver();
+    assert!(fig2.kernel_eligible() && driver.kernel_eligible());
+    let single = BoundaryMode::Single(BranchId(0));
+    let path = vec![(BranchId(0), true), (BranchId(1), true)];
+    let cases: [(&str, Box<dyn WeakDistance + '_>); 4] = [
+        (
+            "fig2 boundary",
+            Box::new(BoundaryWeakDistance::new(&fig2).with_mode(single)),
+        ),
+        (
+            "W(fig2) boundary",
+            Box::new(BoundaryWeakDistance::new(&driver).with_mode(single)),
+        ),
+        (
+            "fig2 path",
+            Box::new(PathWeakDistance::new(&fig2, path.clone())),
+        ),
+        (
+            "W(fig2) path",
+            Box::new(PathWeakDistance::new(&driver, path)),
+        ),
+    ];
+    // Differential Evolution's batches: 20 points, here cycling through the
+    // clamped, NaN and extreme samples.
+    let base = points(1);
+    let batch: Vec<Vec<f64>> = (0..20).map(|i| base[i % base.len()].clone()).collect();
+    for (name, wd) in &cases {
+        let objective = WeakDistanceObjective::new(wd.as_ref());
+        // No target: a batch that hits a zero would stop early.
+        let problem = Problem::new(&objective, objective.bounds()).with_max_evals(usize::MAX);
+        let mut sink = NoTrace;
+        let mut ev = Evaluator::new(&problem, &mut sink);
+        let mut values = Vec::new();
+        // The first batch specializes the program and sizes the buffers.
+        assert_eq!(ev.eval_batch(&batch, &mut values), 20);
+        let ((), allocated) = allocations(|| {
+            for _ in 0..1_000 {
+                assert_eq!(ev.eval_batch(&batch, &mut values), 20);
+            }
+        });
+        assert!(
+            allocated <= 8 * 1_000,
+            "{name}: 1 000 batches of 20 points allocated {allocated} times"
+        );
+    }
+}
+
+/// Allocations of a `hops`-hop basin-hopping run at dimension `dim`, over
+/// an objective whose minimum is 1, so no hop reaches the target 0.
+fn basin_hopping_allocations(dim: usize, hops: usize) -> u64 {
+    let f = FnObjective::new(dim, |x: &[f64]| 1.0 + x.iter().map(|v| v * v).sum::<f64>());
+    let problem = Problem::new(&f, Bounds::symmetric(dim, 100.0))
+        .with_target(0.0)
+        .with_max_evals(usize::MAX);
+    let backend = BasinHopping::default()
+        .with_local_max_evals(30)
+        .with_hops(hops);
+    let (result, allocated) = allocations(|| backend.minimize(&problem, 5, &mut NoTrace));
+    assert_eq!(result.termination, Termination::IterationsCompleted);
+    allocated
+}
+
+#[test]
+fn basin_hopping_hops_allocate_a_fixed_handful() {
+    for dim in [1, 3] {
+        let per_hop = (basin_hopping_allocations(dim, 100) - basin_hopping_allocations(dim, 50))
+            as f64
+            / 50.0;
+        assert!(per_hop <= 5.0, "dim {dim}: {per_hop} allocations per hop");
+    }
 }
 
 /// Allocations of one `minimize_from` call at `budget`, over an objective
