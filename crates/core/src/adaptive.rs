@@ -36,10 +36,7 @@
 //!
 //! [`minimize_weak_distance`]: crate::driver::minimize_weak_distance
 
-use crate::checkpoint::{
-    ActiveCkpt, AdaptiveCheckpoint, AnalysisCheckpoint, ArmStatsCkpt, EscalationCkpt,
-    EscalationHandoffCkpt, EscalationSpecCkpt,
-};
+use crate::checkpoint::{ActiveCkpt, AdaptiveCheckpoint, AnalysisCheckpoint, ArmStatsCkpt};
 use crate::driver::{derive_round_seed, AnalysisConfig, MinimizationRun, Outcome};
 use crate::weak_distance::{WeakDistance, WeakDistanceObjective};
 use crate::BackendKind;
@@ -101,27 +98,12 @@ impl<'wd> SteppedAnalysis<'wd> {
     /// (whose `backend` selects the stepped backend; `parallelism` is
     /// ignored — slices of one analysis are sequential by construction).
     pub fn new(wd: &'wd dyn WeakDistance, config: &AnalysisConfig, cancel: CancelToken) -> Self {
-        Self::with_parts(wd, config, cancel, config.backend.build_stepped(), None)
-    }
-
-    /// [`new`](Self::new) with an explicit backend state machine and an
-    /// optional search-box override — the seam escalation-spawned arms
-    /// (a [`wdm_mo::Polish`] slice, a bound-tightened restart) are built
-    /// through: their machine or box is not derivable from the config
-    /// alone.
-    pub(crate) fn with_parts(
-        wd: &'wd dyn WeakDistance,
-        config: &AnalysisConfig,
-        cancel: CancelToken,
-        backend: Box<dyn SteppedMinimizer>,
-        bounds: Option<wdm_mo::Bounds>,
-    ) -> Self {
         let objective = WeakDistanceObjective::new(wd);
-        let bounds = bounds.unwrap_or_else(|| objective.bounds());
+        let bounds = objective.bounds();
         SteppedAnalysis {
             objective,
             bounds,
-            backend,
+            backend: config.backend.build_stepped(),
             cancel,
             rounds: config.rounds.max(1),
             round: 0,
@@ -274,25 +256,6 @@ impl<'wd> SteppedAnalysis<'wd> {
                 .unwrap_or(0)
     }
 
-    /// The best point seen so far and its value, merging completed
-    /// rounds with the active round's partial incumbent — `None` before
-    /// any evaluation. Unlike [`run`](Self::run) this clones no traces,
-    /// so the scheduler can poll it every round.
-    pub(crate) fn best_snapshot(&self) -> Option<(Vec<f64>, f64)> {
-        let mut best: Option<(Vec<f64>, f64)> = self.best.as_ref().map(|b| (b.x.clone(), b.value));
-        if let Some(active) = &self.active {
-            let partial = active.machine.result();
-            let replaces = match &best {
-                None => true,
-                Some((_, v)) => partial.value < *v || v.is_nan(),
-            };
-            if replaces && !partial.x.is_empty() {
-                best = Some((partial.x, partial.value));
-            }
-        }
-        best
-    }
-
     /// Best weak-distance value so far across completed rounds and the
     /// active round (`f64::INFINITY` before the first evaluation).
     pub fn best_value(&self) -> f64 {
@@ -382,20 +345,7 @@ impl<'wd> SteppedAnalysis<'wd> {
         cancel: CancelToken,
         ckpt: &AnalysisCheckpoint,
     ) -> Option<Self> {
-        Self::restore_with_parts(wd, config, cancel, config.backend.build_stepped(), None, ckpt)
-    }
-
-    /// [`restore`](Self::restore) with an explicit backend state machine
-    /// and search-box override, mirroring [`with_parts`](Self::with_parts).
-    pub(crate) fn restore_with_parts(
-        wd: &'wd dyn WeakDistance,
-        config: &AnalysisConfig,
-        cancel: CancelToken,
-        backend: Box<dyn SteppedMinimizer>,
-        bounds: Option<wdm_mo::Bounds>,
-        ckpt: &AnalysisCheckpoint,
-    ) -> Option<Self> {
-        let mut analysis = SteppedAnalysis::with_parts(wd, config, cancel, backend, bounds);
+        let mut analysis = SteppedAnalysis::new(wd, config, cancel);
         analysis.round = ckpt.round;
         analysis.best = ckpt.best.as_ref().map(ResultCkpt::restore);
         analysis.total_evals = ckpt.total_evals;
@@ -490,140 +440,6 @@ fn arm_config(config: &AnalysisConfig, backend: BackendKind, index: usize) -> An
         .with_seed_offset(index as u64)
 }
 
-/// What an escalation-spawned arm runs.
-#[derive(Debug, Clone, PartialEq)]
-enum EscalationArmKind {
-    /// A [`wdm_mo::Polish`] slice: Powell/Brent started exactly at the
-    /// incumbent, one round.
-    Polish {
-        /// The incumbent at escalation time.
-        x0: Vec<f64>,
-    },
-    /// A fresh restart of the named backend over the tightened box, with
-    /// the configured round count.
-    Restart {
-        /// The restarted backend (the base arm with the best reward
-        /// trajectory at escalation time).
-        backend: BackendKind,
-    },
-}
-
-/// The deterministic recipe of one escalation-spawned arm: everything
-/// needed to (re)build it, checkpointed verbatim so a restored run
-/// replays bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-struct EscalationSpec {
-    kind: EscalationArmKind,
-    bounds: wdm_mo::Bounds,
-}
-
-impl EscalationSpec {
-    /// The backend label the arm reports under (polish slices report as
-    /// Powell — that is what they run).
-    fn label(&self) -> BackendKind {
-        match &self.kind {
-            EscalationArmKind::Polish { .. } => BackendKind::Powell,
-            EscalationArmKind::Restart { backend } => *backend,
-        }
-    }
-}
-
-/// A published escalation handoff: the tightened incumbent region, for
-/// callers that can route it to a heavier engine mid-run (`wdm_xsat`
-/// runs a focused sub-solve over it). Consuming or ignoring the handoff
-/// never changes the portfolio's own evolution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EscalationHandoff {
-    /// The tightened search box around the incumbent.
-    pub bounds: wdm_mo::Bounds,
-    /// The incumbent point the box was tightened around.
-    pub incumbent: Vec<f64>,
-    /// Zero-based index of the escalation event that published this.
-    pub ordinal: usize,
-}
-
-/// The plateau detector plus the record of every escalation event — a
-/// pure function of the slice history, durable through
-/// [`AdaptivePortfolio::checkpoint`].
-#[derive(Default)]
-struct EscalationState {
-    /// Consecutive scheduler rounds in which no live arm's mean reward
-    /// reached the threshold.
-    below: usize,
-    /// Escalation events fired so far.
-    events: usize,
-    /// Spawn recipes of every escalation arm, in spawn order.
-    specs: Vec<EscalationSpec>,
-    /// The most recent handoff, until a caller takes it.
-    handoff: Option<EscalationHandoff>,
-}
-
-/// Renders a box as parallel per-dimension bit vectors for the
-/// checkpoint layer.
-fn bounds_bits(bounds: &wdm_mo::Bounds) -> (Vec<u64>, Vec<u64>) {
-    let lo = bounds.limits().iter().map(|&(lo, _)| lo.to_bits()).collect();
-    let hi = bounds.limits().iter().map(|&(_, hi)| hi.to_bits()).collect();
-    (lo, hi)
-}
-
-/// Decodes a checkpointed box, rejecting bit patterns
-/// [`Bounds::new`](wdm_mo::Bounds::new) would panic on (NaN endpoints,
-/// inverted limits) — corrupt disk state must surface as a failed
-/// restore, not a panic.
-fn bounds_from_bits(lo: &[u64], hi: &[u64]) -> Option<wdm_mo::Bounds> {
-    if lo.len() != hi.len() {
-        return None;
-    }
-    let mut limits = Vec::with_capacity(lo.len());
-    for (&l, &h) in lo.iter().zip(hi) {
-        let (l, h) = (f64::from_bits(l), f64::from_bits(h));
-        if l.is_nan() || h.is_nan() || l > h {
-            return None;
-        }
-        limits.push((l, h));
-    }
-    Some(wdm_mo::Bounds::new(limits))
-}
-
-/// Renders one escalation spec for the checkpoint layer.
-fn spec_ckpt(spec: &EscalationSpec) -> EscalationSpecCkpt {
-    let (lo, hi) = bounds_bits(&spec.bounds);
-    match &spec.kind {
-        EscalationArmKind::Polish { x0 } => EscalationSpecCkpt {
-            kind: "polish".to_string(),
-            backend: None,
-            x0: x0.iter().map(|v| v.to_bits()).collect(),
-            lo,
-            hi,
-        },
-        EscalationArmKind::Restart { backend } => EscalationSpecCkpt {
-            kind: "restart".to_string(),
-            backend: Some(backend.name().to_string()),
-            x0: Vec::new(),
-            lo,
-            hi,
-        },
-    }
-}
-
-/// Decodes one checkpointed escalation spec, validating the kind tag,
-/// the backend name and the box.
-fn spec_from_ckpt(ckpt: &EscalationSpecCkpt) -> Option<EscalationSpec> {
-    let bounds = bounds_from_bits(&ckpt.lo, &ckpt.hi)?;
-    let kind = match ckpt.kind.as_str() {
-        "polish" => EscalationArmKind::Polish {
-            x0: ckpt.x0.iter().map(|&b| f64::from_bits(b)).collect(),
-        },
-        "restart" => {
-            let name = ckpt.backend.as_deref()?;
-            let backend = BackendKind::all().into_iter().find(|b| b.name() == name)?;
-            EscalationArmKind::Restart { backend }
-        }
-        _ => return None,
-    };
-    Some(EscalationSpec { kind, bounds })
-}
-
 /// The result of one arm of a portfolio.
 #[derive(Debug, Clone)]
 pub struct PortfolioEntry {
@@ -704,14 +520,8 @@ fn pick_winner(runs: &[MinimizationRun]) -> usize {
 /// is the seam the multi-tenant analysis service time-slices and makes
 /// durable.
 pub struct AdaptivePortfolio<'wd> {
-    wd: &'wd dyn WeakDistance,
     config: AnalysisConfig,
     backends: Vec<BackendKind>,
-    /// Backend label of every arm (base arms in backend order, then
-    /// escalation-spawned arms in spawn order).
-    arm_kinds: Vec<BackendKind>,
-    /// The full search box, for tightening around incumbents.
-    base_bounds: wdm_mo::Bounds,
     cancel: CancelToken,
     first_hit: CancelToken,
     arms: Vec<Mutex<SteppedAnalysis<'wd>>>,
@@ -723,7 +533,6 @@ pub struct AdaptivePortfolio<'wd> {
     found: bool,
     t: u64,
     last_leader: Option<usize>,
-    escalation: EscalationState,
 }
 
 impl<'wd> AdaptivePortfolio<'wd> {
@@ -762,13 +571,12 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 seen: false,
             })
             .collect();
-        Self::assemble(wd, config, backends, cancel.clone(), first_hit, arms, stats)
+        Self::assemble(config, backends, cancel.clone(), first_hit, arms, stats)
     }
 
     /// Shared tail of [`new`](Self::new) and [`restore`](Self::restore):
     /// the scheduler parameters derived from the config.
     fn assemble(
-        wd: &'wd dyn WeakDistance,
         config: &AnalysisConfig,
         backends: &[BackendKind],
         cancel: CancelToken,
@@ -789,13 +597,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
         };
         let base_slice = (config.max_evals / 8).max(64);
         let probe_slice = (base_slice / PROBE_DIVISOR).max(16);
-        let base_bounds = WeakDistanceObjective::new(wd).bounds();
         AdaptivePortfolio {
-            wd,
             config: config.clone(),
             backends: backends.to_vec(),
-            arm_kinds: backends.to_vec(),
-            base_bounds,
             cancel,
             first_hit,
             arms,
@@ -807,7 +611,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
             found: false,
             t: 0,
             last_leader: None,
-            escalation: EscalationState::default(),
         }
     }
 
@@ -930,179 +733,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
             }
             self.found |= arm_found;
         }
-        // Plateau detection runs on the just-folded statistics, before
-        // the round counter advances: a pure function of the slice
-        // history, so it is worker-count-invariant and replays
-        // identically from a checkpoint.
-        self.maybe_escalate();
         self.t += 1;
         self.last_leader = Some(leader);
         true
-    }
-
-    /// The plateau detector: counts consecutive scheduler rounds in
-    /// which no live arm's recency-weighted mean reward reaches the
-    /// configured threshold, and fires [`escalate`](Self::escalate) when
-    /// the patience runs out. A no-op unless
-    /// [`AnalysisConfig::with_escalation`] enabled escalation.
-    fn maybe_escalate(&mut self) {
-        let Some(esc) = self.config.escalation.clone() else {
-            return;
-        };
-        if self.found || self.spent >= self.pool {
-            return;
-        }
-        let alive: Vec<usize> = (0..self.arms.len())
-            .filter(|&i| !self.lock(i).is_finished())
-            .collect();
-        // Only count rounds where every live arm has produced at least
-        // one reward observation — before that, "no arm is improving"
-        // just means "we have not looked yet".
-        if alive.is_empty() || !alive.iter().all(|&i| self.stats[i].seen) {
-            return;
-        }
-        // f64::max ignores NaN operands, so NaN rewards (reachable only
-        // through corrupt checkpoints) cannot mask a plateau.
-        let peak = alive
-            .iter()
-            .map(|&i| self.stats[i].mean_reward)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if peak >= esc.threshold {
-            self.escalation.below = 0;
-            return;
-        }
-        self.escalation.below += 1;
-        if self.escalation.below >= esc.patience.max(1)
-            && self.escalation.events < esc.max_escalations
-        {
-            self.escalate(&esc);
-        }
-    }
-
-    /// One escalation event: fold the deterministic incumbent out of the
-    /// arms, tighten the search box around it, spawn a polish arm and a
-    /// bound-tightened sampling restart, and publish the handoff for
-    /// heavier engines.
-    fn escalate(&mut self, esc: &crate::driver::EscalationConfig) {
-        self.escalation.below = 0;
-        // The incumbent: fold every arm's best snapshot in arm order
-        // with the same NaN-aware rule the round merge uses.
-        let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        for i in 0..self.arms.len() {
-            if let Some((x, v)) = self.lock(i).best_snapshot() {
-                let replaces = match &incumbent {
-                    None => true,
-                    Some((_, best)) => v < *best || best.is_nan(),
-                };
-                if replaces {
-                    incumbent = Some((x, v));
-                }
-            }
-        }
-        let Some((x0, _)) = incumbent else {
-            return;
-        };
-        let ordinal = self.escalation.events;
-        self.escalation.events += 1;
-        let tightened = self.base_bounds.tightened_around(&x0, esc.tighten);
-        // The restart arm deliberately uses the model-free sampler over
-        // the tightened box: a plateau means the learned backend rankings
-        // are exactly what stopped paying off, and flat regions reward
-        // dense coverage, not another descent. It pairs with the polish
-        // arm as explore/exploit over the same box.
-        let specs = [
-            EscalationSpec {
-                kind: EscalationArmKind::Polish { x0: x0.clone() },
-                bounds: tightened.clone(),
-            },
-            EscalationSpec {
-                kind: EscalationArmKind::Restart {
-                    backend: BackendKind::RandomSearch,
-                },
-                bounds: tightened.clone(),
-            },
-        ];
-        for spec in specs {
-            self.spawn_escalation_arm(&spec, None);
-            self.escalation.specs.push(spec);
-        }
-        self.escalation.handoff = Some(EscalationHandoff {
-            bounds: tightened,
-            incumbent: x0,
-            ordinal,
-        });
-    }
-
-    /// Appends one escalation arm (fresh, or restored from `ckpt`) built
-    /// from its spec. The arm's seed offset is its absolute arm index,
-    /// continuing the base arms' offset sequence, so the spawn is a pure
-    /// function of (config, spec, position). Returns `false` if a
-    /// checkpointed arm state fails validation.
-    fn spawn_escalation_arm(
-        &mut self,
-        spec: &EscalationSpec,
-        ckpt: Option<&AnalysisCheckpoint>,
-    ) -> bool {
-        let index = self.arms.len();
-        let mut cfg = arm_config(&self.config, spec.label(), index);
-        let machine: Box<dyn SteppedMinimizer> = match &spec.kind {
-            EscalationArmKind::Polish { x0 } => {
-                // A polish slice is one deterministic local search, not a
-                // restart loop: one round.
-                cfg = cfg.with_rounds(1);
-                Box::new(wdm_mo::Polish::from_incumbent(x0.clone()))
-            }
-            EscalationArmKind::Restart { backend } => backend.build_stepped(),
-        };
-        let analysis = match ckpt {
-            None => SteppedAnalysis::with_parts(
-                self.wd,
-                &cfg,
-                self.first_hit.child(),
-                machine,
-                Some(spec.bounds.clone()),
-            ),
-            Some(c) => {
-                let Some(a) = SteppedAnalysis::restore_with_parts(
-                    self.wd,
-                    &cfg,
-                    self.first_hit.child(),
-                    machine,
-                    Some(spec.bounds.clone()),
-                    c,
-                ) else {
-                    return false;
-                };
-                a
-            }
-        };
-        self.arms.push(Mutex::new(analysis));
-        self.arm_kinds.push(spec.label());
-        if self.stats.len() < self.arms.len() {
-            // Fresh spawn (restore re-fills stats from the checkpoint):
-            // never-played arms score infinity, so a new escalation arm
-            // leads the very next round.
-            self.stats.push(ArmStats {
-                plays: 0.0,
-                mean_reward: 0.0,
-                seen: false,
-            });
-        }
-        true
-    }
-
-    /// Takes the most recent escalation handoff, if one is pending: the
-    /// tightened incumbent region a heavier engine (`wdm_xsat`'s
-    /// focused sub-solve) can work mid-run. Consuming or ignoring it
-    /// never changes the portfolio's own evolution, so callers that do
-    /// not understand handoffs keep the determinism contract for free.
-    pub fn take_handoff(&mut self) -> Option<EscalationHandoff> {
-        self.escalation.handoff.take()
-    }
-
-    /// Escalation events fired so far.
-    pub fn escalations(&self) -> usize {
-        self.escalation.events
     }
 
     /// First-hit (and external) cancellation: fires the shared token
@@ -1127,9 +760,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
         }
     }
 
-    /// Consumes the scheduler and reports every arm's run (base arms
-    /// first, then escalation-spawned arms): the winner is the first arm
-    /// with a solution, otherwise the best residual.
+    /// Consumes the scheduler and reports every arm's run, in backend
+    /// order: the winner is the first arm with a solution, otherwise the
+    /// best residual.
     pub fn into_run(self) -> PortfolioRun {
         let runs: Vec<MinimizationRun> = self
             .arms
@@ -1140,7 +773,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
         PortfolioRun {
             winner,
             entries: self
-                .arm_kinds
+                .backends
                 .iter()
                 .zip(runs)
                 .map(|(&backend, run)| PortfolioEntry { backend, run })
@@ -1180,21 +813,10 @@ impl<'wd> AdaptivePortfolio<'wd> {
     /// The most recent round's bandit leader, `None` before the first
     /// round.
     pub fn leader(&self) -> Option<BackendKind> {
-        self.last_leader.map(|i| self.arm_kinds[i])
+        self.last_leader.map(|i| self.backends[i])
     }
 
-    /// Per-arm recency-weighted mean rewards, in arm order (base arms
-    /// first, then escalation-spawned arms). Arms that have not yet
-    /// received a slice report `0.0`. The plateau detector triggers when
-    /// the maximum of these stays below the configured threshold — the
-    /// same numbers a progress stream would chart.
-    pub fn arm_rewards(&self) -> Vec<f64> {
-        self.stats.iter().map(|s| s.mean_reward).collect()
-    }
-
-    /// The portfolio's base backends, in arm order (escalation-spawned
-    /// arms are not listed — they are an artifact of the run, not its
-    /// configuration).
+    /// The portfolio's backends, in arm order.
     pub fn backends(&self) -> &[BackendKind] {
         &self.backends
     }
@@ -1217,20 +839,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
             found: self.found,
             t: self.t,
             last_leader: self.last_leader,
-            escalation: self.config.escalation.as_ref().map(|_| EscalationCkpt {
-                below: self.escalation.below,
-                events: self.escalation.events,
-                specs: self.escalation.specs.iter().map(spec_ckpt).collect(),
-                handoff: self.escalation.handoff.as_ref().map(|h| {
-                    let (lo, hi) = bounds_bits(&h.bounds);
-                    EscalationHandoffCkpt {
-                        lo,
-                        hi,
-                        incumbent: h.incumbent.iter().map(|v| v.to_bits()).collect(),
-                        ordinal: h.ordinal,
-                    }
-                }),
-            }),
         }
     }
 
@@ -1251,16 +859,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
         ckpt: &AdaptiveCheckpoint,
     ) -> Option<Self> {
         assert!(!backends.is_empty(), "portfolio needs at least one backend");
-        let specs: Vec<EscalationSpec> = match &ckpt.escalation {
-            None => Vec::new(),
-            Some(esc) => esc
-                .specs
-                .iter()
-                .map(spec_from_ckpt)
-                .collect::<Option<Vec<_>>>()?,
-        };
-        // Escalation-spawned arms' snapshots follow the base arms.
-        if ckpt.arms.len() != backends.len() + specs.len()
+        if ckpt.arms.len() != backends.len()
             || ckpt.stats.len() != ckpt.arms.len()
             || ckpt.last_leader.is_some_and(|i| i >= ckpt.arms.len())
         {
@@ -1286,28 +885,7 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 seen: s.seen,
             })
             .collect();
-        let mut portfolio =
-            Self::assemble(wd, config, backends, cancel.clone(), first_hit, arms, stats);
-        for (j, spec) in specs.iter().enumerate() {
-            if !portfolio.spawn_escalation_arm(spec, Some(&ckpt.arms[backends.len() + j])) {
-                return None;
-            }
-        }
-        if let Some(esc) = &ckpt.escalation {
-            portfolio.escalation = EscalationState {
-                below: esc.below,
-                events: esc.events,
-                specs,
-                handoff: match &esc.handoff {
-                    None => None,
-                    Some(h) => Some(EscalationHandoff {
-                        bounds: bounds_from_bits(&h.lo, &h.hi)?,
-                        incumbent: h.incumbent.iter().map(|&b| f64::from_bits(b)).collect(),
-                        ordinal: h.ordinal,
-                    }),
-                },
-            };
-        }
+        let mut portfolio = Self::assemble(config, backends, cancel.clone(), first_hit, arms, stats);
         portfolio.spent = ckpt.spent;
         portfolio.found = ckpt.found;
         portfolio.t = ckpt.t;
@@ -1701,203 +1279,6 @@ mod tests {
         while portfolio.round(1) {}
         assert!(portfolio.is_done());
         assert!(!portfolio.found());
-    }
-
-    /// A plateau-shaped weak distance over a wide domain (±1e8, so
-    /// starting points are drawn log-uniformly and rarely land near a
-    /// large-magnitude `c`): a funnel guiding toward `c`, a flat shelf
-    /// of radius `shelf` around it (where relative improvement — the
-    /// bandit's reward — dies), and a hidden zero basin of radius
-    /// `basin` placed *off-centre* at `c + 0.8 * shelf`, away from both
-    /// the funnel vertex (where Brent's parabolic fits aim exactly) and
-    /// the spread of local-search strand points. `basin = 0.0` removes
-    /// the zero (the control: nothing to find, same shape).
-    fn wd_plateau(c: f64, shelf: f64, basin: f64) -> impl WeakDistance {
-        FnWeakDistance::new(1, vec![Interval::symmetric(1.0e8)], move |x: &[f64]| {
-            let d = (x[0] - c).abs();
-            if basin > 0.0 && (x[0] - (c + 0.8 * shelf)).abs() <= basin {
-                0.0
-            } else if d <= shelf {
-                0.5
-            } else {
-                0.5 + (d - shelf) / 1.0e8
-            }
-        })
-    }
-
-    /// Escalation settings matched to [`wd_plateau`]: fire after two
-    /// quiet rounds, and tighten to a ±1500 window (1.5e-5 of the ±1e8
-    /// box) — wide enough to contain the off-centre basin from any
-    /// incumbent stranded on the shelf, narrow enough that the restart
-    /// sampler covers it densely.
-    fn escalating_config(seed: u64) -> AnalysisConfig {
-        AnalysisConfig::quick(seed)
-            .with_rounds(2)
-            .with_max_evals(6_000)
-            .with_escalation(
-                crate::driver::EscalationConfig::default()
-                    .with_threshold(0.25)
-                    .with_patience(2)
-                    .with_tighten(1.5e-5),
-            )
-    }
-
-    #[test]
-    fn plateau_triggers_escalation_and_finds_the_hidden_basin() {
-        // Seed 41 is a verified rescue: the pure adaptive policy
-        // exhausts its pool without ever hitting the off-centre basin,
-        // while the escalated run fires once and finds it.
-        let wd = wd_plateau(8.7654321e6, 500.0, 1.0);
-        let config = escalating_config(41);
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&wd, &config, &BackendKind::all(), &cancel);
-        let mut handoffs = 0usize;
-        while portfolio.round(1) {
-            if portfolio.take_handoff().is_some() {
-                handoffs += 1;
-            }
-        }
-        portfolio.finalize();
-        let escalations = portfolio.escalations();
-        assert!(escalations > 0, "the shelf never triggered an escalation");
-        assert_eq!(handoffs, escalations, "every event publishes one handoff");
-        let run = portfolio.into_run();
-        // Two arms per event, labelled after what they run: the Powell
-        // polish and the model-free sampling restart.
-        assert_eq!(run.entries.len(), 5 + 2 * escalations);
-        assert_eq!(run.entries[5].backend, BackendKind::Powell);
-        assert_eq!(run.entries[6].backend, BackendKind::RandomSearch);
-        assert!(
-            run.outcome().is_found(),
-            "escalated run missed the basin: {:?}",
-            run.outcome()
-        );
-        // The pure policy misses the basin on the same seed — the
-        // escalation is what found it, not the base arms.
-        let pure = AnalysisConfig::quick(41).with_rounds(2).with_max_evals(6_000);
-        let control = minimize_weak_distance_adaptive(&wd, &pure, &BackendKind::all());
-        assert!(
-            !control.outcome().is_found(),
-            "workload too easy: the pure policy found the basin too"
-        );
-    }
-
-    #[test]
-    fn escalation_handoff_describes_the_tightened_region() {
-        let wd = wd_plateau(8.7654321e6, 500.0, 0.0);
-        let config = escalating_config(41);
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&wd, &config, &BackendKind::all(), &cancel);
-        let mut handoff = None;
-        while portfolio.round(1) {
-            if let Some(h) = portfolio.take_handoff() {
-                handoff = Some(h);
-                break;
-            }
-        }
-        let h = handoff.expect("plateau fires a handoff");
-        assert_eq!(h.ordinal, 0);
-        assert_eq!(h.bounds.dim(), 1);
-        assert!(h.bounds.contains(&h.incumbent), "incumbent outside its box");
-        // Tightened to 1.5e-5 of the full ±1e8 box: 3000 wide, around
-        // the incumbent the funnel pulled onto the shelf.
-        let (lo, hi) = h.bounds.limit(0);
-        assert!(hi - lo <= 3000.0 + 1e-6, "box not tightened: [{lo}, {hi}]");
-        assert!(
-            (h.incumbent[0] - 8.7654321e6).abs() <= 600.0,
-            "incumbent {:?} never descended the funnel",
-            h.incumbent
-        );
-        // Taking the handoff is idempotent.
-        assert!(portfolio.take_handoff().is_none());
-    }
-
-    #[test]
-    fn escalation_is_deterministic_across_parallelism() {
-        let wd = wd_plateau(8.7654321e6, 500.0, 1.0);
-        let config = escalating_config(42);
-        let reference =
-            minimize_weak_distance_adaptive(&wd, &config, &BackendKind::all());
-        // Seed 42 escalates: the comparison must cover spawned arms.
-        assert!(reference.entries.len() > 5, "run never escalated");
-        for threads in [2usize, 8] {
-            let run = minimize_weak_distance_adaptive(
-                &wd,
-                &config.clone().with_parallelism(threads),
-                &BackendKind::all(),
-            );
-            assert_eq!(run.winner, reference.winner, "threads = {threads}");
-            assert_eq!(run.entries.len(), reference.entries.len());
-            for (a, b) in run.entries.iter().zip(&reference.entries) {
-                assert_eq!(a.backend, b.backend);
-                assert_eq!(a.run.outcome, b.run.outcome, "threads = {threads}");
-                assert_eq!(a.run.best, b.run.best, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn escalation_checkpoint_resume_is_invisible() {
-        // Kill+restore every round through JSON, across the escalation
-        // event itself: the continuation must replay bit-identically,
-        // including the spawned arms.
-        let wd = wd_plateau(8.7654321e6, 500.0, 0.0);
-        let config = escalating_config(43);
-        let backends = BackendKind::all();
-        let reference = minimize_weak_distance_adaptive(&wd, &config, &backends);
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
-        loop {
-            let ran = portfolio.round(1);
-            let ckpt = portfolio.checkpoint();
-            let text = serde_json::to_string(&ckpt).expect("render");
-            let back: AdaptiveCheckpoint = serde_json::from_str(&text).expect("parse");
-            portfolio = AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &back)
-                .expect("restore");
-            if !ran {
-                break;
-            }
-        }
-        assert!(portfolio.escalations() > 0, "run never escalated");
-        // The handoff survives the round trips until somebody takes it.
-        assert!(portfolio.take_handoff().is_some());
-        portfolio.finalize();
-        let run = portfolio.into_run();
-        assert_eq!(run.winner, reference.winner);
-        assert_eq!(run.entries.len(), reference.entries.len());
-        for (a, b) in run.entries.iter().zip(&reference.entries) {
-            assert_eq!(a.backend, b.backend);
-            assert_eq!(a.run.outcome, b.run.outcome, "{:?}", a.backend);
-            assert_eq!(a.run.best, b.run.best, "{:?}", a.backend);
-        }
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_escalation_specs() {
-        let wd = wd_plateau(0.0, 5.0, 0.0);
-        let config = escalating_config(44);
-        let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
-        while portfolio.escalations() == 0 && portfolio.round(1) {}
-        assert!(portfolio.escalations() > 0);
-        let ckpt = portfolio.checkpoint();
-        assert!(ckpt.escalation.is_some());
-        // Unknown spec kind.
-        let mut bad = ckpt.clone();
-        bad.escalation.as_mut().unwrap().specs[0].kind = "warp".to_string();
-        assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &bad).is_none());
-        // Inverted box limits.
-        let mut bad = ckpt.clone();
-        let spec = &mut bad.escalation.as_mut().unwrap().specs[0];
-        std::mem::swap(&mut spec.lo, &mut spec.hi);
-        assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &bad).is_none());
-        // Escalation record dropped: the arm count no longer adds up.
-        let mut bad = ckpt.clone();
-        bad.escalation = None;
-        assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &bad).is_none());
-        // The untouched checkpoint still restores.
-        assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt).is_some());
     }
 
     /// Regression (PR 10): leader selection ordered `(score, tiebreak)`

@@ -66,56 +66,6 @@ pub struct ArmStatsCkpt {
     pub seen: bool,
 }
 
-/// Snapshot of one escalation-spawned arm's recipe: enough to rebuild
-/// the arm's backend and tightened search box on restore. Floats travel
-/// as bit patterns, as everywhere in this layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EscalationSpecCkpt {
-    /// `"polish"` or `"restart"`.
-    pub kind: String,
-    /// Restart arms: the report name of the restarted backend
-    /// ([`BackendKind::name`](crate::BackendKind::name)).
-    pub backend: Option<String>,
-    /// Polish arms: the incumbent starting point, as `f64` bits.
-    pub x0: Vec<u64>,
-    /// Tightened box lower limits, as `f64` bits.
-    pub lo: Vec<u64>,
-    /// Tightened box upper limits, as `f64` bits.
-    pub hi: Vec<u64>,
-}
-
-/// Snapshot of a pending escalation handoff (see
-/// [`AdaptivePortfolio::take_handoff`]).
-///
-/// [`AdaptivePortfolio::take_handoff`]: crate::adaptive::AdaptivePortfolio::take_handoff
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EscalationHandoffCkpt {
-    /// Tightened box lower limits, as `f64` bits.
-    pub lo: Vec<u64>,
-    /// Tightened box upper limits, as `f64` bits.
-    pub hi: Vec<u64>,
-    /// The incumbent point, as `f64` bits.
-    pub incumbent: Vec<u64>,
-    /// Zero-based index of the escalation event that published this
-    /// handoff.
-    pub ordinal: usize,
-}
-
-/// Snapshot of the plateau detector and every escalation event so far.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EscalationCkpt {
-    /// Consecutive below-threshold scheduler rounds observed.
-    pub below: usize,
-    /// Escalation events fired so far.
-    pub events: usize,
-    /// Arm recipes of every escalation-spawned arm, in spawn order
-    /// (their analysis snapshots follow the base arms in
-    /// [`AdaptiveCheckpoint::arms`]).
-    pub specs: Vec<EscalationSpecCkpt>,
-    /// A published handoff not yet consumed by the driving caller.
-    pub handoff: Option<EscalationHandoffCkpt>,
-}
-
 /// Snapshot of a whole [`AdaptivePortfolio`]: every arm plus the
 /// scheduler state. Backends and config are re-supplied on restore and
 /// must match the checkpointed run (arm count is validated; the rest is
@@ -124,8 +74,7 @@ pub struct EscalationCkpt {
 /// [`AdaptivePortfolio`]: crate::adaptive::AdaptivePortfolio
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveCheckpoint {
-    /// Per-arm analysis snapshots: base arms in backend order, then
-    /// escalation-spawned arms in spawn order.
+    /// Per-arm analysis snapshots, in backend order.
     pub arms: Vec<AnalysisCheckpoint>,
     /// Per-arm bandit statistics, in arm order.
     pub stats: Vec<ArmStatsCkpt>,
@@ -137,8 +86,6 @@ pub struct AdaptiveCheckpoint {
     pub t: u64,
     /// The most recent round's leader arm, for progress reporting.
     pub last_leader: Option<usize>,
-    /// Plateau-escalation state; `None` when escalation is disabled.
-    pub escalation: Option<EscalationCkpt>,
 }
 
 #[cfg(test)]
@@ -170,44 +117,10 @@ mod tests {
             found: false,
             t: 7,
             last_leader: Some(0),
-            escalation: None,
         };
         let text = serde_json::to_string(&ckpt).expect("render");
         let back: AdaptiveCheckpoint = serde_json::from_str(&text).expect("parse");
         assert_eq!(back, ckpt);
-    }
-
-    #[test]
-    fn escalation_checkpoint_round_trips_through_json() {
-        let esc = EscalationCkpt {
-            below: 3,
-            events: 1,
-            specs: vec![
-                EscalationSpecCkpt {
-                    kind: "polish".to_string(),
-                    backend: None,
-                    x0: vec![1.5f64.to_bits(), (-0.0f64).to_bits()],
-                    lo: vec![1.0f64.to_bits(), (-1.0f64).to_bits()],
-                    hi: vec![2.0f64.to_bits(), 1.0f64.to_bits()],
-                },
-                EscalationSpecCkpt {
-                    kind: "restart".to_string(),
-                    backend: Some("Basinhopping".to_string()),
-                    x0: Vec::new(),
-                    lo: vec![1.0f64.to_bits(), f64::NEG_INFINITY.to_bits()],
-                    hi: vec![2.0f64.to_bits(), f64::INFINITY.to_bits()],
-                },
-            ],
-            handoff: Some(EscalationHandoffCkpt {
-                lo: vec![1.0f64.to_bits()],
-                hi: vec![2.0f64.to_bits()],
-                incumbent: vec![1.5f64.to_bits()],
-                ordinal: 0,
-            }),
-        };
-        let text = serde_json::to_string(&esc).expect("render");
-        let back: EscalationCkpt = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back, esc);
     }
 
     #[test]

@@ -97,69 +97,6 @@ impl BackendKind {
     }
 }
 
-/// Plateau-escalation policy of the adaptive portfolio
-/// ([`crate::adaptive`]): when the recency-weighted improvement across
-/// every live arm stays below `threshold` for `patience` consecutive
-/// scheduler rounds, the scheduler escalates — a focused local-polish
-/// arm (Powell/Brent started at the incumbent) and a bound-tightened
-/// restart arm join the portfolio, drawing from the same evaluation
-/// pool, and a handoff describing the tightened region is published for
-/// satisfiability-shaped drivers to route to `wdm_xsat` mid-run.
-/// Escalation decisions are pure functions of the slice history, so the
-/// determinism and checkpoint contracts of the portfolio are preserved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EscalationConfig {
-    /// An escalation round counts as a plateau round when no live arm's
-    /// recency-weighted mean reward reaches this value.
-    pub threshold: f64,
-    /// Consecutive plateau rounds required before escalating.
-    pub patience: usize,
-    /// Maximum number of escalation events per run (each event adds two
-    /// arms).
-    pub max_escalations: usize,
-    /// Width of the tightened search box around the incumbent, as a
-    /// fraction of each dimension's full width (see
-    /// [`wdm_mo::Bounds::tightened_around`]).
-    pub tighten: f64,
-}
-
-impl Default for EscalationConfig {
-    fn default() -> Self {
-        EscalationConfig {
-            threshold: 0.01,
-            patience: 4,
-            max_escalations: 2,
-            tighten: 0.05,
-        }
-    }
-}
-
-impl EscalationConfig {
-    /// Sets the plateau reward threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Sets the plateau patience, in scheduler rounds.
-    pub fn with_patience(mut self, patience: usize) -> Self {
-        self.patience = patience.max(1);
-        self
-    }
-
-    /// Sets the maximum number of escalation events.
-    pub fn with_max_escalations(mut self, max_escalations: usize) -> Self {
-        self.max_escalations = max_escalations;
-        self
-    }
-
-    /// Sets the tightening fraction of the escalated search box.
-    pub fn with_tighten(mut self, tighten: f64) -> Self {
-        self.tighten = tighten;
-        self
-    }
-}
-
 /// Configuration of one analysis run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisConfig {
@@ -200,10 +137,6 @@ pub struct AnalysisConfig {
     ///
     /// [`Analyzable::specialize`]: fp_runtime::Analyzable::specialize
     pub opt_policy: OptPolicy,
-    /// Plateau-triggered hybrid escalation of the adaptive portfolio
-    /// ([`crate::adaptive`]); `None` (the default) disables escalation
-    /// and reproduces the pre-escalation scheduler bit for bit.
-    pub escalation: Option<EscalationConfig>,
 }
 
 impl AnalysisConfig {
@@ -219,7 +152,6 @@ impl AnalysisConfig {
             parallelism: 1,
             kernel_policy: KernelPolicy::Auto,
             opt_policy: OptPolicy::Auto,
-            escalation: None,
         }
     }
 
@@ -235,7 +167,6 @@ impl AnalysisConfig {
             parallelism: 1,
             kernel_policy: KernelPolicy::Auto,
             opt_policy: OptPolicy::Auto,
-            escalation: None,
         }
     }
 
@@ -288,13 +219,6 @@ impl AnalysisConfig {
     /// bit-identical — only per-evaluation cost.
     pub fn with_opt_policy(mut self, opt_policy: OptPolicy) -> Self {
         self.opt_policy = opt_policy;
-        self
-    }
-
-    /// Enables plateau-triggered hybrid escalation in the adaptive
-    /// portfolio ([`crate::adaptive`]).
-    pub fn with_escalation(mut self, escalation: EscalationConfig) -> Self {
-        self.escalation = Some(escalation);
         self
     }
 

@@ -61,11 +61,11 @@ pub mod weak_distance;
 
 pub use adaptive::{
     minimize_weak_distance_adaptive, minimize_weak_distance_adaptive_cancellable,
-    AdaptivePortfolio, EscalationHandoff, PortfolioRun, SteppedAnalysis,
+    AdaptivePortfolio, PortfolioRun, SteppedAnalysis,
 };
-pub use checkpoint::{AdaptiveCheckpoint, AnalysisCheckpoint, EscalationCkpt};
+pub use checkpoint::{AdaptiveCheckpoint, AnalysisCheckpoint};
 pub use driver::{
     derive_round_seed, minimize_weak_distance, minimize_weak_distance_cancellable,
-    statically_pruned_run, AnalysisConfig, BackendKind, EscalationConfig, MinimizationRun, Outcome,
+    statically_pruned_run, AnalysisConfig, BackendKind, MinimizationRun, Outcome,
 };
 pub use weak_distance::{ObservedWeakDistance, WeakDistance};

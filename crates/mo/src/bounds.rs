@@ -97,45 +97,6 @@ impl Bounds {
                 .all(|(&xi, &(lo, hi))| xi >= lo && xi <= hi)
     }
 
-    /// Returns a copy of these bounds tightened dimension-wise around `x`:
-    /// each dimension becomes the intersection of the original limit with a
-    /// window of `factor` times the original width, centred on the clamped
-    /// `x_i`. Unbounded dimensions fall back to a finite window of width
-    /// `2 * (|x_i| * factor + 1)` so the result is always a usable finite
-    /// neighbourhood. The plateau-escalation path uses this to focus a
-    /// polish slice or a restarted arm on the incumbent region.
-    ///
-    /// The result never widens: every tightened limit is contained in the
-    /// original one, and `lo <= hi` holds in every dimension (a degenerate
-    /// window collapses to the clamped point).
-    pub fn tightened_around(&self, x: &[f64], factor: f64) -> Bounds {
-        debug_assert_eq!(x.len(), self.dim());
-        let factor = if factor.is_finite() && factor > 0.0 {
-            factor.min(1.0)
-        } else {
-            1.0
-        };
-        let centre = self.clamped(x);
-        let limits = centre
-            .iter()
-            .zip(&self.limits)
-            .map(|(&c, &(lo, hi))| {
-                let width = hi - lo;
-                let half = if width.is_finite() {
-                    width * factor / 2.0
-                } else {
-                    c.abs() * factor + 1.0
-                };
-                // `c` is clamped and the window never widens past the
-                // original box, so the intersection is non-empty.
-                let nlo = (c - half).max(lo);
-                let nhi = (c + half).min(hi);
-                (nlo.min(c), nhi.max(c))
-            })
-            .collect();
-        Bounds::new(limits)
-    }
-
     /// Draws a random point. Narrow dimensions (width below `1e6`) are
     /// sampled uniformly; wide dimensions are sampled with a log-uniform
     /// magnitude so that tiny and huge floats are both reachable.
@@ -349,49 +310,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn rejects_inverted_bounds() {
         let _ = Bounds::new(vec![(1.0, 0.0)]);
-    }
-
-    #[test]
-    fn tightened_around_shrinks_and_contains_centre() {
-        let b = Bounds::new(vec![(-10.0, 10.0), (0.0, 100.0)]);
-        let t = b.tightened_around(&[1.0, 50.0], 0.1);
-        assert_eq!(t.limit(0), (0.0, 2.0));
-        assert_eq!(t.limit(1), (45.0, 55.0));
-        assert!(t.contains(&[1.0, 50.0]));
-    }
-
-    #[test]
-    fn tightened_around_intersects_with_original_box() {
-        // Centre near an edge: the window is cut off by the original bound.
-        let b = Bounds::new(vec![(-10.0, 10.0)]);
-        let t = b.tightened_around(&[9.9], 0.1);
-        let (lo, hi) = t.limit(0);
-        assert!(lo >= 8.8 && hi == 10.0, "got [{lo}, {hi}]");
-        // Out-of-box centre is clamped first.
-        let t = b.tightened_around(&[50.0], 0.1);
-        assert!(t.contains(&[10.0]));
-        assert!(!t.contains(&[8.0]));
-    }
-
-    #[test]
-    fn tightened_around_handles_infinite_and_nan_inputs() {
-        let b = Bounds::whole(1);
-        let t = b.tightened_around(&[1.0e300], 0.05);
-        let (lo, hi) = t.limit(0);
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        assert!(t.contains(&[1.0e300]));
-        // NaN centre falls back to the clamp midpoint; result stays valid.
-        let t = b.tightened_around(&[f64::NAN], 0.05);
-        let (lo, hi) = t.limit(0);
-        assert!(lo <= hi && !lo.is_nan() && !hi.is_nan());
-        // Half-bounded dimension (infinite width): finite window.
-        let b = Bounds::new(vec![(0.0, f64::INFINITY)]);
-        let t = b.tightened_around(&[1.0e12], 0.1);
-        let (lo, hi) = t.limit(0);
-        assert!(lo.is_finite() && hi.is_finite() && lo >= 0.0 && lo <= hi);
-        // A non-finite factor degrades to no tightening beyond the box.
-        let b = Bounds::new(vec![(-1.0, 1.0)]);
-        let t = b.tightened_around(&[0.0], f64::NAN);
-        assert_eq!(t.limit(0), (-1.0, 1.0));
     }
 }

@@ -53,7 +53,6 @@ pub mod multistart;
 pub mod nelder_mead;
 pub mod objective;
 pub mod parallel;
-pub mod polish;
 pub mod powell;
 pub mod random_search;
 pub mod result;
@@ -72,7 +71,6 @@ pub use multistart::MultiStart;
 pub use nelder_mead::NelderMead;
 pub use objective::{CountingObjective, FnObjective, Objective};
 pub use parallel::scoped_map;
-pub use polish::Polish;
 pub use powell::Powell;
 pub use random_search::RandomSearch;
 pub use result::{MinimizeResult, Termination};

@@ -6,8 +6,7 @@
 //! directions (Powell 1964).
 //!
 //! Powell is a *true stepped backend*: the run suspends between outer
-//! conjugate-direction iterations (`PowellStep`, shared with the
-//! [`Polish`](crate::Polish) escalation machine; see
+//! conjugate-direction iterations (`PowellStep`; see
 //! [`SteppedMinimizer`]), carrying the evolving direction set, the current
 //! point and the evaluator bookkeeping across slices. Sliced execution is
 //! bit-identical to the unsliced run — both the local
@@ -97,7 +96,7 @@ impl Powell {
 /// iterations* — an iteration's chain of line searches shares bracketing
 /// state that cannot be split without changing the evaluation sequence, so
 /// the iteration boundary is the finest safe checkpoint.
-pub(crate) struct PowellStep {
+struct PowellStep {
     cfg: Powell,
     /// The per-call budget cap of the local interface (`usize::MAX` for
     /// stepped runs, which only ever stop at the problem budget).
@@ -116,7 +115,7 @@ impl PowellStep {
     /// `x0` (the local interface; the global interface samples `x0` from
     /// the seed first), spending at most `max_evals` evaluations. No
     /// objective evaluation happens here.
-    pub(crate) fn from_x0(
+    fn from_x0(
         cfg: Powell,
         problem: &Problem<'_>,
         x0: Vec<f64>,

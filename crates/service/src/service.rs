@@ -163,8 +163,10 @@ impl ServiceConfig {
     }
 }
 
-/// What happened to a job, streamed to subscribers.
+/// What happened to a job, streamed to subscribers. More kinds may
+/// follow, so a `match` on it needs a wildcard arm.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub enum EventKind {
     /// The job was admitted (possibly resuming from a durable
     /// checkpoint at the given turn count).
@@ -187,16 +189,6 @@ pub enum EventKind {
     Checkpointed {
         /// Turns executed when the snapshot was taken.
         turn: u64,
-    },
-    /// The job's adaptive portfolio fired one or more plateau
-    /// escalations during a turn (see
-    /// [`EscalationConfig`](wdm_core::EscalationConfig)).
-    Escalated {
-        /// The turn in which the events fired.
-        turn: u64,
-        /// Total escalation events over the job's lifetime, including
-        /// any from before a checkpoint resume.
-        total: usize,
     },
     /// The job reached a terminal outcome.
     Finished {
@@ -594,13 +586,6 @@ fn run_turn(inner: &ServiceInner, index: usize) {
         None => AdaptivePortfolio::new(&*wd, &config, &backends, &cancel),
     };
 
-    // Escalations that fired before this turn are recorded in the
-    // checkpoint; anything beyond that count fired during this turn.
-    let prior_escalations = checkpoint
-        .as_ref()
-        .and_then(|c| c.escalation.as_ref())
-        .map_or(0, |e| e.events);
-
     let rounds = inner.config.rounds_per_turn.max(1).saturating_mul(weight);
     let mut live = true;
     for _ in 0..rounds {
@@ -609,22 +594,10 @@ fn run_turn(inner: &ServiceInner, index: usize) {
             break;
         }
     }
-
-    let total_escalations = portfolio.escalations();
-    if total_escalations > prior_escalations {
-        let mut state = inner.lock();
-        inner.emit(
-            &mut state,
-            ProgressEvent {
-                job: JobId(index),
-                name: name.clone(),
-                kind: EventKind::Escalated {
-                    turn,
-                    total: total_escalations,
-                },
-            },
-        );
-    }
+    // A cancel that lands mid-turn cuts the running round short, and
+    // `round` still reports it as run. Such a turn is not progress: the
+    // job ends as cancelled, and the disk keeps the last full turn.
+    live &= !cancel.is_cancelled();
 
     if live {
         let snapshot = portfolio.checkpoint();

@@ -228,11 +228,6 @@ pub fn event_json(event: &ProgressEvent) -> Value {
             fields.push(("event", Value::Str("checkpointed".into())));
             fields.push(("turn", Value::UInt(*turn)));
         }
-        EventKind::Escalated { turn, total } => {
-            fields.push(("event", Value::Str("escalated".into())));
-            fields.push(("turn", Value::UInt(*turn)));
-            fields.push(("total", Value::UInt(*total as u64)));
-        }
         EventKind::Finished {
             found,
             evals,

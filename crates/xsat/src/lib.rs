@@ -36,4 +36,4 @@ pub mod solver;
 
 pub use ast::{Atom, Clause, Cnf, Expr, Rel};
 pub use distance::{CnfWeakDistance, DistanceMetric};
-pub use solver::{solve_all, Solver, Verdict};
+pub use solver::{Solver, Verdict};

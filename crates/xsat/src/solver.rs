@@ -1,22 +1,17 @@
 //! The satisfiability solver: minimize the CNF weak distance and verify the
 //! model.
 //!
-//! Solving is parallel at three levels, mirroring the execution engine:
-//! [`AnalysisConfig::parallelism`] shards the restart rounds of a single
-//! `solve` deterministically, [`Solver::solve_portfolio`] runs several MO
-//! backends on one formula as a deterministic adaptive portfolio with
-//! first-hit cancellation, and [`solve_all`] spreads a batch of
-//! independent formulas over worker threads.
+//! Solving is parallel at two levels: [`AnalysisConfig::parallelism`]
+//! shards the restart rounds of a single `solve` deterministically, and
+//! [`Solver::solve_portfolio`] runs several MO backends on one formula as
+//! a deterministic adaptive portfolio with first-hit cancellation.
 
 use crate::ast::Cnf;
 use crate::distance::{CnfWeakDistance, DistanceMetric};
 use fp_runtime::Interval;
-use wdm_core::adaptive::{
-    minimize_weak_distance_adaptive, minimize_weak_distance_adaptive_cancellable, AdaptivePortfolio,
-};
+use wdm_core::adaptive::minimize_weak_distance_adaptive;
 use wdm_core::driver::{minimize_weak_distance, AnalysisConfig, BackendKind, Outcome};
 use wdm_core::weak_distance::WeakDistance;
-use wdm_mo::CancelToken;
 
 /// The solver's answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,66 +96,6 @@ impl Solver {
         self.verdict_of(&wd, run.outcome())
     }
 
-    /// Like [`solve_portfolio`](Self::solve_portfolio), but cancellable
-    /// mid-run: when `cancel` fires, every arm stops at its next
-    /// evaluation check and the verdict reports the best residual reached
-    /// so far.
-    pub fn solve_portfolio_cancellable(
-        &self,
-        config: &AnalysisConfig,
-        backends: &[BackendKind],
-        cancel: &CancelToken,
-    ) -> Verdict {
-        let wd = self.weak_distance();
-        let run = minimize_weak_distance_adaptive_cancellable(&wd, config, backends, cancel);
-        self.verdict_of(&wd, run.outcome())
-    }
-
-    /// Solves with the adaptive portfolio and routes plateau escalations
-    /// back into the solver: whenever the scheduler publishes an
-    /// escalation handoff (see
-    /// [`AdaptivePortfolio::take_handoff`]), the
-    /// tightened incumbent box becomes the domain of a fresh focused
-    /// sub-solve over the same formula ([`Self::solve_portfolio`]), seeded
-    /// from a disjoint stream per event. A verified model from either
-    /// level wins; the sub-solve's budget is one round of the configured
-    /// budget per event.
-    ///
-    /// With [`AnalysisConfig::escalation`] unset this degrades to a plain
-    /// adaptive portfolio solve. The verdict is a pure function of
-    /// (formula, config, backends): deterministic for any
-    /// [`AnalysisConfig::parallelism`].
-    pub fn solve_escalating(&self, config: &AnalysisConfig, backends: &[BackendKind]) -> Verdict {
-        let wd = self.weak_distance();
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&wd, config, backends, &cancel);
-        let workers = config.parallelism.max(1);
-        while portfolio.round(workers) {
-            let Some(handoff) = portfolio.take_handoff() else {
-                continue;
-            };
-            let domain: Vec<Interval> = handoff
-                .bounds
-                .limits()
-                .iter()
-                .map(|&(lo, hi)| Interval::new(lo, hi))
-                .collect();
-            let mut sub_config = config
-                .clone()
-                .with_rounds(1)
-                .with_seed_offset(1 + handoff.ordinal as u64);
-            // The sub-solve is the escalation: it must not recurse.
-            sub_config.escalation = None;
-            let sub = self.clone().with_domain(domain);
-            let verdict = sub.solve_portfolio(&sub_config, backends);
-            if verdict.is_sat() {
-                return verdict;
-            }
-        }
-        portfolio.finalize();
-        self.verdict_of(&wd, portfolio.into_run().outcome())
-    }
-
     fn weak_distance(&self) -> CnfWeakDistance {
         let mut wd = CnfWeakDistance::new(self.cnf.clone()).with_metric(self.metric);
         if let Some(domain) = &self.domain {
@@ -193,18 +128,6 @@ impl Solver {
             },
         }
     }
-}
-
-/// Solves a batch of independent formulas over `threads` worker threads,
-/// returning verdicts in input order.
-///
-/// Each solver runs sequentially with the same configuration (its restart
-/// stream depends only on the configuration, not on scheduling), so the
-/// returned verdicts are bit-identical for every `threads` value — batch
-/// parallelism is purely a throughput knob, exactly like the campaign mode
-/// of `wdm_engine`.
-pub fn solve_all(solvers: &[Solver], config: &AnalysisConfig, threads: usize) -> Vec<Verdict> {
-    wdm_mo::scoped_map(threads, solvers.len(), |i| solvers[i].solve(config))
 }
 
 #[cfg(test)]
@@ -326,104 +249,6 @@ mod tests {
         );
         let model = verdict.model().expect("satisfiable");
         assert!(cnf.holds(model));
-    }
-
-    #[test]
-    fn solve_all_returns_verdicts_in_order_for_any_thread_count() {
-        let sat = Cnf::new(1).and(Clause::from(Atom::eq(
-            Expr::var(0),
-            Expr::constant(3.0),
-        )));
-        let unsat = Cnf::new(1).and(Clause::from(Atom::eq(
-            Expr::var(0) * Expr::var(0),
-            Expr::constant(-4.0),
-        )));
-        let solvers: Vec<Solver> = (0..6)
-            .map(|i| {
-                let cnf = if i % 2 == 0 { sat.clone() } else { unsat.clone() };
-                Solver::new(cnf).with_domain(vec![Interval::symmetric(50.0)])
-            })
-            .collect();
-        let config = AnalysisConfig::quick(2).with_rounds(2).with_max_evals(4_000);
-        let sequential = solve_all(&solvers, &config, 1);
-        for threads in [2, 4, 16] {
-            let parallel = solve_all(&solvers, &config, threads);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-        for (i, verdict) in sequential.iter().enumerate() {
-            assert_eq!(verdict.is_sat(), i % 2 == 0, "formula {i}");
-        }
-    }
-
-    #[test]
-    fn cancellable_portfolio_reports_best_residual_on_cancel() {
-        let cnf = Cnf::new(1).and(Clause::from(Atom::eq(
-            Expr::var(0) * Expr::var(0),
-            Expr::constant(-1.0),
-        )));
-        let solver = Solver::new(cnf).with_domain(vec![Interval::symmetric(100.0)]);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let verdict = solver.solve_portfolio_cancellable(
-            &AnalysisConfig::quick(7).with_rounds(2),
-            &BackendKind::all(),
-            &cancel,
-        );
-        match verdict {
-            Verdict::Unknown { best_residual, .. } => assert!(best_residual > 0.0),
-            Verdict::Sat(m) => panic!("spurious model {m:?}"),
-        }
-    }
-
-    #[test]
-    fn escalating_solve_finds_and_verifies_a_model() {
-        // 2.25 has exact floating-point square roots (±1.5), so equality
-        // is satisfiable under round-to-nearest.
-        let cnf = Cnf::new(1).and(Clause::from(Atom::eq(
-            Expr::var(0) * Expr::var(0),
-            Expr::constant(2.25),
-        )));
-        let solver = Solver::new(cnf.clone()).with_domain(vec![Interval::symmetric(100.0)]);
-        let config = AnalysisConfig::quick(9).with_rounds(2).with_escalation(
-            wdm_core::EscalationConfig::default()
-                .with_threshold(0.25)
-                .with_patience(2),
-        );
-        let verdict = solver.solve_escalating(&config, &BackendKind::all());
-        let model = verdict.model().expect("satisfiable");
-        assert!(cnf.holds(model), "model {model:?}");
-    }
-
-    #[test]
-    fn escalating_solve_is_deterministic_and_consumes_every_handoff() {
-        // Unsatisfiable: the weak distance plateaus above zero, so with a
-        // trivially-low bar every escalation fires, each handoff becomes a
-        // focused sub-solve that also fails, and the final verdict must
-        // still be a pure function of the configuration.
-        let cnf = Cnf::new(1).and(Clause::from(Atom::eq(
-            Expr::var(0) * Expr::var(0),
-            Expr::constant(-1.0),
-        )));
-        let solver = Solver::new(cnf).with_domain(vec![Interval::symmetric(100.0)]);
-        let config = AnalysisConfig::quick(11)
-            .with_rounds(2)
-            .with_max_evals(4_000)
-            .with_escalation(
-                wdm_core::EscalationConfig::default()
-                    // Rewards are never this high: every quiet stretch
-                    // escalates, exercising the handoff consumption path.
-                    .with_threshold(2.0)
-                    .with_patience(1),
-            );
-        let reference = solver.solve_escalating(&config, &BackendKind::all());
-        assert!(!reference.is_sat());
-        for threads in [2usize, 8] {
-            let parallel = solver.solve_escalating(
-                &config.clone().with_parallelism(threads),
-                &BackendKind::all(),
-            );
-            assert_eq!(parallel, reference, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -16,12 +16,11 @@
 
 mod common;
 
-use common::{matrix_threads, shaped, thread_counts, trace_bits};
+use common::{shaped, thread_counts, trace_bits};
 use proptest::prelude::*;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
 use wdm::core::driver::{
     minimize_weak_distance, minimize_weak_distance_cancellable, AnalysisConfig, BackendKind,
-    EscalationConfig,
 };
 use wdm::core::{AdaptivePortfolio, PortfolioRun};
 use wdm::core::boundary::BoundaryWeakDistance;
@@ -169,14 +168,10 @@ fn adaptive_scheduler_is_deterministic_at_any_thread_count() {
 }
 
 proptest! {
-    /// Mid-run escalation does not disturb slice invariance: a portfolio
-    /// driven with a random worker count per scheduler round — so
-    /// escalation arms join mid-slice at arbitrary points of the
-    /// schedule — produces the plain adaptive run bit for bit. The
-    /// saturating threshold makes the detector fire on every run, so
-    /// every case genuinely exercises arms spawned after round zero.
+    /// A portfolio driven with a random worker count per scheduler round
+    /// produces the plain adaptive run bit for bit.
     #[test]
-    fn escalating_portfolio_is_worker_slice_invariant(
+    fn adaptive_portfolio_is_worker_slice_invariant(
         seed in any::<u64>(),
         kind in any::<u8>(),
         offset in 0.25f64..64.0,
@@ -187,23 +182,9 @@ proptest! {
                 shaped(kind, x[0]).abs() + offset
             })
         };
-        // Six rounds keep the shared pool above the worst-case probe
-        // burn (an arm that cannot pause mid-step may spend its whole
-        // per-round budget in one slice, as MultiStart does on the
-        // all-overflow objective), so the detector always gets a fold
-        // with budget left to escalate into.
-        let config = AnalysisConfig::quick(seed)
-            .with_rounds(6)
-            .with_max_evals(1_000)
-            .with_escalation(
-                EscalationConfig::default().with_threshold(2.0).with_patience(1),
-            );
+        let config = AnalysisConfig::quick(seed).with_rounds(6).with_max_evals(1_000);
         let backends = BackendKind::all();
         let reference = minimize_weak_distance_adaptive(&wd(), &config, &backends);
-        prop_assert!(
-            reference.entries.len() > backends.len(),
-            "the saturating threshold escalated (seed {seed}, kind {kind}, offset {offset})"
-        );
 
         let objective = wd();
         let cancel = CancelToken::new();
@@ -223,73 +204,6 @@ proptest! {
             common::assert_runs_identical(&a.run, &b.run, &format!("{:?}", a.backend));
         }
     }
-}
-
-/// Plateau escalation rescues shelf instances the pure adaptive policy
-/// misses and loses none it solves. The shelf is flat around an
-/// off-center magnitude of a huge log-sampled domain and hides a narrow
-/// zero basin, so the bandit's per-slice improvements go quiet. On the
-/// zero-free control shelf neither policy reports a zero, and escalation
-/// spends at most 5% more evaluations than the pure policy.
-#[test]
-fn escalation_rescues_shelf_instances_without_losses() {
-    const CENTER: f64 = 8.765_432_1e6;
-    const SHELF: f64 = 500.0;
-    const BASIN: f64 = 1.0;
-    let shelf = |with_basin: bool| {
-        FnWeakDistance::new(1, vec![Interval::symmetric(1.0e8)], move |x: &[f64]| {
-            let d = (x[0] - CENTER).abs();
-            if with_basin && (x[0] - (CENTER + 0.8 * SHELF)).abs() <= BASIN {
-                0.0
-            } else if d <= SHELF {
-                0.5
-            } else {
-                0.5 + (d - SHELF) / 1.0e8
-            }
-        })
-    };
-    // Whether each policy found a zero, and its evaluation spend.
-    let compare = |seed: u64, with_basin: bool| {
-        let wd = shelf(with_basin);
-        let pure = AnalysisConfig::quick(seed)
-            .with_rounds(2)
-            .with_max_evals(6_000)
-            .with_parallelism(matrix_threads());
-        let escalated = pure.clone().with_escalation(
-            EscalationConfig::default()
-                .with_threshold(0.25)
-                .with_patience(2)
-                .with_tighten(1.5e-5),
-        );
-        [pure, escalated].map(|config| {
-            let run = minimize_weak_distance_adaptive(&wd, &config, &BackendKind::all());
-            (run.outcome().is_found(), run.outcome().evals())
-        })
-    };
-
-    let (mut pure_found, mut escalated_found) = (0, 0);
-    for seed in 40..=45 {
-        let [(pure, _), (escalated, _)] = compare(seed, true);
-        assert!(escalated || !pure, "seed {seed}: escalation lost a solved instance");
-        pure_found += usize::from(pure);
-        escalated_found += usize::from(escalated);
-    }
-    assert!(
-        escalated_found > pure_found,
-        "escalation solved {escalated_found} shelves, the pure policy {pure_found}"
-    );
-
-    let (mut pure_spend, mut escalated_spend) = (0, 0);
-    for seed in 40..=42 {
-        let [(pure, pure_evals), (escalated, escalated_evals)] = compare(seed, false);
-        assert!(!pure && !escalated, "seed {seed}: a zero on the zero-free shelf");
-        pure_spend += pure_evals;
-        escalated_spend += escalated_evals;
-    }
-    assert!(
-        escalated_spend as f64 <= 1.05 * pure_spend as f64,
-        "control spend: escalated {escalated_spend}, pure {pure_spend}"
-    );
 }
 
 /// Regression (PR 5): portfolio entries charge exactly the evaluations

@@ -10,16 +10,17 @@
 //!   which embeds the evaluator state, the RNG stream and the incumbent;
 //! * the sampling trace (`TraceCkpt`), round-tripped at the same pause;
 //! * the adaptive portfolio snapshot (`AdaptiveCheckpoint`), which adds
-//!   the bandit state (plays, reward EMAs, leadership history).
+//!   the bandit state (plays, reward EMAs, leadership history), including
+//!   files that still carry the retired plateau detector's key.
 
 mod common;
 
 use common::{shaped, trace_bits};
 use proptest::prelude::*;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
-use wdm::core::driver::{AnalysisConfig, BackendKind, EscalationConfig};
+use wdm::core::driver::{AnalysisConfig, BackendKind};
 use wdm::core::weak_distance::FnWeakDistance;
-use wdm::core::AdaptivePortfolio;
+use wdm::core::{AdaptiveCheckpoint, AdaptivePortfolio, WeakDistance};
 use wdm::mo::stepped::StepStatus;
 use wdm::mo::{
     BasinHopping, Bounds, CancelToken, DifferentialEvolution, FnObjective, MultiStart, Powell,
@@ -132,65 +133,63 @@ proptest! {
     }
 }
 
-proptest! {
-    /// Escalation state round trip: with a saturating plateau threshold
-    /// the detector fires on every run, so each checkpoint hop carries
-    /// live escalation state — spawned-arm recipes, detector counters,
-    /// pending handoffs. Restoring after every scheduler round still
-    /// replays the never-paused run bit for bit, escalation arms
-    /// included.
-    #[test]
-    fn escalation_state_survives_json_round_trips(
-        seed in any::<u64>(),
-        kind in any::<u8>(),
-        offset in 0.25f64..64.0,
-    ) {
-        let wd = move || {
-            FnWeakDistance::new(1, vec![Interval::symmetric(100.0)], move |x: &[f64]| {
-                shaped(kind, x[0]).abs() + offset
-            })
-        };
-        // Rewards live in [0, 1], so a threshold of 2 reads every quiet
-        // stretch as a plateau: escalation is guaranteed, not workload-
-        // dependent. Six rounds keep the pool above the worst-case
-        // probe burn (an arm that cannot pause mid-step may spend its
-        // whole per-round budget in one slice), so the detector always
-        // folds with budget left to escalate into.
-        let config = AnalysisConfig::quick(seed)
-            .with_rounds(6)
-            .with_max_evals(1_000)
-            .with_escalation(
-                EscalationConfig::default().with_threshold(2.0).with_patience(1),
-            );
-        let backends = BackendKind::all();
-        let reference = minimize_weak_distance_adaptive(&wd(), &config, &backends);
-        prop_assert!(
-            reference.entries.len() > backends.len(),
-            "the saturating threshold escalated"
-        );
+/// A zero-free objective, so a portfolio on it spends its whole pool.
+fn zero_free() -> impl WeakDistance {
+    FnWeakDistance::new(1, vec![Interval::symmetric(100.0)], |x: &[f64]| {
+        x[0].abs() + 0.5
+    })
+}
 
-        let objective = wd();
-        let cancel = CancelToken::new();
-        let mut portfolio = AdaptivePortfolio::new(&objective, &config, &backends, &cancel);
-        let mut rounds = 0usize;
-        while portfolio.round(1) {
-            let json = serde_json::to_string(&portfolio.checkpoint())
-                .expect("render portfolio checkpoint");
-            drop(portfolio);
-            let ckpt = serde_json::from_str(&json).expect("parse portfolio checkpoint");
-            portfolio = AdaptivePortfolio::restore(&objective, &config, &backends, &cancel, &ckpt)
-                .expect("restore own checkpoint");
-            rounds += 1;
-            prop_assert!(rounds < 10_000, "runaway scheduling");
-        }
-        portfolio.finalize();
-        let resumed = portfolio.into_run();
+/// Portfolio checkpoints used to end in a null key that held the state of
+/// the plateau detector, since retired. Such a file still restores, the
+/// key is dropped, and the run replays bit for bit.
+#[test]
+fn a_checkpoint_with_the_retired_plateau_key_restores_and_replays() {
+    let wd = zero_free();
+    let config = AnalysisConfig::quick(31).with_rounds(2).with_max_evals(2_000);
+    let backends = BackendKind::all();
+    let reference = minimize_weak_distance_adaptive(&wd, &config, &backends);
 
-        prop_assert_eq!(resumed.winner, reference.winner);
-        prop_assert_eq!(resumed.entries.len(), reference.entries.len());
-        for (a, b) in resumed.entries.iter().zip(&reference.entries) {
-            prop_assert_eq!(a.backend, b.backend);
-            common::assert_runs_identical(&a.run, &b.run, &format!("{:?}", a.backend));
-        }
+    let cancel = CancelToken::new();
+    let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
+    for _ in 0..3 {
+        assert!(portfolio.round(1), "the pool outlasts three rounds");
     }
+    let text = serde_json::to_string(&portfolio.checkpoint()).expect("render");
+    drop(portfolio);
+    let body = text.strip_suffix('}').expect("a JSON object");
+    let old = format!("{body},\"escalation\":null}}");
+    let ckpt: AdaptiveCheckpoint = serde_json::from_str(&old).expect("parse");
+    assert_eq!(serde_json::to_string(&ckpt).expect("render"), text);
+
+    let mut portfolio = AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt)
+        .expect("restore a checkpoint with the retired key");
+    while portfolio.round(1) {}
+    portfolio.finalize();
+    let resumed = portfolio.into_run();
+    assert_eq!(resumed.winner, reference.winner);
+    assert_eq!(resumed.entries.len(), reference.entries.len());
+    for (a, b) in resumed.entries.iter().zip(&reference.entries) {
+        assert_eq!(a.backend, b.backend);
+        common::assert_runs_identical(&a.run, &b.run, &format!("{:?}", a.backend));
+    }
+}
+
+/// A checkpoint with more arms than backends (the retired plateau
+/// detector added arms mid-run) is rejected, not restored in part.
+#[test]
+fn a_checkpoint_with_more_arms_than_backends_is_rejected() {
+    let wd = zero_free();
+    let config = AnalysisConfig::quick(37).with_rounds(2).with_max_evals(2_000);
+    let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
+    let cancel = CancelToken::new();
+    let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
+    assert!(portfolio.round(1));
+    let ckpt = portfolio.checkpoint();
+    let mut extra = ckpt.clone();
+    extra.arms.push(extra.arms[0].clone());
+    extra.stats.push(extra.stats[0].clone());
+    assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &extra).is_none());
+    // The checkpoint it was grown from still restores.
+    assert!(AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt).is_some());
 }

@@ -5,9 +5,9 @@
 //!    at any tenant mix, fair-share weight, slicing granularity, and
 //!    thread count (the CI matrix runs this suite under
 //!    `WDM_TEST_THREADS=1` and `=8`);
-//! 2. **Kill/resume is invisible** — stopping the service mid-run and
-//!    resuming from durable checkpoints replays every job to the
-//!    identical final report;
+//! 2. **Kill/resume is invisible** — stopping the service mid-run, or
+//!    cancelling a job mid-turn, and resuming from durable checkpoints
+//!    replays every job to the identical final report;
 //! 3. **Progress streaming** — subscribers see admission, per-slice
 //!    progress with monotone evaluation counts, and a terminal event;
 //! 4. **Task passthrough and cancellation** — opaque tasks run on the
@@ -20,13 +20,14 @@
 
 mod common;
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use common::matrix_threads;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
-use wdm::core::driver::{AnalysisConfig, BackendKind, EscalationConfig};
+use wdm::core::driver::{AnalysisConfig, BackendKind};
 use wdm::core::weak_distance::FnWeakDistance;
 use wdm::core::{PortfolioRun, WeakDistance};
 use wdm::runtime::Interval;
@@ -251,13 +252,13 @@ fn progress_stream_reports_admission_slices_and_termination() {
                         assert!(leader.is_some(), "a round has run, so a leader exists");
                         progress_evals.push(evals);
                     }
-                    EventKind::Checkpointed { .. } | EventKind::Escalated { .. } => {}
                     EventKind::Finished { found, .. } => {
                         assert!(!found, "tenant 0 is zero-free");
                         terminal = Some(event.kind.clone());
                         break;
                     }
                     EventKind::Cancelled => panic!("job was never cancelled"),
+                    _ => {}
                 }
             }
             Err(RecvTimeoutError::Timeout) => panic!("no terminal event"),
@@ -333,100 +334,93 @@ fn slow_subscribers_are_disconnected_without_stalling_the_service() {
     service.shutdown();
 }
 
-/// The Section-6-style plateau tenant: a flat shelf around an offset
-/// center inside a huge domain, zero-free so the job cannot finish
-/// before the kill. The adaptive scheduler's rewards flatline on the
-/// shelf, which fires a plateau escalation mid-run (the seed is the one
-/// `wdm_core`'s escalation tests verify to escalate).
-fn plateau_tenant() -> Arc<dyn WeakDistance> {
-    let c = 8.765_432_1e6;
+/// The evaluation of tenant 0 that [`held_tenant`] holds: past the first
+/// turns, so the job has durable progress when the cancel lands.
+const HELD_EVAL: usize = 3_001;
+
+/// Tenant 0. With a `gate`, its `HELD_EVAL`-th evaluation sends on the
+/// gate's sender, then waits until its receiver gets a message or
+/// disconnects.
+fn held_tenant(gate: Option<(Sender<()>, Receiver<()>)>) -> Arc<dyn WeakDistance> {
+    let evals = AtomicUsize::new(0);
+    let gate = Mutex::new(gate);
     Arc::new(FnWeakDistance::new(
         1,
-        vec![Interval::symmetric(1.0e8)],
+        vec![Interval::symmetric(100.0)],
         move |x: &[f64]| {
-            let d = (x[0] - c).abs();
-            if d <= 500.0 {
-                0.5
-            } else {
-                0.5 + (d - 500.0) / 1.0e8
+            if evals.fetch_add(1, Ordering::Relaxed) + 1 == HELD_EVAL {
+                if let Some((reached, open)) = &*gate.lock().expect("gate lock") {
+                    let _ = reached.send(());
+                    let _ = open.recv_timeout(EVENT_TIMEOUT);
+                }
             }
+            x[0].abs() + 0.5
         },
     ))
 }
 
-fn plateau_config() -> AnalysisConfig {
-    AnalysisConfig::quick(43)
-        .with_rounds(2)
-        .with_max_evals(6_000)
-        .with_escalation(
-            EscalationConfig::default()
-                .with_threshold(0.25)
-                .with_patience(2)
-                .with_tighten(1.5e-5),
-        )
-}
-
+/// Regression: a cancel that landed mid-turn cut the turn's last round
+/// short, yet the turn checkpointed that state as progress, and a
+/// service resumed over the same directory replayed it to an outcome the
+/// solo run never reaches.
 #[test]
-fn escalation_events_stream_and_survive_kill_and_resume() {
-    let backends = BackendKind::all();
-    let solo = minimize_weak_distance_adaptive(&*plateau_tenant(), &plateau_config(), &backends);
-    let dir = scratch_dir("esc-resume");
+fn a_cancel_that_lands_mid_turn_keeps_the_last_full_turn_on_disk() {
+    let solo = minimize_weak_distance_adaptive(&*tenant(0), &tenant_config(0), &BackendKind::all());
+    let dir = scratch_dir("mid-turn-cancel");
 
-    // Phase 1: run until an escalation has fired and the turn that
-    // contains it has checkpointed to disk, then stop mid-run.
+    // Phase 1: one worker and one round per turn, so the held evaluation
+    // runs in the last round of a turn. Cancel while it is held.
     {
         let service = AnalysisService::start(
-            ServiceConfig::new(matrix_threads())
+            ServiceConfig::new(1)
+                .with_rounds_per_turn(1)
+                .with_checkpoint_dir(&dir),
+        );
+        let handle = service.handle();
+        let (reached_tx, reached) = channel();
+        let (open, open_rx) = channel::<()>();
+        let id = handle
+            .submit(JobSpec::new(
+                "held",
+                held_tenant(Some((reached_tx, open_rx))),
+                tenant_config(0),
+            ))
+            .expect("service accepts submissions");
+        reached
+            .recv_timeout(EVENT_TIMEOUT)
+            .expect("the held evaluation runs");
+        handle.cancel(id);
+        // Disconnecting releases the held evaluation.
+        drop(open);
+        assert!(!handle.wait(id).run.outcome().is_found(), "tenant 0 is zero-free");
+        service.shutdown();
+    }
+    assert!(
+        dir.join("job-0.json").exists(),
+        "turns before the cancel were checkpointed"
+    );
+
+    // Phase 2: the same submission resumes from the disk state and
+    // replays the solo run.
+    {
+        let service = AnalysisService::start(
+            ServiceConfig::new(1)
                 .with_rounds_per_turn(1)
                 .with_checkpoint_dir(&dir),
         );
         let handle = service.handle();
         let events = handle.subscribe();
-        handle
-            .submit(JobSpec::new("plateau", plateau_tenant(), plateau_config()))
-            .expect("service accepts submissions");
-        let mut escalated_total = 0usize;
-        loop {
-            let event = events
-                .recv_timeout(EVENT_TIMEOUT)
-                .expect("progress before kill");
-            match event.kind {
-                EventKind::Escalated { total, .. } => {
-                    assert!(
-                        total > escalated_total,
-                        "escalation totals grow strictly: {total} after {escalated_total}"
-                    );
-                    escalated_total = total;
-                }
-                EventKind::Checkpointed { .. } if escalated_total > 0 => break,
-                EventKind::Finished { .. } | EventKind::Cancelled => {
-                    panic!("zero-free plateau tenant finished before the kill")
-                }
-                _ => {}
-            }
-        }
-        service.shutdown();
-    }
-    assert!(
-        dir.join("job-0.json").exists(),
-        "durable checkpoint with escalation state"
-    );
-
-    // Phase 2: a fresh service over the same directory resumes the job
-    // — escalation-spawned arms, detector counters and event totals
-    // included — and replays to the solo outcome bit-identically.
-    {
-        let service = AnalysisService::start(
-            ServiceConfig::new(matrix_threads())
-                .with_rounds_per_turn(1)
-                .with_checkpoint_dir(&dir),
-        );
-        let handle = service.handle();
         let id = handle
-            .submit(JobSpec::new("plateau", plateau_tenant(), plateau_config()))
+            .submit(JobSpec::new("held", held_tenant(None), tenant_config(0)))
             .expect("service accepts submissions");
+        let event = events.recv_timeout(EVENT_TIMEOUT).expect("admission event");
+        assert!(
+            matches!(event.kind, EventKind::Admitted { resumed_at_turn } if resumed_at_turn > 0),
+            "the job resumed from disk: {:?}",
+            event.kind
+        );
         let outcome = handle.wait(id);
-        assert_portfolios_identical(&outcome.run, &solo, "resumed plateau tenant");
+        assert_portfolios_identical(&outcome.run, &solo, "resumed after a mid-turn cancel");
         service.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
