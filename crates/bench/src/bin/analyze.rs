@@ -209,7 +209,14 @@ fn main() {
 
     println!(
         "{:<12} {:>5} {:>7} {:>6} {:>9} {:>11} {:>10} {:>9}  eligible",
-        "module", "funcs", "blocks", "sites", "compacted", "slots saved", "dead sides", "opt -insts"
+        "module",
+        "funcs",
+        "blocks",
+        "sites",
+        "compacted",
+        "slots saved",
+        "dead sides",
+        "opt -insts"
     );
     for m in &modules {
         println!(

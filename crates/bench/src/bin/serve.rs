@@ -34,7 +34,9 @@ fn catalog() -> Catalog {
         )
         .register(
             "boundary/eq_zero",
-            Arc::new(BoundaryWeakDistance::new(mini_gsl::toy::EqZeroProgram::new())),
+            Arc::new(BoundaryWeakDistance::new(
+                mini_gsl::toy::EqZeroProgram::new(),
+            )),
         )
         .register(
             "boundary/glibc_sin",

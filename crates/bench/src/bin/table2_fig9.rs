@@ -18,8 +18,12 @@ fn main() {
             c.label,
             c.sign,
             c.reference,
-            c.min_found.map(|v| format!("{v:.6e}")).unwrap_or_else(|| "-".into()),
-            c.max_found.map(|v| format!("{v:.6e}")).unwrap_or_else(|| "-".into()),
+            c.min_found
+                .map(|v| format!("{v:.6e}"))
+                .unwrap_or_else(|| "-".into()),
+            c.max_found
+                .map(|v| format!("{v:.6e}"))
+                .unwrap_or_else(|| "-".into()),
             c.hits,
             c.reachable
         );

@@ -16,7 +16,9 @@ fn main() {
         "function", "|Op|", "|O|", "|I|", "|B|", "T (sec)"
     );
     for benchmark in GslBenchmark::all() {
-        let config = AnalysisConfig::thorough(42).with_max_evals(budget).with_rounds(3);
+        let config = AnalysisConfig::thorough(42)
+            .with_max_evals(budget)
+            .with_rounds(3);
         let result = run_fpod(benchmark, &config);
         let row = result.table3_row();
         println!(

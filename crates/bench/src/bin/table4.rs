@@ -9,7 +9,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_000);
-    let config = AnalysisConfig::thorough(42).with_max_evals(budget).with_rounds(3);
+    let config = AnalysisConfig::thorough(42)
+        .with_max_evals(budget)
+        .with_rounds(3);
     let result = run_fpod(GslBenchmark::Bessel, &config);
     println!("Table 4. Floating-point overflow detected in Bessel.");
     println!("{:<58} nu*, x*", "floating-point operation");

@@ -16,15 +16,32 @@ fn main() {
     );
     let mut serializable = Vec::new();
     for benchmark in GslBenchmark::all() {
-        let config = AnalysisConfig::thorough(42).with_max_evals(budget).with_rounds(3);
+        let config = AnalysisConfig::thorough(42)
+            .with_max_evals(budget)
+            .with_rounds(3);
         let result = run_fpod(benchmark, &config);
         for inc in result.distinct_causes() {
             let input: Vec<String> = inc.input.iter().map(|v| format!("{v:.3e}")).collect();
-            let val = inc.outcome.values.first().map(|(_, v)| *v).unwrap_or(f64::NAN);
-            let err = inc.outcome.values.get(1).map(|(_, v)| *v).unwrap_or(f64::NAN);
+            let val = inc
+                .outcome
+                .values
+                .first()
+                .map(|(_, v)| *v)
+                .unwrap_or(f64::NAN);
+            let err = inc
+                .outcome
+                .values
+                .get(1)
+                .map(|(_, v)| *v)
+                .unwrap_or(f64::NAN);
             println!(
                 "{:<12} {:<40} {:>6} {:>12.3e} {:>12.3e}  {}",
-                result.benchmark.function_name().split('_').next_back().unwrap_or("?"),
+                result
+                    .benchmark
+                    .function_name()
+                    .split('_')
+                    .next_back()
+                    .unwrap_or("?"),
                 input.join(", "),
                 0,
                 val,

@@ -75,7 +75,11 @@ pub fn table1(seed: u64, max_evals: usize) -> Vec<Table1Row> {
         rows.push(Table1Row {
             backend: backend.name().to_string(),
             analysis: "Boundary Value Analysis".to_string(),
-            w_star: if best.is_finite() { best } else { f64::INFINITY },
+            w_star: if best.is_finite() {
+                best
+            } else {
+                f64::INFINITY
+            },
             minima,
             evals,
         });
@@ -315,7 +319,11 @@ pub enum GslBenchmark {
 impl GslBenchmark {
     /// All three benchmarks of Table 3.
     pub fn all() -> [GslBenchmark; 3] {
-        [GslBenchmark::Bessel, GslBenchmark::Hyperg, GslBenchmark::Airy]
+        [
+            GslBenchmark::Bessel,
+            GslBenchmark::Hyperg,
+            GslBenchmark::Airy,
+        ]
     }
 
     /// The function name as reported in Table 3.
@@ -426,7 +434,12 @@ impl FpodResult {
         let bugs = self
             .distinct_causes()
             .iter()
-            .filter(|i| matches!(i.cause, RootCause::DivisionByZero | RootCause::InaccurateTrig))
+            .filter(|i| {
+                matches!(
+                    i.cause,
+                    RootCause::DivisionByZero | RootCause::InaccurateTrig
+                )
+            })
             .count();
         Table3Row {
             function: self.benchmark.function_name().to_string(),
@@ -600,7 +613,9 @@ mod tests {
 
     #[test]
     fn fpod_on_hyperg_is_quick_and_finds_overflows() {
-        let config = AnalysisConfig::quick(9).with_rounds(2).with_max_evals(8_000);
+        let config = AnalysisConfig::quick(9)
+            .with_rounds(2)
+            .with_max_evals(8_000);
         let result = run_fpod(GslBenchmark::Hyperg, &config);
         assert_eq!(result.overflow.num_ops(), 8);
         assert!(result.overflow.num_overflows() >= 2);

@@ -142,7 +142,11 @@ mod tests {
         let dir = Path::new("target").join("experiments");
         std::fs::create_dir_all(&dir).unwrap();
         let path = write_json_at(&dir, "unit_test_dir", &Dummy { value: 2.5 }).expect("written");
-        assert!(path.ends_with("BENCH_unit_test_dir.json"), "{}", path.display());
+        assert!(
+            path.ends_with("BENCH_unit_test_dir.json"),
+            "{}",
+            path.display()
+        );
         assert!(std::fs::read_to_string(&path).unwrap().contains("2.5"));
         let explicit = dir.join("explicit_name.json");
         let path = write_json_at(&explicit, "ignored", &Dummy { value: 3.5 }).expect("written");

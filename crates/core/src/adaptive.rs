@@ -44,9 +44,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use wdm_mo::checkpoint::ResultCkpt;
 use wdm_mo::stepped::{MinimizerStep, StepStatus};
-use wdm_mo::{
-    CancelToken, MinimizeResult, NoTrace, Problem, SamplingTrace, SteppedMinimizer,
-};
+use wdm_mo::{CancelToken, MinimizeResult, NoTrace, Problem, SamplingTrace, SteppedMinimizer};
 
 /// UCB exploration constant, sized for rewards in `[0, 1]`.
 const UCB_EXPLORATION: f64 = 0.5;
@@ -248,22 +246,13 @@ impl<'wd> SteppedAnalysis<'wd> {
 
     /// Evaluations charged so far, including the active round's.
     pub fn evals(&self) -> usize {
-        self.total_evals
-            + self
-                .active
-                .as_ref()
-                .map(|a| a.machine.evals())
-                .unwrap_or(0)
+        self.total_evals + self.active.as_ref().map(|a| a.machine.evals()).unwrap_or(0)
     }
 
     /// Best weak-distance value so far across completed rounds and the
     /// active round (`f64::INFINITY` before the first evaluation).
     pub fn best_value(&self) -> f64 {
-        let merged = self
-            .best
-            .as_ref()
-            .map(|b| b.value)
-            .unwrap_or(f64::INFINITY);
+        let merged = self.best.as_ref().map(|b| b.value).unwrap_or(f64::INFINITY);
         match &self.active {
             Some(active) => {
                 let v = active.machine.best_value();
@@ -470,11 +459,7 @@ impl PortfolioRun {
     /// The reported outcome (the winner's, with evaluations summed over the
     /// whole portfolio — every backend's work is charged).
     pub fn outcome(&self) -> Outcome {
-        let total_evals: usize = self
-            .entries
-            .iter()
-            .map(|e| e.run.outcome.evals())
-            .sum();
+        let total_evals: usize = self.entries.iter().map(|e| e.run.outcome.evals()).sum();
         match &self.entries[self.winner].run.outcome {
             Outcome::Found { input, .. } => Outcome::Found {
                 input: input.clone(),
@@ -825,7 +810,9 @@ impl<'wd> AdaptivePortfolio<'wd> {
     /// statistics — for durable storage.
     pub fn checkpoint(&self) -> AdaptiveCheckpoint {
         AdaptiveCheckpoint {
-            arms: (0..self.arms.len()).map(|i| self.lock(i).checkpoint()).collect(),
+            arms: (0..self.arms.len())
+                .map(|i| self.lock(i).checkpoint())
+                .collect(),
             stats: self
                 .stats
                 .iter()
@@ -885,7 +872,8 @@ impl<'wd> AdaptivePortfolio<'wd> {
                 seen: s.seen,
             })
             .collect();
-        let mut portfolio = Self::assemble(config, backends, cancel.clone(), first_hit, arms, stats);
+        let mut portfolio =
+            Self::assemble(config, backends, cancel.clone(), first_hit, arms, stats);
         portfolio.spent = ckpt.spent;
         portfolio.found = ckpt.found;
         portfolio.t = ckpt.t;
@@ -1013,7 +1001,9 @@ mod tests {
     fn single_backend_adaptive_equals_direct_run() {
         for backend in BackendKind::all() {
             let wd = wd_two_zeros();
-            let config = AnalysisConfig::quick(5).with_backend(backend).with_rounds(2);
+            let config = AnalysisConfig::quick(5)
+                .with_backend(backend)
+                .with_rounds(2);
             let direct = minimize_weak_distance(&wd, &config);
             let adaptive = minimize_weak_distance_adaptive(&wd, &config, &[backend]);
             assert_eq!(adaptive.entries.len(), 1);
@@ -1050,7 +1040,9 @@ mod tests {
         });
         let run = minimize_weak_distance_adaptive(
             &wd,
-            &AnalysisConfig::quick(5).with_rounds(1).with_max_evals(5_000),
+            &AnalysisConfig::quick(5)
+                .with_rounds(1)
+                .with_max_evals(5_000),
             &BackendKind::all(),
         );
         assert_eq!(run.entries.len(), BackendKind::all().len());
@@ -1069,7 +1061,9 @@ mod tests {
         });
         let run = minimize_weak_distance_adaptive(
             &wd,
-            &AnalysisConfig::quick(3).with_rounds(1).with_max_evals(3_000),
+            &AnalysisConfig::quick(3)
+                .with_rounds(1)
+                .with_max_evals(3_000),
             &[BackendKind::BasinHopping, BackendKind::RandomSearch],
         );
         match run.outcome() {
@@ -1087,7 +1081,9 @@ mod tests {
         // rounds*max_evals; the adaptive pool is 1x (plus bounded
         // slice-granularity overshoot).
         let wd = wd_zero_free();
-        let config = AnalysisConfig::quick(7).with_rounds(2).with_max_evals(4_000);
+        let config = AnalysisConfig::quick(7)
+            .with_rounds(2)
+            .with_max_evals(4_000);
         let run = minimize_weak_distance_adaptive(&wd, &config, &BackendKind::all());
         let pool = 2 * 4_000;
         let total = run.outcome().evals();
@@ -1100,7 +1096,9 @@ mod tests {
     #[test]
     fn adaptive_is_deterministic_across_parallelism() {
         let wd = wd_zero_free();
-        let base = AnalysisConfig::quick(13).with_rounds(2).with_max_evals(3_000);
+        let base = AnalysisConfig::quick(13)
+            .with_rounds(2)
+            .with_max_evals(3_000);
         let reference = minimize_weak_distance_adaptive(&wd, &base, &BackendKind::all());
         for threads in [2usize, 4, 8] {
             let run = minimize_weak_distance_adaptive(
@@ -1153,7 +1151,9 @@ mod tests {
     #[test]
     fn adaptive_portfolio_checkpoint_resume_is_invisible() {
         let wd = wd_zero_free();
-        let config = AnalysisConfig::quick(19).with_rounds(2).with_max_evals(3_000);
+        let config = AnalysisConfig::quick(19)
+            .with_rounds(2)
+            .with_max_evals(3_000);
         let backends = BackendKind::all();
         let reference = minimize_weak_distance_adaptive(&wd, &config, &backends);
         let cancel = CancelToken::new();
@@ -1191,9 +1191,8 @@ mod tests {
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         while portfolio.round(1) {
             let ckpt = portfolio.checkpoint();
-            portfolio =
-                AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt)
-                    .expect("restore");
+            portfolio = AdaptivePortfolio::restore(&wd, &config, &backends, &cancel, &ckpt)
+                .expect("restore");
         }
         portfolio.finalize();
         let run = portfolio.into_run();
@@ -1228,7 +1227,10 @@ mod tests {
         assert!(AdaptivePortfolio::restore(
             &wd,
             &config,
-            &[BackendKind::DifferentialEvolution, BackendKind::BasinHopping],
+            &[
+                BackendKind::DifferentialEvolution,
+                BackendKind::BasinHopping
+            ],
             &cancel,
             &ckpt
         )
@@ -1264,7 +1266,9 @@ mod tests {
     #[test]
     fn progress_accessors_report_scheduler_state() {
         let wd = wd_zero_free();
-        let config = AnalysisConfig::quick(23).with_rounds(2).with_max_evals(2_000);
+        let config = AnalysisConfig::quick(23)
+            .with_rounds(2)
+            .with_max_evals(2_000);
         let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
         let cancel = CancelToken::new();
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
@@ -1289,7 +1293,9 @@ mod tests {
     #[test]
     fn nan_reward_in_restored_stats_cannot_panic_the_scheduler() {
         let wd = wd_zero_free();
-        let config = AnalysisConfig::quick(45).with_rounds(2).with_max_evals(2_000);
+        let config = AnalysisConfig::quick(45)
+            .with_rounds(2)
+            .with_max_evals(2_000);
         let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
         let cancel = CancelToken::new();
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
@@ -1347,6 +1353,10 @@ mod tests {
         }
         // The scheduler never granted a slice; arms observed the
         // cancellation in the finalization steps and spent almost nothing.
-        assert!(run.outcome().evals() < 5_000, "evals = {}", run.outcome().evals());
+        assert!(
+            run.outcome().evals() < 5_000,
+            "evals = {}",
+            run.outcome().evals()
+        );
     }
 }

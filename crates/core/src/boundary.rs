@@ -314,10 +314,13 @@ mod tests {
         // interpreter session (`Never`), lanewise kernel (`Always`) and
         // the automatic pick — every value bit-identical to scalar eval.
         let xs: Vec<Vec<f64>> = (-60..60).map(|i| vec![i as f64 * 0.13]).collect();
-        for policy in [KernelPolicy::Never, KernelPolicy::Always, KernelPolicy::Auto] {
-            let program =
-                fpir::interp::ModuleProgram::new(fpir::programs::fig2_program(), "prog")
-                    .expect("entry exists");
+        for policy in [
+            KernelPolicy::Never,
+            KernelPolicy::Always,
+            KernelPolicy::Auto,
+        ] {
+            let program = fpir::interp::ModuleProgram::new(fpir::programs::fig2_program(), "prog")
+                .expect("entry exists");
             let wd = BoundaryWeakDistance::new(program).with_kernel_policy(policy);
             let mut out = Vec::new();
             wd.eval_batch(&xs, &mut out);
@@ -358,14 +361,16 @@ mod tests {
     fn single_mode_penalizes_unreached_sites() {
         // Branch 1 of Fig. 2 executes on every input, but a program input of
         // huge magnitude keeps |y - 4| large.
-        let wd = BoundaryWeakDistance::new(Fig2Program::new()).with_mode(BoundaryMode::Single(BranchId(1)));
+        let wd = BoundaryWeakDistance::new(Fig2Program::new())
+            .with_mode(BoundaryMode::Single(BranchId(1)));
         assert!(wd.eval(&[1.0e3]) > 0.0);
         assert_eq!(wd.eval(&[2.0]), 0.0);
     }
 
     #[test]
     fn characteristic_mode_is_flat_but_sound() {
-        let wd = BoundaryWeakDistance::new(Fig2Program::new()).with_mode(BoundaryMode::Characteristic);
+        let wd =
+            BoundaryWeakDistance::new(Fig2Program::new()).with_mode(BoundaryMode::Characteristic);
         assert_eq!(wd.eval(&[2.0]), 0.0);
         assert_eq!(wd.eval(&[0.5]), 1.0);
         assert_eq!(wd.eval(&[17.3]), 1.0);
@@ -459,8 +464,13 @@ mod tests {
         // the weak distance — Limitation 2. The absolute-value encoding does
         // not.
         use mini_gsl::toy::EqZeroProgram;
-        let wd = BoundaryWeakDistance::new(EqZeroProgram::new()).with_mode(BoundaryMode::SquaredResidual);
-        assert_eq!(wd.eval(&[1.0e-200]), 0.0, "squared residual underflowed as expected");
+        let wd = BoundaryWeakDistance::new(EqZeroProgram::new())
+            .with_mode(BoundaryMode::SquaredResidual);
+        assert_eq!(
+            wd.eval(&[1.0e-200]),
+            0.0,
+            "squared residual underflowed as expected"
+        );
         let wd_abs = BoundaryWeakDistance::new(EqZeroProgram::new());
         assert!(wd_abs.eval(&[1.0e-200]) > 0.0);
     }

@@ -261,7 +261,9 @@ mod tests {
             .expect("entry exists")
             .with_domain(vec![fp_runtime::Interval::symmetric(1.0e3)]);
         let analysis = CoverageAnalysis::new(program);
-        let config = AnalysisConfig::quick(4).with_rounds(1).with_max_evals(2_000);
+        let config = AnalysisConfig::quick(4)
+            .with_rounds(1)
+            .with_max_evals(2_000);
         let report = analysis.run(&[vec![1.0]], &config);
         assert_eq!(report.total_pairs, 2);
         assert_eq!(report.statically_pruned, 1);

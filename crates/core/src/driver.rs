@@ -422,7 +422,9 @@ mod tests {
             let wd = FnWeakDistance::new(1, vec![Interval::symmetric(50.0)], |x: &[f64]| {
                 (x[0] - 3.0).abs()
             });
-            let cfg = AnalysisConfig::quick(7).with_backend(backend).with_rounds(2);
+            let cfg = AnalysisConfig::quick(7)
+                .with_backend(backend)
+                .with_rounds(2);
             let run = minimize_weak_distance(&wd, &cfg);
             assert!(
                 run.best.value < 0.5,
@@ -468,11 +470,12 @@ mod tests {
         let wd = FnWeakDistance::new(1, vec![Interval::symmetric(100.0)], |x: &[f64]| {
             x[0].abs() + 0.5
         });
-        let base = AnalysisConfig::quick(41).with_rounds(6).with_max_evals(4_000);
+        let base = AnalysisConfig::quick(41)
+            .with_rounds(6)
+            .with_max_evals(4_000);
         let sequential = minimize_weak_distance(&wd, &base);
         for threads in [2, 3, 8] {
-            let parallel =
-                minimize_weak_distance(&wd, &base.clone().with_parallelism(threads));
+            let parallel = minimize_weak_distance(&wd, &base.clone().with_parallelism(threads));
             assert_eq!(parallel.outcome, sequential.outcome, "threads = {threads}");
             assert_eq!(parallel.best, sequential.best, "threads = {threads}");
         }
@@ -482,8 +485,7 @@ mod tests {
     fn parallel_rounds_find_solutions_too() {
         let base = AnalysisConfig::quick(9).with_rounds(4);
         let sequential = minimize_weak_distance(&wd_two_zeros(), &base);
-        let parallel =
-            minimize_weak_distance(&wd_two_zeros(), &base.clone().with_parallelism(4));
+        let parallel = minimize_weak_distance(&wd_two_zeros(), &base.clone().with_parallelism(4));
         assert_eq!(parallel.outcome, sequential.outcome);
     }
 
@@ -520,11 +522,17 @@ mod tests {
         });
         let cancel = wdm_mo::CancelToken::new();
         cancel.cancel();
-        let config = AnalysisConfig::quick(1).with_rounds(3).with_max_evals(100_000);
+        let config = AnalysisConfig::quick(1)
+            .with_rounds(3)
+            .with_max_evals(100_000);
         let run = minimize_weak_distance_cancellable(&wd, &config, &cancel);
         // A pre-cancelled run spends almost nothing (only the evaluations a
         // backend performs before its first stop check).
-        assert!(run.outcome.evals() < 5_000, "evals = {}", run.outcome.evals());
+        assert!(
+            run.outcome.evals() < 5_000,
+            "evals = {}",
+            run.outcome.evals()
+        );
     }
 
     /// Regression (PR 5): a cancelled run used to launch every remaining
@@ -546,7 +554,9 @@ mod tests {
 
         let one_round = minimize_weak_distance_cancellable(
             &wd,
-            &AnalysisConfig::quick(1).with_rounds(1).with_max_evals(100_000),
+            &AnalysisConfig::quick(1)
+                .with_rounds(1)
+                .with_max_evals(100_000),
             &cancel,
         );
         let counted_one = count.swap(0, Ordering::Relaxed);
@@ -566,8 +576,14 @@ mod tests {
             assert_eq!(five_rounds.outcome.evals() as u64, counted);
             // …and rounds 1..4 never started: the 5-round cancelled run is
             // exactly the 1-round cancelled run.
-            assert_eq!(five_rounds.outcome, one_round.outcome, "parallelism {parallelism}");
-            assert_eq!(five_rounds.best, one_round.best, "parallelism {parallelism}");
+            assert_eq!(
+                five_rounds.outcome, one_round.outcome,
+                "parallelism {parallelism}"
+            );
+            assert_eq!(
+                five_rounds.best, one_round.best,
+                "parallelism {parallelism}"
+            );
         }
     }
 

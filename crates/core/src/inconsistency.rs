@@ -147,10 +147,7 @@ pub fn classify<P: Analyzable>(program: &P, input: &[f64]) -> RootCause {
     }
     // No instrumented op was exceptional: the problem arose in uninstrumented
     // code (e.g. a trigonometric kernel); report the dominant suspect.
-    if prev_finite_ops
-        .iter()
-        .any(|(_, v)| v.abs() > 1.0e40)
-    {
+    if prev_finite_ops.iter().any(|(_, v)| v.abs() > 1.0e40) {
         RootCause::InaccurateTrig
     } else {
         RootCause::Unknown
@@ -186,7 +183,10 @@ mod tests {
         let bad = StatusOutcome::new(true, vec![("val".into(), f64::INFINITY)]);
         assert!(bad.is_inconsistent());
         let failed = StatusOutcome::new(false, vec![("val".into(), f64::NAN)]);
-        assert!(!failed.is_inconsistent(), "an honest error status is not an inconsistency");
+        assert!(
+            !failed.is_inconsistent(),
+            "an honest error status is not an inconsistency"
+        );
     }
 
     #[test]
@@ -206,7 +206,10 @@ mod tests {
         // sqrt operand; the automated trace heuristic may instead blame the
         // large intermediate product that overflows first — both are accepted.
         assert!(
-            matches!(found[2].cause, RootCause::NegativeSqrt | RootCause::LargeOperands),
+            matches!(
+                found[2].cause,
+                RootCause::NegativeSqrt | RootCause::LargeOperands
+            ),
             "cause = {}",
             found[2].cause
         );

@@ -232,9 +232,7 @@ impl<P: Analyzable> OverflowDetector<P> {
                         None => {
                             // No tracked operation executed at all: retire an
                             // arbitrary remaining site to guarantee progress.
-                            if let Some(&next) =
-                                all_ids.iter().find(|id| !handled.contains(id))
-                            {
+                            if let Some(&next) = all_ids.iter().find(|id| !handled.contains(id)) {
                                 handled.insert(next);
                             }
                         }
@@ -345,8 +343,11 @@ mod tests {
             Some(s)
         })
         .with_op_sites(vec![OpSite::new(0, FpOp::Sin, "sin(x)")]);
-        let report =
-            OverflowDetector::new(p).run(&AnalysisConfig::quick(2).with_rounds(1).with_max_evals(3_000));
+        let report = OverflowDetector::new(p).run(
+            &AnalysisConfig::quick(2)
+                .with_rounds(1)
+                .with_max_evals(3_000),
+        );
         assert_eq!(report.num_ops(), 1);
         assert_eq!(report.num_overflows(), 0);
         assert_eq!(report.missed().len(), 1);
@@ -381,8 +382,11 @@ mod tests {
         let program = fpir::ModuleProgram::new(mb.build(), "guarded")
             .expect("entry exists")
             .with_domain(vec![fp_runtime::Interval::symmetric(1.0e4)]);
-        let report = OverflowDetector::new(program)
-            .run(&AnalysisConfig::quick(8).with_rounds(1).with_max_evals(5_000));
+        let report = OverflowDetector::new(program).run(
+            &AnalysisConfig::quick(8)
+                .with_rounds(1)
+                .with_max_evals(5_000),
+        );
         assert_eq!(report.num_ops(), 2);
         assert_eq!(report.statically_pruned, 1, "site 0 is pre-retired");
         assert!(
@@ -399,7 +403,9 @@ mod tests {
     fn bessel_overflow_study_shape() {
         // A scaled-down version of the Table 4 experiment: most of the 23
         // Bessel operations can be driven to overflow.
-        let config = AnalysisConfig::quick(17).with_rounds(2).with_max_evals(15_000);
+        let config = AnalysisConfig::quick(17)
+            .with_rounds(2)
+            .with_max_evals(15_000);
         let report = OverflowDetector::new(BesselKnuScaled::new()).run(&config);
         assert_eq!(report.num_ops(), 23);
         assert!(

@@ -271,7 +271,12 @@ mod tests {
         // A genuinely infeasible requirement: both directions of branch 0.
         let analysis = PathAnalysis::new(Fig2Program::new());
         let path = vec![(BranchId(0), true), (BranchId(0), false)];
-        let outcome = analysis.reach(&path, &AnalysisConfig::quick(4).with_rounds(2).with_max_evals(4_000));
+        let outcome = analysis.reach(
+            &path,
+            &AnalysisConfig::quick(4)
+                .with_rounds(2)
+                .with_max_evals(4_000),
+        );
         assert!(!outcome.is_found());
     }
 
@@ -300,7 +305,9 @@ mod tests {
             .expect("entry exists")
             .with_domain(vec![fp_runtime::Interval::symmetric(1.0e3)]);
         let analysis = PathAnalysis::new(program);
-        let config = AnalysisConfig::quick(6).with_rounds(1).with_max_evals(2_000);
+        let config = AnalysisConfig::quick(6)
+            .with_rounds(1)
+            .with_max_evals(2_000);
 
         let pruned = analysis.reach_run(&vec![(BranchId(0), true)], &config);
         assert!(pruned.statically_pruned());

@@ -14,11 +14,11 @@
 use serde::Serialize;
 use std::sync::mpsc;
 use std::time::Instant;
-use wdm_service::{AnalysisService, ServiceConfig, ServiceHandle};
 use wdm_core::boundary::{BoundaryAnalysis, BoundaryWeakDistance};
 use wdm_core::driver::derive_round_seed;
 use wdm_core::overflow::OverflowDetector;
 use wdm_core::{minimize_weak_distance_adaptive, AnalysisConfig, BackendKind, Outcome};
+use wdm_service::{AnalysisService, ServiceConfig, ServiceHandle};
 
 /// The deterministic result of one campaign job.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -160,7 +160,9 @@ impl CampaignJob {
 
 impl std::fmt::Debug for CampaignJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignJob").field("name", &self.name).finish_non_exhaustive()
+        f.debug_struct("CampaignJob")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
     }
 }
 
@@ -347,11 +349,7 @@ where
 /// ([`wdm_core::adaptive`]) over `backends` on the boundary weak distance
 /// of `program`. The winning backend's name is recorded in the `analysis`
 /// field so reports show who solved what.
-fn boundary_portfolio_job<P>(
-    name: String,
-    program: P,
-    backends: Vec<BackendKind>,
-) -> CampaignJob
+fn boundary_portfolio_job<P>(name: String, program: P, backends: Vec<BackendKind>) -> CampaignJob
 where
     P: fp_runtime::Analyzable + 'static,
 {
@@ -416,7 +414,10 @@ pub fn gsl_suite(config: &AnalysisConfig) -> Campaign {
     use mini_gsl::toy::{EqZeroProgram, Fig2Program};
 
     let mut campaign = Campaign::new(config.clone());
-    campaign.push(boundary_any_job("boundary/fig2".to_string(), Fig2Program::new()));
+    campaign.push(boundary_any_job(
+        "boundary/fig2".to_string(),
+        Fig2Program::new(),
+    ));
     campaign.push(boundary_any_job(
         "boundary/eq_zero".to_string(),
         EqZeroProgram::new(),
@@ -448,7 +449,9 @@ mod tests {
     use super::*;
 
     fn quick_config() -> AnalysisConfig {
-        AnalysisConfig::quick(3).with_rounds(1).with_max_evals(2_000)
+        AnalysisConfig::quick(3)
+            .with_rounds(1)
+            .with_max_evals(2_000)
     }
 
     #[test]

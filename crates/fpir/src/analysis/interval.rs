@@ -720,7 +720,11 @@ impl<'m> Analyzer<'m> {
                         _ => env.regs[if_true.0].join(&env.regs[if_false.0]),
                     };
                 }
-                Inst::Call { dst, func, args: call_args } => {
+                Inst::Call {
+                    dst,
+                    func,
+                    args: call_args,
+                } => {
                     if func.0 >= self.module.functions.len()
                         || call_args.len() != self.module.function(*func).num_params
                     {
@@ -819,7 +823,11 @@ pub fn analyze(
             None => AbsVal::num(-f64::MAX, f64::MAX),
         })
         .collect();
-    let globals: Vec<AbsVal> = module.globals.iter().map(|g| AbsVal::exact(g.init)).collect();
+    let globals: Vec<AbsVal> = module
+        .globals
+        .iter()
+        .map(|g| AbsVal::exact(g.init))
+        .collect();
 
     let mut az = Analyzer {
         module,
@@ -1042,8 +1050,10 @@ mod tests {
         }
         // Signed-zero singletons stay distinguishable at the bit level:
         // an abstraction spanning [-0.0, 0.0] must not report a singleton.
-        assert_eq!(AbsVal::exact(-0.0).singleton().map(f64::to_bits),
-                   Some((-0.0f64).to_bits()));
+        assert_eq!(
+            AbsVal::exact(-0.0).singleton().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
         assert_eq!(AbsVal::num(-0.0, 0.0).singleton(), None);
         assert_eq!(AbsVal::exact(f64::NAN).singleton(), None);
     }

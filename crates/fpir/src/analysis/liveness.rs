@@ -128,7 +128,10 @@ pub fn for_each_term_use(term: &Terminator, mut f: impl FnMut(Reg)) {
 /// Returns the first offending `(block, inst_index_or_none_for_terminator,
 /// register)` in RPO/instruction order, or `None` if the function is
 /// definitely assigned on all reachable paths.
-pub fn first_use_before_def(function: &Function, cfg: &Cfg) -> Option<(BlockId, Option<usize>, Reg)> {
+pub fn first_use_before_def(
+    function: &Function,
+    cfg: &Cfg,
+) -> Option<(BlockId, Option<usize>, Reg)> {
     let nr = function.num_regs;
     let nb = function.blocks.len();
     // OUT[b] per block; None = not yet computed (⊤ for the intersection).

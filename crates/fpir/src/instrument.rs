@@ -52,7 +52,10 @@ fn add_driver(module: &mut Module, entry: FuncId, w: GlobalId, w_init: f64) -> F
         args,
     });
     let w_reg = func.fresh_reg();
-    insts.push(Inst::LoadGlobal { dst: w_reg, global: w });
+    insts.push(Inst::LoadGlobal {
+        dst: w_reg,
+        global: w,
+    });
     func.blocks[0].insts = insts;
     func.blocks[0].term = Terminator::Return(Some(w_reg));
     module.functions.push(func);
@@ -107,7 +110,10 @@ pub fn instrument_boundary(module: &Module, entry: FuncId) -> Module {
                 arg: diff,
                 site: None,
             });
-            block.insts.push(Inst::LoadGlobal { dst: wreg, global: w });
+            block.insts.push(Inst::LoadGlobal {
+                dst: wreg,
+                global: w,
+            });
             block.insts.push(Inst::Bin {
                 dst: prod,
                 op: BinOp::Mul,
@@ -115,7 +121,10 @@ pub fn instrument_boundary(module: &Module, entry: FuncId) -> Module {
                 rhs: absval,
                 site: None,
             });
-            block.insts.push(Inst::StoreGlobal { global: w, src: prod });
+            block.insts.push(Inst::StoreGlobal {
+                global: w,
+                src: prod,
+            });
         }
     }
     add_driver(&mut out, entry, w, 1.0);
@@ -153,7 +162,10 @@ pub fn instrument_path(module: &Module, entry: FuncId, path: &[(BranchId, bool)]
             let wreg = func.fresh_reg();
             let sum = func.fresh_reg();
             let block = &mut func.blocks[bi];
-            block.insts.push(Inst::LoadGlobal { dst: wreg, global: w });
+            block.insts.push(Inst::LoadGlobal {
+                dst: wreg,
+                global: w,
+            });
             block.insts.push(Inst::Bin {
                 dst: sum,
                 op: BinOp::Add,
@@ -161,7 +173,10 @@ pub fn instrument_path(module: &Module, entry: FuncId, path: &[(BranchId, bool)]
                 rhs: dist,
                 site: None,
             });
-            block.insts.push(Inst::StoreGlobal { global: w, src: sum });
+            block.insts.push(Inst::StoreGlobal {
+                global: w,
+                src: sum,
+            });
         }
     }
     add_driver(&mut out, entry, w, 0.0);
@@ -214,9 +229,15 @@ fn emit_branch_distance(func: &mut Function, bi: usize, lhs: Reg, required: Cmp,
                 site: None,
             });
         }
-        Cmp::Ne => block.insts.push(Inst::Const { dst: gap, value: 1.0 }),
+        Cmp::Ne => block.insts.push(Inst::Const {
+            dst: gap,
+            value: 1.0,
+        }),
     }
-    block.insts.push(Inst::Const { dst: zero, value: 0.0 });
+    block.insts.push(Inst::Const {
+        dst: zero,
+        value: 0.0,
+    });
     block.insts.push(Inst::Select {
         dst: dist,
         cond,
@@ -299,7 +320,10 @@ pub fn instrument_overflow(
                     site: None,
                 });
                 let zero = func_fresh(func);
-                current.insts.push(Inst::Const { dst: zero, value: 0.0 });
+                current.insts.push(Inst::Const {
+                    dst: zero,
+                    value: 0.0,
+                });
                 let new_w = func_fresh(func);
                 current.insts.push(Inst::Select {
                     dst: new_w,
@@ -307,7 +331,10 @@ pub fn instrument_overflow(
                     if_true: gap,
                     if_false: zero,
                 });
-                current.insts.push(Inst::StoreGlobal { global: w, src: new_w });
+                current.insts.push(Inst::StoreGlobal {
+                    global: w,
+                    src: new_w,
+                });
                 // if (w == 0) return; -- split the block here.
                 let bail_index = original_len + pending.len() + chain.len();
                 let cont_index = bail_index + 1;

@@ -322,8 +322,16 @@ impl Interpreter {
         }
         let function = state.module.function(func);
         let mut regs = state.take_frame(function.num_regs);
-        let result =
-            Self::exec_in_frame(state, func, &mut regs, args, ctx, depth, function.entry(), 0);
+        let result = Self::exec_in_frame(
+            state,
+            func,
+            &mut regs,
+            args,
+            ctx,
+            depth,
+            function.entry(),
+            0,
+        );
         state.put_frame(regs);
         result
     }
@@ -400,7 +408,11 @@ impl Interpreter {
                             regs[if_false.0]
                         };
                     }
-                    Inst::Call { dst, func, args: call_args } => {
+                    Inst::Call {
+                        dst,
+                        func,
+                        args: call_args,
+                    } => {
                         let mut vals = state.take_frame(0);
                         vals.extend(call_args.iter().map(|r| regs[r.0]));
                         let ret = Self::exec_function(state, *func, &vals, ctx, depth + 1);
@@ -938,7 +950,13 @@ mod tests {
         let err = Interpreter::default()
             .execute(&m, id, &[1.0, 2.0], &mut ctx)
             .unwrap_err();
-        assert_eq!(err, ExecError::ArityMismatch { expected: 1, got: 2 });
+        assert_eq!(
+            err,
+            ExecError::ArityMismatch {
+                expected: 1,
+                got: 2
+            }
+        );
         assert!(err.to_string().contains("expected 1"));
     }
 

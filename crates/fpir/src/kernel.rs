@@ -559,8 +559,7 @@ fn run_wave(
                         None => {
                             let dcol = layout.slot[dst.0] * lanes;
                             for &lane in active.iter() {
-                                regs[dcol + lane] =
-                                    op.apply(regs[lcol + lane], regs[rcol + lane]);
+                                regs[dcol + lane] = op.apply(regs[lcol + lane], regs[rcol + lane]);
                             }
                         }
                         Some(s) => sited_op!(s, op.event_kind(), dst, idx, |lane: usize| op
@@ -945,7 +944,11 @@ mod tests {
         let mut results = Vec::new();
         session.execute_many(&inputs, &mut refs, &mut results);
         for (lane, input) in inputs.iter().enumerate() {
-            assert_eq!(results[lane], p.run(input, &mut StopAtBranch), "lane {lane}");
+            assert_eq!(
+                results[lane],
+                p.run(input, &mut StopAtBranch),
+                "lane {lane}"
+            );
         }
     }
 
@@ -1121,8 +1124,7 @@ mod tests {
         // A tight budget that runs out mid-callee for later lanes: the
         // shared wave fuel counter must fail the same lanes the per-input
         // scalar budget fails.
-        let p = call_module()
-            .with_interpreter(Interpreter::default().with_fuel(9));
+        let p = call_module().with_interpreter(Interpreter::default().with_fuel(9));
         assert_kernel_matches_scalar(&p, &lane_inputs(16, 1));
     }
 

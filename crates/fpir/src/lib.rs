@@ -57,9 +57,9 @@ pub mod validate;
 pub use analysis::{ModuleAnalysis, StaticInfo};
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use interp::{ExecError, Interpreter, ModuleProgram};
-pub use kernel::{supports_lanewise, KernelExecutor};
-pub use opt::{specialize, OptStats, SpecializeError};
 pub use ir::{
     BinOp, Block, BlockId, FuncId, Function, GlobalId, Inst, Module, Reg, Terminator, UnOp,
 };
+pub use kernel::{supports_lanewise, KernelExecutor};
+pub use opt::{specialize, OptStats, SpecializeError};
 pub use validate::{validate, ValidationError};

@@ -58,8 +58,7 @@ pub(crate) fn run(module: &mut Module, stats: &mut OptStats) -> usize {
                 children[p.0].push(BlockId(b));
             }
         }
-        let mut stack: Vec<(BlockId, HashMap<ExprKey, Reg>)> =
-            vec![(BlockId(0), HashMap::new())];
+        let mut stack: Vec<(BlockId, HashMap<ExprKey, Reg>)> = vec![(BlockId(0), HashMap::new())];
         while let Some((b, mut avail)) = stack.pop() {
             for inst in &mut function.blocks[b.0].insts {
                 let key = match inst {

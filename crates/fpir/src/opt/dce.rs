@@ -182,8 +182,7 @@ fn function_liveness(
         for_each_term_use(&function.blocks[b].term, |r| live[r.0] = true);
         let mut keep = vec![false; function.blocks[b].insts.len()];
         for (i, inst) in function.blocks[b].insts.iter().enumerate().rev() {
-            let inst_live =
-                is_root(inst, needed) || inst.dst().map(|d| live[d.0]).unwrap_or(false);
+            let inst_live = is_root(inst, needed) || inst.dst().map(|d| live[d.0]).unwrap_or(false);
             keep[i] = inst_live;
             if inst_live {
                 if let Some(d) = inst.dst() {

@@ -447,9 +447,13 @@ mod tests {
     fn specialize_preserves_fig2_under_everything() {
         let module = programs::fig2_program();
         let entry = module.function_by_name("prog").unwrap();
-        let (opt, stats) =
-            specialize(&module, entry, &domain1(1.0e3), &ObservationSpec::everything())
-                .expect("fig2 specializes");
+        let (opt, stats) = specialize(
+            &module,
+            entry,
+            &domain1(1.0e3),
+            &ObservationSpec::everything(),
+        )
+        .expect("fig2 specializes");
         assert_eq!(stats.original_insts, count_insts(&module));
         assert_eq!(stats.optimized_insts, count_insts(&opt));
         assert!(stats.validation_points > 0);
@@ -481,8 +485,14 @@ mod tests {
             let mut rb = TraceRecorder::new();
             orig.run(&[x], &mut ra);
             p.run(&[x], &mut rb);
-            let a: Vec<_> = ra.branches().map(|e| (e.id, e.lhs.to_bits(), e.taken)).collect();
-            let b: Vec<_> = rb.branches().map(|e| (e.id, e.lhs.to_bits(), e.taken)).collect();
+            let a: Vec<_> = ra
+                .branches()
+                .map(|e| (e.id, e.lhs.to_bits(), e.taken))
+                .collect();
+            let b: Vec<_> = rb
+                .branches()
+                .map(|e| (e.id, e.lhs.to_bits(), e.taken))
+                .collect();
             assert_eq!(a, b, "at {x}");
         }
     }
@@ -494,9 +504,7 @@ mod tests {
         // Give the one-sided guard a site label and observe everything:
         // the branch event must survive, so the CondBr cannot fold.
         let mut labeled = module.clone();
-        if let Terminator::CondBr { site, .. } =
-            &mut labeled.function_mut(entry).blocks[0].term
-        {
+        if let Terminator::CondBr { site, .. } = &mut labeled.function_mut(entry).blocks[0].term {
             *site = Some(fp_runtime::BranchId(7));
         }
         let (opt, _) = specialize(
@@ -526,8 +534,7 @@ mod tests {
         let w = instrument::instrument_boundary(&base, entry);
         let w_entry = w.function_by_name(instrument::W_FUNCTION).unwrap();
         let spec = ObservationSpec::branches(SiteSet::All);
-        let (opt, stats) =
-            specialize(&w, w_entry, &domain1(1.0e3), &spec).expect("W specializes");
+        let (opt, stats) = specialize(&w, w_entry, &domain1(1.0e3), &spec).expect("W specializes");
         assert!(stats.insts_removed() > 0, "{stats:?}");
         let orig = crate::ModuleProgram::new(w.clone(), instrument::W_FUNCTION).unwrap();
         let sliced = crate::ModuleProgram::new(opt, instrument::W_FUNCTION).unwrap();
@@ -553,7 +560,12 @@ mod tests {
         let mut module = programs::fig2_program();
         let entry = module.function_by_name("prog").unwrap();
         module.function_mut(entry).blocks.clear();
-        match specialize(&module, entry, &domain1(1.0), &ObservationSpec::everything()) {
+        match specialize(
+            &module,
+            entry,
+            &domain1(1.0),
+            &ObservationSpec::everything(),
+        ) {
             Err(SpecializeError::InputInvalid(_)) => {}
             other => panic!("expected InputInvalid, got {other:?}"),
         }

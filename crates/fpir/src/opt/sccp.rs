@@ -74,7 +74,9 @@ fn transfer(inst: &Inst, env: &mut [AbsVal], params: &[AbsVal]) {
         Inst::Param { dst, index } => {
             env[dst.0] = params.get(*index).copied().unwrap_or_else(AbsVal::top)
         }
-        Inst::Bin { dst, op, lhs, rhs, .. } => env[dst.0] = abs_bin(*op, env[lhs.0], env[rhs.0]),
+        Inst::Bin {
+            dst, op, lhs, rhs, ..
+        } => env[dst.0] = abs_bin(*op, env[lhs.0], env[rhs.0]),
         Inst::Un { dst, op, arg, .. } => env[dst.0] = abs_un(*op, env[arg.0]),
         Inst::Cmp { dst, cmp, lhs, rhs } => {
             env[dst.0] = match abs_cmp(*cmp, env[lhs.0], env[rhs.0]) {
@@ -289,7 +291,10 @@ fn fold_inst(inst: &Inst, env: &[AbsVal]) -> Option<Inst> {
             if v.is_nan() {
                 return None;
             }
-            Some(Inst::Const { dst: *dst, value: v })
+            Some(Inst::Const {
+                dst: *dst,
+                value: v,
+            })
         }
         Inst::Un {
             dst,
@@ -302,7 +307,10 @@ fn fold_inst(inst: &Inst, env: &[AbsVal]) -> Option<Inst> {
             if v.is_nan() {
                 return None;
             }
-            Some(Inst::Const { dst: *dst, value: v })
+            Some(Inst::Const {
+                dst: *dst,
+                value: v,
+            })
         }
         Inst::Cmp { dst, cmp, lhs, rhs } => {
             abs_cmp(*cmp, env[lhs.0], env[rhs.0]).map(|t| Inst::Const {

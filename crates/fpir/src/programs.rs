@@ -244,7 +244,10 @@ mod tests {
     fn fig1a_assertion_fails_for_the_motivating_input() {
         let p = ModuleProgram::new(fig1a_program(), "prog").unwrap();
         // The counterexample of Section 1: 0.9999999999999999 + 1 rounds to 2.
-        assert_eq!(p.run(&[0.999_999_999_999_999_9], &mut NullObserver), Some(0.0));
+        assert_eq!(
+            p.run(&[0.999_999_999_999_999_9], &mut NullObserver),
+            Some(0.0)
+        );
         // An ordinary input satisfies the assertion.
         assert_eq!(p.run(&[0.5], &mut NullObserver), Some(1.0));
         // Inputs >= 1 never reach the assertion.
@@ -256,9 +259,10 @@ mod tests {
         let p = ModuleProgram::new(fig1b_program(), "prog").unwrap();
         let mut rec = TraceRecorder::new();
         p.run(&[0.5], &mut rec);
-        assert!(rec
-            .ops()
-            .any(|o| o.op == fp_runtime::FpOp::Tan), "tan site not observed");
+        assert!(
+            rec.ops().any(|o| o.op == fp_runtime::FpOp::Tan),
+            "tan site not observed"
+        );
     }
 
     #[test]

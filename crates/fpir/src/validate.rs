@@ -139,7 +139,10 @@ fn validate_structure(
             if r.0 >= func.num_regs {
                 Err(ValidationError::BadRegister {
                     func: fid,
-                    detail: format!("{what} uses {r} but the function has {} registers", func.num_regs),
+                    detail: format!(
+                        "{what} uses {r} but the function has {} registers",
+                        func.num_regs
+                    ),
                 })
             } else {
                 Ok(())
@@ -193,7 +196,9 @@ fn validate_structure(
                         check_reg(*if_true, "select true value")?;
                         check_reg(*if_false, "select false value")?;
                     }
-                    Inst::Call { func: callee, args, .. } => {
+                    Inst::Call {
+                        func: callee, args, ..
+                    } => {
                         if callee.0 >= module.functions.len() {
                             return Err(ValidationError::BadCall {
                                 func: fid,

@@ -55,7 +55,11 @@ pub fn airy_mod_phase(x: f64, ctx: &mut Ctx<'_>) -> (SfResult, SfResult, Status)
         let absorbed = ctx.op(5, FpOp::Add, 0.3125 + t);
         let m_corr = ctx.op(6, FpOp::Sub, absorbed - 0.3125);
         let m_res = SfResult::new(m_corr, GSL_DBL_EPSILON * (0.3125 + t.abs()));
-        let p_corr = ctx.op(7, FpOp::Mul, -0.041_666_666_666_666_664 * (1.0 + 0.05 * (z - 1.0)));
+        let p_corr = ctx.op(
+            7,
+            FpOp::Mul,
+            -0.041_666_666_666_666_664 * (1.0 + 0.05 * (z - 1.0)),
+        );
         let p_res = SfResult::new(p_corr, GSL_DBL_EPSILON * p_corr.abs());
         (m_res, p_res)
     } else {
@@ -65,7 +69,11 @@ pub fn airy_mod_phase(x: f64, ctx: &mut Ctx<'_>) -> (SfResult, SfResult, Status)
         let absorbed = ctx.op(11, FpOp::Add, 0.3125 + t);
         let m_corr = ctx.op(12, FpOp::Sub, absorbed - 0.3125);
         let m_res = SfResult::new(m_corr, GSL_DBL_EPSILON * (0.3125 + t.abs()));
-        let p_corr = ctx.op(13, FpOp::Mul, -0.041_666_666_666_666_664 * (1.0 + 0.03 * (z - 1.0)));
+        let p_corr = ctx.op(
+            13,
+            FpOp::Mul,
+            -0.041_666_666_666_666_664 * (1.0 + 0.03 * (z - 1.0)),
+        );
         let p_res = SfResult::new(p_corr, GSL_DBL_EPSILON * p_corr.abs());
         (m_res, p_res)
     };
@@ -78,7 +86,8 @@ pub fn airy_mod_phase(x: f64, ctx: &mut Ctx<'_>) -> (SfResult, SfResult, Status)
     // GSL-style relative error of the correction: divides by result_m.val,
     // which vanishes near x ≈ -3.02 (Bug 1).
     let rel = ctx.op(17, FpOp::Div, result_m.err / result_m.val);
-    let mod_err = ctx.op(18, FpOp::Mul, mod_val.abs() * rel.abs()) + GSL_DBL_EPSILON * mod_val.abs();
+    let mod_err =
+        ctx.op(18, FpOp::Mul, mod_val.abs() * rel.abs()) + GSL_DBL_EPSILON * mod_val.abs();
 
     let xsqx = ctx.op(19, FpOp::Mul, x * sqx);
     let phase_term = ctx.op(20, FpOp::Mul, xsqx * p);
@@ -202,8 +211,16 @@ impl Analyzable for AiryAi {
             (9, FpOp::Div, "airy_mod_phase: z = (16/x^3 + 9)/7"),
             (10, FpOp::Mul, "airy_mod_phase: 0.002*(z-1) + 0.005809"),
             (11, FpOp::Add, "airy_mod_phase: 0.3125 + t (branch 2)"),
-            (12, FpOp::Sub, "airy_mod_phase: (0.3125 + t) - 0.3125 (branch 2)"),
-            (13, FpOp::Mul, "airy_mod_phase: phase correction (-2 <= x <= -1)"),
+            (
+                12,
+                FpOp::Sub,
+                "airy_mod_phase: (0.3125 + t) - 0.3125 (branch 2)",
+            ),
+            (
+                13,
+                FpOp::Mul,
+                "airy_mod_phase: phase correction (-2 <= x <= -1)",
+            ),
             (14, FpOp::Add, "airy_mod_phase: m = 0.3125 + result_m.val"),
             (15, FpOp::Add, "airy_mod_phase: p = -0.625 + result_p.val"),
             (16, FpOp::Div, "airy_mod_phase: m / sqrt(-x)"),
@@ -214,7 +231,11 @@ impl Analyzable for AiryAi {
             (21, FpOp::Sub, "airy_mod_phase: theta = pi/4 - x*sqx*p"),
             (22, FpOp::Mul, "airy_mod_phase: theta.err"),
             (23, FpOp::Mul, "airy_Ai: val = mod.val * cos_result.val"),
-            (24, FpOp::Add, "airy_Ai: err = |mod*cos.err| + |cos*mod.err|"),
+            (
+                24,
+                FpOp::Add,
+                "airy_Ai: err = |mod*cos.err| + |cos*mod.err|",
+            ),
             (25, FpOp::Add, "airy_Ai: err += EPSILON*|val|"),
             (26, FpOp::Mul, "airy_Ai (x>1): xi = 2/3 * x*sqrt(x)"),
             (27, FpOp::Mul, "airy_Ai (x>1): 2*sqrt(pi)*x^(1/4)"),
@@ -285,7 +306,11 @@ mod tests {
             assert!(r.val.abs() < 1.0, "Ai({x}) = {}", r.val);
             signs.insert(r.val > 0.0);
         }
-        assert_eq!(signs.len(), 2, "Ai should change sign in the oscillatory region");
+        assert_eq!(
+            signs.len(),
+            2,
+            "Ai should change sign in the oscillatory region"
+        );
     }
 
     #[test]
@@ -337,7 +362,11 @@ mod tests {
             exceptional > 0,
             "no inf/nan inconsistency among {n} huge inputs (absurd errors: {absurd_err})"
         );
-        assert_eq!(exceptional + absurd_err, n, "every huge input is inconsistent");
+        assert_eq!(
+            exceptional + absurd_err,
+            n,
+            "every huge input is inconsistent"
+        );
     }
 
     #[test]

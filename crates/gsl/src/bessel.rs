@@ -164,8 +164,16 @@ mod tests {
             let mut ctx = Ctx::new(&mut obs);
             let (probed, _) = b.eval_probed(nu, x, &mut ctx);
             let (plain, _) = bessel_knu_scaled_asympx(nu, x);
-            assert_eq!(probed.val.to_bits(), plain.val.to_bits(), "val at ({nu}, {x})");
-            assert_eq!(probed.err.to_bits(), plain.err.to_bits(), "err at ({nu}, {x})");
+            assert_eq!(
+                probed.val.to_bits(),
+                plain.val.to_bits(),
+                "val at ({nu}, {x})"
+            );
+            assert_eq!(
+                probed.err.to_bits(),
+                plain.err.to_bits(),
+                "err at ({nu}, {x})"
+            );
         }
     }
 

@@ -22,7 +22,8 @@ pub const K_THRESHOLDS: [u32; 5] = [
 
 /// The `|x|` values the developers quote for each threshold (Table 2's
 /// `ref` row).
-pub const REFERENCE_BOUNDS: [f64; 5] = [1.490_120e-8, 8.554_690e-1, 2.426_260, 1.054_140e8, f64::MAX];
+pub const REFERENCE_BOUNDS: [f64; 5] =
+    [1.490_120e-8, 8.554_690e-1, 2.426_260, 1.054_140e8, f64::MAX];
 
 /// Extracts `k = 0x7fffffff & (high word of x)`, the quantity every branch
 /// of the Glibc implementation compares.

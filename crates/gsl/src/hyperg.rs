@@ -31,7 +31,10 @@ fn hyperg_u_series(a: f64, b: f64, x: f64) -> SfResult {
         sum += term;
         last = term;
     }
-    SfResult::new(xa * sum, (xa * last).abs() + GSL_DBL_EPSILON * (xa * sum).abs())
+    SfResult::new(
+        xa * sum,
+        (xa * last).abs() + GSL_DBL_EPSILON * (xa * sum).abs(),
+    )
 }
 
 /// Probed body of `gsl_sf_hyperg_2F0_e(a, b, x, result)`.

@@ -25,14 +25,15 @@ const P3: f64 = 2.695_151_429_079_059_526_45e-15;
 /// a failed argument reduction.
 fn cos_poly(z: f64) -> f64 {
     let z2 = z * z;
-    1.0 + z2 * (-0.5
-        + z2 * (1.0 / 24.0
-            + z2 * (-1.0 / 720.0
-                + z2 * (1.0 / 40_320.0
-                    + z2 * (-1.0 / 3_628_800.0
-                        + z2 * (1.0 / 479_001_600.0
-                            + z2 * (-1.0 / 87_178_291_200.0
-                                + z2 * (1.0 / 20_922_789_888_000.0))))))))
+    1.0 + z2
+        * (-0.5
+            + z2 * (1.0 / 24.0
+                + z2 * (-1.0 / 720.0
+                    + z2 * (1.0 / 40_320.0
+                        + z2 * (-1.0 / 3_628_800.0
+                            + z2 * (1.0 / 479_001_600.0
+                                + z2 * (-1.0 / 87_178_291_200.0
+                                    + z2 * (1.0 / 20_922_789_888_000.0))))))))
 }
 
 /// Maclaurin polynomial for sine, accurate on `[-π/2, π/2]`.
@@ -135,7 +136,10 @@ mod tests {
                 garbage += 1;
             }
         }
-        assert!(garbage > 40, "only {garbage}/50 huge arguments were garbage");
+        assert!(
+            garbage > 40,
+            "only {garbage}/50 huge arguments were garbage"
+        );
     }
 
     #[test]

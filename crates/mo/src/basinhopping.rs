@@ -226,7 +226,10 @@ struct BasinHoppingStep {
 
 impl BasinHoppingStep {
     fn finish(&mut self, termination: Termination) -> StepStatus {
-        let best = self.best.clone().expect("basin hopping ran its start phase");
+        let best = self
+            .best
+            .clone()
+            .expect("basin hopping ran its start phase");
         self.finished = Some(MinimizeResult::new(
             best.x,
             best.value,
@@ -343,10 +346,7 @@ impl MinimizerStep for BasinHoppingStep {
     }
 
     fn best_value(&self) -> f64 {
-        self.best
-            .as_ref()
-            .map(|b| b.value)
-            .unwrap_or(f64::INFINITY)
+        self.best.as_ref().map(|b| b.value).unwrap_or(f64::INFINITY)
     }
 
     fn result(&self) -> MinimizeResult {
@@ -450,7 +450,9 @@ mod tests {
         let p = Problem::new(&f, Bounds::symmetric(2, 5.12))
             .with_target(1e-6)
             .with_max_evals(300_000);
-        let r = BasinHopping::default().with_hops(300).minimize(&p, 11, &mut NoTrace);
+        let r = BasinHopping::default()
+            .with_hops(300)
+            .minimize(&p, 11, &mut NoTrace);
         assert!(r.value < 1e-3, "value = {}", r.value);
     }
 
@@ -482,7 +484,12 @@ mod tests {
             .with_target(0.0)
             .with_max_evals(200_000);
         let r = BasinHopping::default().minimize(&p, 5, &mut NoTrace);
-        assert_eq!(r.termination, Termination::TargetReached, "value = {:e}", r.value);
+        assert_eq!(
+            r.termination,
+            Termination::TargetReached,
+            "value = {:e}",
+            r.value
+        );
     }
 
     #[test]
@@ -502,7 +509,9 @@ mod tests {
         let f = FnObjective::new(1, |x: &[f64]| x[0].abs());
         let p = Problem::new(&f, Bounds::symmetric(1, 10.0)).with_max_evals(2_000);
         let mut trace = SamplingTrace::new();
-        let r = BasinHopping::default().with_hops(5).minimize(&p, 1, &mut trace);
+        let r = BasinHopping::default()
+            .with_hops(5)
+            .minimize(&p, 1, &mut trace);
         assert!(!trace.is_empty());
         assert!(trace.len() as u64 == trace.total_seen());
         assert!(r.evals <= 2_000);

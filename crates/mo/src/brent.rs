@@ -350,7 +350,10 @@ mod tests {
         // The returned triple still brackets the plateau edge.
         let fb = 9.0 - 0.383 * (b - 1.0);
         assert!(b > 1.0 && b <= 2.618_034);
-        assert!(fb <= 10.0 - a.min(1.0) && fb <= 9.0, "({a}, {b}, {c}) invalid");
+        assert!(
+            fb <= 10.0 - a.min(1.0) && fb <= 9.0,
+            "({a}, {b}, {c}) invalid"
+        );
     }
 
     /// On a flat plateau (`fa == fb == fc` after the NaN mapping) and on
@@ -411,7 +414,7 @@ mod tests {
             move |t: f64| match kind % 6 {
                 0 => (t - shift) * (t - shift),
                 1 => (t - shift).abs(),
-                2 => 5.0,                                        // flat plateau
+                2 => 5.0, // flat plateau
                 3 => {
                     if (t - shift).abs() < 1.0 {
                         f64::NAN
@@ -423,7 +426,7 @@ mod tests {
                     if t < shift {
                         10.0 - t
                     } else {
-                        1.0                                       // step plateau
+                        1.0 // step plateau
                     }
                 }
                 _ => ((t - shift) * 0.25).sin() + 1.5,

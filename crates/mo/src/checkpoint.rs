@@ -311,7 +311,14 @@ mod tests {
 
     #[test]
     fn bits_round_trip_non_finite_floats() {
-        let xs = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5e-308];
+        let xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5e-308,
+        ];
         let back = floats_of(&bits_of(&xs));
         for (a, b) in xs.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());

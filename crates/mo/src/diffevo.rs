@@ -422,8 +422,7 @@ mod tests {
         let bounds = Bounds::new(vec![(-1.0e4, 1.0e4)]);
         let mut rng = crate::rng_from_seed(7);
         for _ in 0..50 {
-            let mutant =
-                mutate_component(3.0, f64::MAX, -f64::MAX, 0.0, &bounds, 0, &mut rng);
+            let mutant = mutate_component(3.0, f64::MAX, -f64::MAX, 0.0, &bounds, 0, &mut rng);
             assert!(mutant.is_finite(), "mutant = {mutant}");
             assert!((-1.0e4..=1.0e4).contains(&mutant), "mutant = {mutant}");
         }

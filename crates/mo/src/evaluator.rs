@@ -125,7 +125,11 @@ impl<'a, 'b> Evaluator<'a, 'b> {
     /// Creates an evaluator for one backend run over `problem`, recording
     /// every evaluation into `sink`.
     pub fn new(problem: &'a Problem<'a>, sink: &'b mut dyn SampleSink) -> Self {
-        Evaluator::resume(problem, sink, EvaluatorState::fresh(problem.objective.dim()))
+        Evaluator::resume(
+            problem,
+            sink,
+            EvaluatorState::fresh(problem.objective.dim()),
+        )
     }
 
     /// Recreates an evaluator from a [`suspend`](Evaluator::suspend)ed
@@ -419,7 +423,10 @@ mod tests {
         token.cancel();
         assert!(ev.should_stop());
         assert!(ev.cancelled());
-        assert_eq!(ev.termination(Termination::Converged), Termination::Cancelled);
+        assert_eq!(
+            ev.termination(Termination::Converged),
+            Termination::Cancelled
+        );
     }
 
     #[test]

@@ -170,8 +170,12 @@ impl std::fmt::Debug for Problem<'_> {
 /// across worker threads.
 pub trait GlobalMinimizer: Send + Sync {
     /// Minimizes the problem, recording every objective evaluation in `sink`.
-    fn minimize(&self, problem: &Problem<'_>, seed: u64, sink: &mut dyn SampleSink)
-        -> MinimizeResult;
+    fn minimize(
+        &self,
+        problem: &Problem<'_>,
+        seed: u64,
+        sink: &mut dyn SampleSink,
+    ) -> MinimizeResult;
 
     /// A short backend name for reports ("Basinhopping", "Powell", ...).
     fn backend_name(&self) -> &'static str;

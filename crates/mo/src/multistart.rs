@@ -163,10 +163,7 @@ impl MinimizerStep for MultiStartStep {
     }
 
     fn best_value(&self) -> f64 {
-        self.best
-            .as_ref()
-            .map(|b| b.value)
-            .unwrap_or(f64::INFINITY)
+        self.best.as_ref().map(|b| b.value).unwrap_or(f64::INFINITY)
     }
 
     fn result(&self) -> MinimizeResult {
@@ -273,7 +270,9 @@ mod tests {
         let p = Problem::new(&f, Bounds::symmetric(2, 5.12))
             .with_target(1e-6)
             .with_max_evals(400_000);
-        let r = MultiStart::default().with_starts(100).minimize(&p, 13, &mut NoTrace);
+        let r = MultiStart::default()
+            .with_starts(100)
+            .minimize(&p, 13, &mut NoTrace);
         assert!(r.value < 0.1, "value = {}", r.value);
     }
 

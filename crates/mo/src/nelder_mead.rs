@@ -291,9 +291,12 @@ mod tests {
     fn minimizes_rosenbrock_2d() {
         let f = FnObjective::new(2, rosenbrock);
         let p = Problem::new(&f, Bounds::symmetric(2, 10.0)).with_max_evals(100_000);
-        let r = NelderMead::default()
-            .with_max_iters(20_000)
-            .minimize_from(&p, &[-1.2, 1.0], 100_000, &mut NoTrace);
+        let r = NelderMead::default().with_max_iters(20_000).minimize_from(
+            &p,
+            &[-1.2, 1.0],
+            100_000,
+            &mut NoTrace,
+        );
         assert!(r.value < 1e-6, "value = {}", r.value);
         assert!((r.x[0] - 1.0).abs() < 1e-2);
         assert!((r.x[1] - 1.0).abs() < 1e-2);

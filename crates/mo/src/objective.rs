@@ -80,7 +80,9 @@ where
 
 impl<F> std::fmt::Debug for FnObjective<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnObjective").field("dim", &self.dim).finish_non_exhaustive()
+        f.debug_struct("FnObjective")
+            .field("dim", &self.dim)
+            .finish_non_exhaustive()
     }
 }
 

@@ -61,12 +61,7 @@ impl Powell {
         self
     }
 
-    fn line_search(
-        &self,
-        ev: &mut Evaluator<'_, '_>,
-        x: &[f64],
-        dir: &[f64],
-    ) -> (Vec<f64>, f64) {
+    fn line_search(&self, ev: &mut Evaluator<'_, '_>, x: &[f64], dir: &[f64]) -> (Vec<f64>, f64) {
         let n = x.len();
         let budget = self.line_max_evals.min(ev.remaining());
         if budget < 4 {
@@ -115,19 +110,18 @@ impl PowellStep {
     /// `x0` (the local interface; the global interface samples `x0` from
     /// the seed first), spending at most `max_evals` evaluations. No
     /// objective evaluation happens here.
-    fn from_x0(
-        cfg: Powell,
-        problem: &Problem<'_>,
-        x0: Vec<f64>,
-        max_evals: usize,
-    ) -> Self {
+    fn from_x0(cfg: Powell, problem: &Problem<'_>, x0: Vec<f64>, max_evals: usize) -> Self {
         let n = x0.len();
         // Initial directions: the coordinate axes, scaled to the magnitude of
         // the starting point so that huge-magnitude coordinates can move.
         let dirs: Vec<Vec<f64>> = (0..n)
             .map(|i| {
                 let mut d = vec![0.0; n];
-                d[i] = if x0[i].abs() > 1.0 { x0[i].abs() * 0.1 } else { 1.0 };
+                d[i] = if x0[i].abs() > 1.0 {
+                    x0[i].abs() * 0.1
+                } else {
+                    1.0
+                };
                 d
             })
             .collect();
@@ -354,9 +348,12 @@ mod tests {
     fn minimizes_rosenbrock() {
         let f = FnObjective::new(2, rosenbrock);
         let p = Problem::new(&f, Bounds::symmetric(2, 5.0)).with_max_evals(200_000);
-        let r = Powell::default()
-            .with_max_iters(500)
-            .minimize_from(&p, &[-1.2, 1.0], 200_000, &mut NoTrace);
+        let r = Powell::default().with_max_iters(500).minimize_from(
+            &p,
+            &[-1.2, 1.0],
+            200_000,
+            &mut NoTrace,
+        );
         assert!(r.value < 1e-5, "value = {}", r.value);
     }
 

@@ -219,7 +219,9 @@ mod tests {
         let f = FnObjective::new(2, |x: &[f64]| x[0] + x[1]);
         let p = Problem::new(&f, Bounds::symmetric(2, 1.0));
         let mut trace = SamplingTrace::new();
-        let r = RandomSearch::new().with_max_samples(50).minimize(&p, 3, &mut trace);
+        let r = RandomSearch::new()
+            .with_max_samples(50)
+            .minimize(&p, 3, &mut trace);
         assert_eq!(r.evals, 50);
         assert_eq!(trace.len(), 50);
         assert_eq!(RandomSearch::new().backend_name(), "RandomSearch");

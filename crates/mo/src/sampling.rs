@@ -130,7 +130,10 @@ impl SamplingTrace {
     /// The retained samples whose value is `<= threshold` (used to extract
     /// the reported boundary values `BV = {x ∈ Raw | W(x) = 0}`).
     pub fn below(&self, threshold: f64) -> Vec<&Sample> {
-        self.samples.iter().filter(|s| s.value <= threshold).collect()
+        self.samples
+            .iter()
+            .filter(|s| s.value <= threshold)
+            .collect()
     }
 
     /// The best (smallest-value) retained sample, NaN-aware.

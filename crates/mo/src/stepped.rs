@@ -127,9 +127,7 @@ mod tests {
 
     #[test]
     fn sliced_runs_match_unsliced_for_every_stepped_backend() {
-        use crate::{
-            BasinHopping, DifferentialEvolution, MultiStart, RandomSearch, SamplingTrace,
-        };
+        use crate::{BasinHopping, DifferentialEvolution, MultiStart, RandomSearch, SamplingTrace};
         let backends: Vec<(&str, Box<dyn SteppedMinimizer>)> = vec![
             ("bh", Box::new(BasinHopping::default().with_hops(12))),
             (
@@ -140,7 +138,9 @@ mod tests {
             ("rs", Box::new(RandomSearch::new())),
             ("powell", Box::new(Powell::default())),
         ];
-        let f = FnObjective::new(1, |x: &[f64]| (x[0] - 3.0).abs() * (x[0] + 1.0).abs() + 0.25);
+        let f = FnObjective::new(1, |x: &[f64]| {
+            (x[0] - 3.0).abs() * (x[0] + 1.0).abs() + 0.25
+        });
         for (name, backend) in &backends {
             for seed in [1u64, 99] {
                 let p = Problem::new(&f, Bounds::symmetric(1, 100.0))

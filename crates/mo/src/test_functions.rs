@@ -36,10 +36,11 @@ pub fn rastrigin(x: &[f64]) -> f64 {
 pub fn ackley(x: &[f64]) -> f64 {
     let n = x.len() as f64;
     let sum_sq: f64 = x.iter().map(|v| v * v).sum();
-    let sum_cos: f64 = x.iter().map(|v| (2.0 * std::f64::consts::PI * v).cos()).sum();
-    -20.0 * (-0.2 * (sum_sq / n).sqrt()).exp() - (sum_cos / n).exp()
-        + 20.0
-        + std::f64::consts::E
+    let sum_cos: f64 = x
+        .iter()
+        .map(|v| (2.0 * std::f64::consts::PI * v).cos())
+        .sum();
+    -20.0 * (-0.2 * (sum_sq / n).sqrt()).exp() - (sum_cos / n).exp() + 20.0 + std::f64::consts::E
 }
 
 #[cfg(test)]

@@ -162,7 +162,11 @@ impl LocalMinimizer for UlpSearch {
         }
 
         let (bx, bv) = ev.best();
-        let (x, fx) = if crate::better(bv, fx) { (bx, bv) } else { (x, fx) };
+        let (x, fx) = if crate::better(bv, fx) {
+            (bx, bv)
+        } else {
+            (x, fx)
+        };
         let termination = ev.termination(Termination::Converged);
         MinimizeResult::new(x, fx, ev.evals(), termination)
     }
@@ -188,18 +192,22 @@ mod tests {
             f64::MAX,
         ];
         for w in vals.windows(2) {
-            assert!(
-                to_ordered(w[0]) <= to_ordered(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
+            assert!(to_ordered(w[0]) <= to_ordered(w[1]), "{} vs {}", w[0], w[1]);
         }
     }
 
     #[test]
     fn ordered_roundtrip() {
-        for &v in &[0.0, -0.0, 1.5, -2.25, 1.0e-300, -1.0e300, f64::MAX, -f64::MAX] {
+        for &v in &[
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            1.0e-300,
+            -1.0e300,
+            f64::MAX,
+            -f64::MAX,
+        ] {
             let r = from_ordered(to_ordered(v));
             assert_eq!(r.to_bits(), v.to_bits(), "roundtrip of {v}");
         }

@@ -289,11 +289,7 @@ pub trait Analyzable: Send + Sync {
     /// candidate into the domain before evaluating. Callers fall back to
     /// the original program on `None`; the default implementation (no
     /// optimizing backend) always returns `None`.
-    fn specialize(
-        &self,
-        spec: &ObservationSpec,
-        policy: OptPolicy,
-    ) -> Option<Box<dyn Analyzable>> {
+    fn specialize(&self, spec: &ObservationSpec, policy: OptPolicy) -> Option<Box<dyn Analyzable>> {
         let _ = (spec, policy);
         None
     }
@@ -393,11 +389,7 @@ impl<P: Analyzable + ?Sized> Analyzable for &P {
         (**self).op_site_reachability(site)
     }
 
-    fn specialize(
-        &self,
-        spec: &ObservationSpec,
-        policy: OptPolicy,
-    ) -> Option<Box<dyn Analyzable>> {
+    fn specialize(&self, spec: &ObservationSpec, policy: OptPolicy) -> Option<Box<dyn Analyzable>> {
         (**self).specialize(spec, policy)
     }
 }
@@ -568,7 +560,11 @@ mod tests {
     fn default_batch_executor_ignores_policy_and_matches_run() {
         let p = toy();
         let xs: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 - 3.0]).collect();
-        for policy in [KernelPolicy::Auto, KernelPolicy::Always, KernelPolicy::Never] {
+        for policy in [
+            KernelPolicy::Auto,
+            KernelPolicy::Always,
+            KernelPolicy::Never,
+        ] {
             let mut session = p.batch_executor(policy);
             let mut observers: Vec<TraceRecorder> =
                 xs.iter().map(|_| TraceRecorder::new()).collect();
@@ -625,7 +621,9 @@ mod tests {
     fn default_specialize_is_none() {
         let p = toy();
         for policy in [OptPolicy::Auto, OptPolicy::Always, OptPolicy::Never] {
-            assert!(p.specialize(&ObservationSpec::everything(), policy).is_none());
+            assert!(p
+                .specialize(&ObservationSpec::everything(), policy)
+                .is_none());
             // The &P blanket impl forwards the default too.
             let by_ref = &p;
             assert!(by_ref

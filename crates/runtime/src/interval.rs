@@ -32,7 +32,10 @@ impl Interval {
     /// Panics if `lo > hi` or either endpoint is NaN.
     pub fn new(lo: f64, hi: f64) -> Self {
         assert!(!lo.is_nan() && !hi.is_nan(), "interval endpoint is NaN");
-        assert!(lo <= hi, "interval lower bound {lo} exceeds upper bound {hi}");
+        assert!(
+            lo <= hi,
+            "interval lower bound {lo} exceeds upper bound {hi}"
+        );
         Interval { lo, hi }
     }
 

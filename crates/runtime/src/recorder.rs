@@ -313,7 +313,10 @@ mod tests {
         let mut b = Stopper;
         let mut multi = MultiObserver::new(&mut a, &mut b);
         assert_eq!(multi.on_op(&op(0, 1.0)), ProbeControl::Stop);
-        assert_eq!(multi.on_branch(&br(0, 1.0, 2.0, true)), ProbeControl::Continue);
+        assert_eq!(
+            multi.on_branch(&br(0, 1.0, 2.0, true)),
+            ProbeControl::Continue
+        );
         assert_eq!(a.ops, 1);
     }
 }

@@ -85,11 +85,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A job over the full backend portfolio at weight 1.
-    pub fn new(
-        name: impl Into<String>,
-        wd: Arc<dyn WeakDistance>,
-        config: AnalysisConfig,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, wd: Arc<dyn WeakDistance>, config: AnalysisConfig) -> Self {
         JobSpec {
             name: name.into(),
             wd,
@@ -288,10 +284,12 @@ impl ServiceInner {
     /// the stream ending, the same signal a shutdown sends, instead of
     /// silently losing interior events.
     fn emit(&self, state: &mut ServiceState, event: ProgressEvent) {
-        state.subscribers.retain(|tx| match tx.try_send(event.clone()) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => false,
-        });
+        state
+            .subscribers
+            .retain(|tx| match tx.try_send(event.clone()) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => false,
+            });
     }
 }
 

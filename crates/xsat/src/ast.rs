@@ -299,8 +299,13 @@ impl Cnf {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.num_vars
-            .max(self.clauses.iter().flat_map(|c| c.atoms.iter().map(Atom::num_vars)).max().unwrap_or(0))
+        self.num_vars.max(
+            self.clauses
+                .iter()
+                .flat_map(|c| c.atoms.iter().map(Atom::num_vars))
+                .max()
+                .unwrap_or(0),
+        )
     }
 
     /// Evaluates the formula: `true` iff every clause holds.
@@ -323,7 +328,10 @@ mod tests {
         assert_eq!((-Expr::var(0)).eval(&[3.0]), -3.0);
         assert_eq!(Expr::var(0).abs().eval(&[-3.0]), 3.0);
         assert_eq!(Expr::var(0).sin().eval(&[1.0]), 1.0_f64.sin());
-        assert_eq!((Expr::var(0) / Expr::constant(0.0)).eval(&[1.0]), f64::INFINITY);
+        assert_eq!(
+            (Expr::var(0) / Expr::constant(0.0)).eval(&[1.0]),
+            f64::INFINITY
+        );
     }
 
     #[test]

@@ -178,11 +178,8 @@ mod tests {
     fn nonlinear_constraint_with_disjunction() {
         // (x*x == 2 ∨ x <= -10) — satisfied by sqrt(2) or anything <= -10.
         let cnf = Cnf::new(1).and(
-            Clause::from(Atom::eq(
-                Expr::var(0) * Expr::var(0),
-                Expr::constant(2.0),
-            ))
-            .or(Atom::le(Expr::var(0), Expr::constant(-10.0))),
+            Clause::from(Atom::eq(Expr::var(0) * Expr::var(0), Expr::constant(2.0)))
+                .or(Atom::le(Expr::var(0), Expr::constant(-10.0))),
         );
         let verdict = Solver::new(cnf.clone())
             .with_domain(vec![Interval::symmetric(100.0)])
@@ -200,7 +197,11 @@ mod tests {
         )));
         let verdict = Solver::new(cnf)
             .with_domain(vec![Interval::symmetric(100.0)])
-            .solve(&AnalysisConfig::quick(5).with_rounds(2).with_max_evals(5_000));
+            .solve(
+                &AnalysisConfig::quick(5)
+                    .with_rounds(2)
+                    .with_max_evals(5_000),
+            );
         match verdict {
             Verdict::Unknown { best_residual, .. } => assert!(best_residual > 0.0),
             Verdict::Sat(m) => panic!("spurious model {m:?}"),
@@ -230,8 +231,11 @@ mod tests {
         let solver = Solver::new(cnf).with_domain(vec![Interval::symmetric(100.0)]);
         let sequential = solver.solve(&AnalysisConfig::quick(8).with_rounds(4));
         for threads in [2, 8] {
-            let parallel =
-                solver.solve(&AnalysisConfig::quick(8).with_rounds(4).with_parallelism(threads));
+            let parallel = solver.solve(
+                &AnalysisConfig::quick(8)
+                    .with_rounds(4)
+                    .with_parallelism(threads),
+            );
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }

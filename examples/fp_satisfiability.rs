@@ -35,14 +35,20 @@ fn main() {
     // A nonlinear system: x + y == 10 ∧ x * y == 21.
     let (x, y) = (Expr::var(0), Expr::var(1));
     let system = Cnf::new(2)
-        .and(Clause::from(Atom::eq(x.clone() + y.clone(), Expr::constant(10.0))))
+        .and(Clause::from(Atom::eq(
+            x.clone() + y.clone(),
+            Expr::constant(10.0),
+        )))
         .and(Clause::from(Atom::eq(x * y, Expr::constant(21.0))));
     let verdict = Solver::new(system.clone())
         .with_domain(vec![Interval::symmetric(100.0); 2])
         .solve(&AnalysisConfig::quick(2).with_rounds(8));
     match verdict {
         Verdict::Sat(model) => {
-            println!("x + y == 10 ∧ x*y == 21 is SAT: x = {}, y = {}", model[0], model[1]);
+            println!(
+                "x + y == 10 ∧ x*y == 21 is SAT: x = {}, y = {}",
+                model[0], model[1]
+            );
             assert!(system.holds(&model));
         }
         Verdict::Unknown { best_residual, .. } => {

@@ -9,7 +9,9 @@ use wdm::core::overflow::OverflowDetector;
 use wdm::gsl::bessel::{bessel_outcome, BesselKnuScaled};
 
 fn main() {
-    let config = AnalysisConfig::quick(7).with_rounds(2).with_max_evals(15_000);
+    let config = AnalysisConfig::quick(7)
+        .with_rounds(2)
+        .with_max_evals(15_000);
     let detector = OverflowDetector::new(BesselKnuScaled::new());
     let report = detector.run(&config);
 
@@ -20,7 +22,10 @@ fn main() {
     );
     for op in &report.operations {
         match &op.witness {
-            Some(w) => println!("  {:<58} nu = {:>10.2e}, x = {:>10.2e}", op.site.label, w[0], w[1]),
+            Some(w) => println!(
+                "  {:<58} nu = {:>10.2e}, x = {:>10.2e}",
+                op.site.label, w[0], w[1]
+            ),
             None => println!("  {:<58} (no overflow found)", op.site.label),
         }
     }
@@ -40,6 +45,9 @@ fn main() {
     );
     println!("\n{} inconsistencies detected:", inconsistencies.len());
     for inc in inconsistencies.iter().take(5) {
-        println!("  input {:?}: {:?} — root cause: {}", inc.input, inc.outcome.values, inc.cause);
+        println!(
+            "  input {:?}: {:?} — root cause: {}",
+            inc.input, inc.outcome.values, inc.cause
+        );
     }
 }

@@ -19,7 +19,10 @@ fn main() {
         outcome if outcome.is_found() => {
             let input = outcome.into_input().unwrap();
             let conditions = boundary.triggered_conditions(&input);
-            println!("boundary value found: x = {} (triggers branch {:?})", input[0], conditions);
+            println!(
+                "boundary value found: x = {} (triggers branch {:?})",
+                input[0], conditions
+            );
         }
         _ => println!("no boundary value found within the budget"),
     }

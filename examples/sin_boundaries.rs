@@ -9,7 +9,9 @@ use wdm::gsl::glibc_sin::{GlibcSin, K_THRESHOLDS, REFERENCE_BOUNDS};
 
 fn main() {
     let analysis = BoundaryAnalysis::new(GlibcSin::new());
-    let config = AnalysisConfig::quick(42).with_max_evals(40_000).with_rounds(4);
+    let config = AnalysisConfig::quick(42)
+        .with_max_evals(40_000)
+        .with_rounds(4);
 
     println!("boundary conditions of the Glibc sin range-selection branches:");
     let reports = analysis.find_all(&config);
@@ -26,7 +28,11 @@ fn main() {
             None => println!(
                 "  {} : not triggered ({}), threshold 0x{:08x}",
                 report.label,
-                if reachable { "missed" } else { "unreachable, as expected" },
+                if reachable {
+                    "missed"
+                } else {
+                    "unreachable, as expected"
+                },
                 K_THRESHOLDS[i]
             ),
         }

@@ -19,12 +19,12 @@ mod common;
 use common::{shaped, thread_counts, trace_bits};
 use proptest::prelude::*;
 use wdm::core::adaptive::minimize_weak_distance_adaptive;
+use wdm::core::boundary::BoundaryWeakDistance;
 use wdm::core::driver::{
     minimize_weak_distance, minimize_weak_distance_cancellable, AnalysisConfig, BackendKind,
 };
-use wdm::core::{AdaptivePortfolio, PortfolioRun};
-use wdm::core::boundary::BoundaryWeakDistance;
 use wdm::core::weak_distance::FnWeakDistance;
+use wdm::core::{AdaptivePortfolio, PortfolioRun};
 use wdm::ir::{programs, ModuleProgram};
 use wdm::mo::stepped::StepStatus;
 use wdm::mo::{
@@ -35,7 +35,10 @@ use wdm::runtime::Interval;
 
 fn stepped_backend(pick: usize) -> (&'static str, Box<dyn SteppedMinimizer>) {
     match pick % 5 {
-        0 => ("BasinHopping", Box::new(BasinHopping::default().with_hops(12))),
+        0 => (
+            "BasinHopping",
+            Box::new(BasinHopping::default().with_hops(12)),
+        ),
         1 => (
             "DifferentialEvolution",
             Box::new(DifferentialEvolution::default().with_max_generations(25)),
@@ -104,11 +107,7 @@ fn single_backend_adaptive_equals_direct_run_on_fig2() {
         let direct = minimize_weak_distance(&wd(), &config);
         let adaptive = minimize_weak_distance_adaptive(&wd(), &config, &[backend]);
         assert_eq!(adaptive.winner, 0, "{backend:?}");
-        common::assert_runs_identical(
-            &adaptive.entries[0].run,
-            &direct,
-            &format!("{backend:?}"),
-        );
+        common::assert_runs_identical(&adaptive.entries[0].run, &direct, &format!("{backend:?}"));
     }
 }
 
@@ -121,7 +120,9 @@ fn adaptive_portfolio_solves_fig2_boundary() {
     );
     let run = minimize_weak_distance_adaptive(
         &wd,
-        &AnalysisConfig::quick(7).with_rounds(2).with_max_evals(8_000),
+        &AnalysisConfig::quick(7)
+            .with_rounds(2)
+            .with_max_evals(8_000),
         &BackendKind::all(),
     );
     assert_eq!(run.entries.len(), BackendKind::all().len());
@@ -161,9 +162,17 @@ fn adaptive_scheduler_is_deterministic_at_any_thread_count() {
     for threads in thread_counts() {
         let config = base.clone().with_parallelism(threads);
         let free = minimize_weak_distance_adaptive(&zero_free, &config, &BackendKind::all());
-        assert_portfolios_identical(&free, &reference_free, &format!("zero-free, {threads} threads"));
+        assert_portfolios_identical(
+            &free,
+            &reference_free,
+            &format!("zero-free, {threads} threads"),
+        );
         let hit = minimize_weak_distance_adaptive(&solvable(), &config, &BackendKind::all());
-        assert_portfolios_identical(&hit, &reference_hit, &format!("solvable, {threads} threads"));
+        assert_portfolios_identical(
+            &hit,
+            &reference_hit,
+            &format!("solvable, {threads} threads"),
+        );
     }
 }
 
@@ -213,7 +222,10 @@ proptest! {
 #[test]
 fn cancelled_entry_eval_counts_match_the_objective() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    for backend in [BackendKind::BasinHopping, BackendKind::DifferentialEvolution] {
+    for backend in [
+        BackendKind::BasinHopping,
+        BackendKind::DifferentialEvolution,
+    ] {
         let count = AtomicU64::new(0);
         let wd = FnWeakDistance::new(1, vec![Interval::symmetric(100.0)], |x: &[f64]| {
             count.fetch_add(1, Ordering::Relaxed);
@@ -224,7 +236,9 @@ fn cancelled_entry_eval_counts_match_the_objective() {
 
         let one_round = minimize_weak_distance_cancellable(
             &wd,
-            &AnalysisConfig::quick(3).with_rounds(1).with_backend(backend),
+            &AnalysisConfig::quick(3)
+                .with_rounds(1)
+                .with_backend(backend),
             &cancel,
         );
         let counted_one = count.swap(0, Ordering::Relaxed);
@@ -259,7 +273,9 @@ fn cancelled_entry_eval_counts_match_the_objective() {
 #[test]
 fn portfolio_campaign_is_deterministic_at_any_thread_count() {
     let backends = [BackendKind::BasinHopping, BackendKind::RandomSearch];
-    let campaign_config = AnalysisConfig::quick(5).with_rounds(1).with_max_evals(2_000);
+    let campaign_config = AnalysisConfig::quick(5)
+        .with_rounds(1)
+        .with_max_evals(2_000);
     let reference = wdm::engine::gsl_portfolio_suite(&campaign_config, &backends)
         .run(1)
         .deterministic_results();

@@ -27,7 +27,12 @@ fn synth_report(seed: u64, jobs: usize) -> CampaignReport {
         reports.push(JobReport {
             result: JobResult {
                 job: NAMES[h(0) as usize % NAMES.len()].to_string(),
-                analysis: if h(2) % 2 == 0 { "boundary" } else { "overflow" }.to_string(),
+                analysis: if h(2) % 2 == 0 {
+                    "boundary"
+                } else {
+                    "overflow"
+                }
+                .to_string(),
                 program: format!("prog-{}", h(3) % 3),
                 found: h(4) as usize % (total + 1),
                 total,

@@ -30,7 +30,10 @@ use wdm::runtime::Interval;
 
 fn stepped_backend(pick: usize) -> (&'static str, Box<dyn SteppedMinimizer>) {
     match pick % 5 {
-        0 => ("BasinHopping", Box::new(BasinHopping::default().with_hops(10))),
+        0 => (
+            "BasinHopping",
+            Box::new(BasinHopping::default().with_hops(10)),
+        ),
         1 => (
             "DifferentialEvolution",
             Box::new(DifferentialEvolution::default().with_max_generations(20)),
@@ -146,7 +149,9 @@ fn zero_free() -> impl WeakDistance {
 #[test]
 fn a_checkpoint_with_the_retired_plateau_key_restores_and_replays() {
     let wd = zero_free();
-    let config = AnalysisConfig::quick(31).with_rounds(2).with_max_evals(2_000);
+    let config = AnalysisConfig::quick(31)
+        .with_rounds(2)
+        .with_max_evals(2_000);
     let backends = BackendKind::all();
     let reference = minimize_weak_distance_adaptive(&wd, &config, &backends);
 
@@ -180,7 +185,9 @@ fn a_checkpoint_with_the_retired_plateau_key_restores_and_replays() {
 #[test]
 fn a_checkpoint_with_more_arms_than_backends_is_rejected() {
     let wd = zero_free();
-    let config = AnalysisConfig::quick(37).with_rounds(2).with_max_evals(2_000);
+    let config = AnalysisConfig::quick(37)
+        .with_rounds(2)
+        .with_max_evals(2_000);
     let backends = [BackendKind::RandomSearch, BackendKind::BasinHopping];
     let cancel = CancelToken::new();
     let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);

@@ -106,10 +106,13 @@ pub fn module_suite() -> Vec<(&'static str, Module, &'static str)> {
 pub fn program(module: &Module, entry: &str) -> ModuleProgram {
     ModuleProgram::new(module.clone(), entry)
         .expect("entry exists")
-        .with_domain(vec![Interval::symmetric(1.0e6); {
-            let id = module.function_by_name(entry).unwrap();
-            module.function(id).num_params
-        }])
+        .with_domain(vec![
+            Interval::symmetric(1.0e6);
+            {
+                let id = module.function_by_name(entry).unwrap();
+                module.function(id).num_params
+            }
+        ])
 }
 
 /// Bit patterns of a value slice (NaN-safe equality).
@@ -158,7 +161,10 @@ pub fn assert_results_identical(actual: &MinimizeResult, expected: &MinimizeResu
         "{what}: best value"
     );
     assert_eq!(actual.evals, expected.evals, "{what}: eval count");
-    assert_eq!(actual.termination, expected.termination, "{what}: termination");
+    assert_eq!(
+        actual.termination, expected.termination,
+        "{what}: termination"
+    );
 }
 
 /// Asserts two driver runs are bit-identical (outcome, best result,

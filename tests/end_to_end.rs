@@ -19,8 +19,12 @@ fn boundary_analysis_on_fig2_finds_verified_boundary_values() {
     let reports = analysis.find_all(&AnalysisConfig::quick(101));
     assert_eq!(reports.len(), 2);
     for report in reports {
-        let witness = report.witness.expect("both conditions of Fig. 2 are reachable");
-        assert!(analysis.triggered_conditions(&witness).contains(&report.site));
+        let witness = report
+            .witness
+            .expect("both conditions of Fig. 2 are reachable");
+        assert!(analysis
+            .triggered_conditions(&witness)
+            .contains(&report.site));
     }
 }
 
@@ -31,16 +35,23 @@ fn path_reachability_finds_the_assertion_violation_of_fig1a() {
     let analysis = PathAnalysis::new(Fig1aProgram::new());
     let path = vec![(BranchId(0), true), (BranchId(1), false)];
     let outcome = analysis.reach(&path, &AnalysisConfig::quick(7).with_rounds(6));
-    let input = outcome.into_input().expect("the rounding counterexample exists");
+    let input = outcome
+        .into_input()
+        .expect("the rounding counterexample exists");
     assert!(analysis.satisfies(&input, &path));
     // The program observes the assertion failure (returns 0.0).
-    assert_eq!(Fig1aProgram::new().run(&input, &mut NullObserver), Some(0.0));
+    assert_eq!(
+        Fig1aProgram::new().run(&input, &mut NullObserver),
+        Some(0.0)
+    );
     assert!(input[0] < 1.0, "input {input:?} must take the branch");
 }
 
 #[test]
 fn overflow_detection_on_bessel_reproduces_the_table4_shape() {
-    let config = AnalysisConfig::quick(5).with_rounds(2).with_max_evals(12_000);
+    let config = AnalysisConfig::quick(5)
+        .with_rounds(2)
+        .with_max_evals(12_000);
     let report = OverflowDetector::new(BesselKnuScaled::new()).run(&config);
     assert_eq!(report.num_ops(), 23, "Fig. 5 has 23 elementary operations");
     assert!(
@@ -78,7 +89,11 @@ fn coverage_testing_covers_the_reachable_sin_ranges() {
         &AnalysisConfig::quick(3).with_max_evals(30_000),
     );
     // 5 branches = 10 pairs; (branch 4, false) needs a non-finite input.
-    assert!(report.covered.len() >= 8, "covered {:?}", report.covered.len());
+    assert!(
+        report.covered.len() >= 8,
+        "covered {:?}",
+        report.covered.len()
+    );
     assert!(report.coverage() >= 0.8);
 }
 
@@ -99,5 +114,8 @@ fn backends_disagree_on_hard_instances_but_basinhopping_finds_boundaries() {
             .with_rounds(1)
             .with_max_evals(10_000),
     );
-    assert!(!rs.is_found(), "pure random search should not hit an exact boundary");
+    assert!(
+        !rs.is_found(),
+        "pure random search should not hit an exact boundary"
+    );
 }

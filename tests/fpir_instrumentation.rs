@@ -52,7 +52,10 @@ fn minimizing_the_ir_boundary_weak_distance_finds_a_boundary_value() {
         Outcome::Found { input, .. } => {
             let x = input[0];
             assert!(
-                x == 1.0 || x == 2.0 || x == -3.0 || BoundaryWeakDistance::new(Fig2Program::new()).eval(&[x]) == 0.0,
+                x == 1.0
+                    || x == 2.0
+                    || x == -3.0
+                    || BoundaryWeakDistance::new(Fig2Program::new()).eval(&[x]) == 0.0,
                 "x = {x} is not a boundary value"
             );
         }

@@ -204,11 +204,13 @@ proptest! {
 /// recorded sampling trace by a single bit.
 #[test]
 fn driver_outcome_is_kernel_policy_invariant() {
-    for backend in [BackendKind::DifferentialEvolution, BackendKind::BasinHopping] {
+    for backend in [
+        BackendKind::DifferentialEvolution,
+        BackendKind::BasinHopping,
+    ] {
         let run = |policy: KernelPolicy| {
             let module = programs::fig2_program();
-            let wd = BoundaryWeakDistance::new(program(&module, "prog"))
-                .with_kernel_policy(policy);
+            let wd = BoundaryWeakDistance::new(program(&module, "prog")).with_kernel_policy(policy);
             minimize_weak_distance(
                 &wd,
                 &AnalysisConfig::quick(23)
@@ -223,7 +225,11 @@ fn driver_outcome_is_kernel_policy_invariant() {
         let kernel = run(KernelPolicy::Always);
         assert_eq!(kernel.outcome, interp.outcome, "{backend:?}");
         assert_eq!(kernel.best, interp.best, "{backend:?}");
-        assert_eq!(kernel.trace.samples(), interp.trace.samples(), "{backend:?}");
+        assert_eq!(
+            kernel.trace.samples(),
+            interp.trace.samples(),
+            "{backend:?}"
+        );
     }
 }
 

@@ -30,8 +30,11 @@ use wdm::runtime::{
     OptPolicy, SiteSet, TraceRecorder,
 };
 
-const KERNEL_POLICIES: [KernelPolicy; 3] =
-    [KernelPolicy::Never, KernelPolicy::Always, KernelPolicy::Auto];
+const KERNEL_POLICIES: [KernelPolicy; 3] = [
+    KernelPolicy::Never,
+    KernelPolicy::Always,
+    KernelPolicy::Auto,
+];
 const OPT_POLICIES: [OptPolicy; 3] = [OptPolicy::Never, OptPolicy::Always, OptPolicy::Auto];
 
 /// Every weak-distance kind applicable to `prog`, under the given
@@ -103,12 +106,9 @@ fn distances(
         out.push((
             format!("overflow/skip({})", site.id),
             Box::new(
-                OverflowWeakDistance::new(
-                    prog.clone(),
-                    [site.id].into_iter().collect(),
-                )
-                .with_kernel_policy(kp)
-                .with_opt_policy(op),
+                OverflowWeakDistance::new(prog.clone(), [site.id].into_iter().collect())
+                    .with_kernel_policy(kp)
+                    .with_opt_policy(op),
             ),
         ));
     }
@@ -201,16 +201,23 @@ fn run_config(seed: u64) -> AnalysisConfig {
 fn full_analysis_runs_identical_across_opt_policies() {
     for (name, module, entry) in [
         ("fig2", wdm::ir::programs::fig2_program(), "prog"),
-        ("W_boundary(fig2)", {
-            let fig2 = wdm::ir::programs::fig2_program();
-            let e = fig2.function_by_name("prog").unwrap();
-            wdm::ir::instrument::instrument_boundary(&fig2, e)
-        }, wdm::ir::instrument::W_FUNCTION),
+        (
+            "W_boundary(fig2)",
+            {
+                let fig2 = wdm::ir::programs::fig2_program();
+                let e = fig2.function_by_name("prog").unwrap();
+                wdm::ir::instrument::instrument_boundary(&fig2, e)
+            },
+            wdm::ir::instrument::W_FUNCTION,
+        ),
     ] {
         let prog = program(&module, entry);
         for parallelism in [1, matrix_threads()] {
-            let config =
-                |op: OptPolicy| run_config(23).with_parallelism(parallelism).with_opt_policy(op);
+            let config = |op: OptPolicy| {
+                run_config(23)
+                    .with_parallelism(parallelism)
+                    .with_opt_policy(op)
+            };
             let boundary = BoundaryAnalysis::new(prog.clone());
             let path = PathAnalysis::new(prog.clone());
             let target_path = path.path_of(&[0.5]);
@@ -361,7 +368,10 @@ fn specialization_removes_instructions_for_event_only_targets() {
         total as f64 / grid.len() as f64
     };
     let (base, fast) = (mean_insts(&prog2), mean_insts(&opt2));
-    assert!(fast < base, "mean instructions per evaluation: {fast} vs {base}");
+    assert!(
+        fast < base,
+        "mean instructions per evaluation: {fast} vs {base}"
+    );
 }
 
 fn batched_values(
@@ -516,7 +526,11 @@ fn with_domain_serves_nothing_from_the_old_domain() {
     let (expect, expect_stats) = fresh
         .specialized_with_stats(&spec, OptPolicy::Always)
         .expect("fig2 specializes");
-    assert_ne!(old.module(), expect.module(), "the domains specialize alike");
+    assert_ne!(
+        old.module(),
+        expect.module(),
+        "the domains specialize alike"
+    );
     assert_eq!(new.module(), expect.module());
     assert_eq!(stats, expect_stats);
     assert_eq!(new.search_domain(), expect.search_domain());

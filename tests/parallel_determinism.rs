@@ -23,7 +23,9 @@ fn sharded_outcome_is_identical_at_thread_counts_1_2_8() {
     let wd = FnWeakDistance::new(1, vec![Interval::symmetric(1.0e3)], |x: &[f64]| {
         (x[0] - 2.0).abs() + 0.125
     });
-    let base = AnalysisConfig::quick(17).with_rounds(8).with_max_evals(3_000);
+    let base = AnalysisConfig::quick(17)
+        .with_rounds(8)
+        .with_max_evals(3_000);
     let reference = minimize_weak_distance(&wd, &base);
     for threads in thread_counts() {
         let run = minimize_weak_distance(&wd, &base.clone().with_parallelism(threads));
@@ -49,7 +51,9 @@ fn sharded_outcome_with_early_hit_is_identical_at_any_thread_count() {
 
 #[test]
 fn campaign_results_are_identical_at_thread_counts_1_2_8() {
-    let config = AnalysisConfig::quick(29).with_rounds(1).with_max_evals(1_500);
+    let config = AnalysisConfig::quick(29)
+        .with_rounds(1)
+        .with_max_evals(1_500);
     let reference = gsl_suite(&config).run(1).deterministic_results();
     for threads in thread_counts() {
         let results = gsl_suite(&config).run(threads).deterministic_results();

@@ -90,7 +90,9 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 fn multi_tenant_outcomes_match_solo_runs_at_any_weight_and_slicing() {
     let backends = BackendKind::all();
     let solo: Vec<PortfolioRun> = (0..3)
-        .map(|kind| minimize_weak_distance_adaptive(&*tenant(kind), &tenant_config(kind), &backends))
+        .map(|kind| {
+            minimize_weak_distance_adaptive(&*tenant(kind), &tenant_config(kind), &backends)
+        })
         .collect();
 
     // Tenant mixes, fair-share weights and slicing granularities vary;
@@ -392,7 +394,10 @@ fn a_cancel_that_lands_mid_turn_keeps_the_last_full_turn_on_disk() {
         handle.cancel(id);
         // Disconnecting releases the held evaluation.
         drop(open);
-        assert!(!handle.wait(id).run.outcome().is_found(), "tenant 0 is zero-free");
+        assert!(
+            !handle.wait(id).run.outcome().is_found(),
+            "tenant 0 is zero-free"
+        );
         service.shutdown();
     }
     assert!(
