@@ -12,17 +12,24 @@
 //!    kernel-eligible under `KernelPolicy::Auto`. At least one
 //!    instrumented-`W` module must be eligible — that is the acceptance
 //!    gate the new call-aware eligibility analysis exists for.
-//! 3. **Static pruning demo** — a crafted module guards a branch with the
+//! 3. **Static pruning gate** — a crafted module guards a branch with the
 //!    provably-false `|x| + 1 < 0`; boundary analysis must prune that
 //!    target at **zero** evaluations while the sibling feasible target
-//!    still minimizes normally.
+//!    still minimizes normally. The native Glibc `sin` port does the same
+//!    from its own reachability answers, through `Restricted` on each
+//!    half-line: the boundary `k == 0x7ff00000` is pruned at zero
+//!    evaluations, and the four reachable thresholds are searched and
+//!    found.
 //!
 //! Usage: `analyze [--smoke] [--json <path>]` (the JSON report is
 //! `BENCH_analysis.json` when `--json` targets a directory).
 
+use fp_runtime::{Analyzable, BranchId, Interval};
 use fpir::instrument;
 use fpir::ir::{BinOp, UnOp};
+use mini_gsl::glibc_sin::GlibcSin;
 use serde::Serialize;
+use wdm_bench::restricted::Restricted;
 use wdm_core::boundary::BoundaryAnalysis;
 use wdm_core::driver::AnalysisConfig;
 
@@ -54,9 +61,54 @@ struct ModuleReport {
 #[derive(Debug, Clone, Serialize)]
 struct PruneReport {
     target: String,
+    /// Whether the target is provably unreachable, so that static analysis
+    /// must prune it; otherwise minimization must find it.
+    expected_pruned: bool,
     statically_pruned: bool,
     evals: usize,
     found: bool,
+}
+
+impl PruneReport {
+    /// Boundary analysis of `site` of `program`.
+    fn run(
+        target: String,
+        program: impl Analyzable,
+        site: BranchId,
+        expected_pruned: bool,
+        config: &AnalysisConfig,
+    ) -> Self {
+        let run = BoundaryAnalysis::new(program).find_condition_run(site, config);
+        let report = PruneReport {
+            target,
+            expected_pruned,
+            statically_pruned: run.statically_pruned(),
+            evals: run.outcome.evals(),
+            found: run.outcome.is_found(),
+        };
+        println!(
+            "{:<16} pruned={} evals={} found={}",
+            report.target, report.statically_pruned, report.evals, report.found
+        );
+        report
+    }
+
+    /// Why the target fails the gate, if it does.
+    fn failure(&self) -> Option<&'static str> {
+        if self.statically_pruned != self.expected_pruned {
+            Some(if self.expected_pruned {
+                "a provably unreachable target was not pruned"
+            } else {
+                "a feasible target was pruned"
+            })
+        } else if self.statically_pruned && self.evals != 0 {
+            Some("static pruning did not retire a target at zero evaluations")
+        } else if !self.statically_pruned && !self.found {
+            Some("a feasible boundary target was not found")
+        } else {
+            None
+        }
+    }
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -182,7 +234,7 @@ fn guarded_program() -> fpir::ModuleProgram {
     f.finish();
     fpir::ModuleProgram::new(mb.build(), "guarded")
         .expect("entry exists")
-        .with_domain(vec![fp_runtime::Interval::symmetric(1.0e3)])
+        .with_domain(vec![Interval::symmetric(1.0e3)])
 }
 
 fn main() {
@@ -234,30 +286,41 @@ fn main() {
         );
     }
 
-    // The pruning workload: boundary analysis over the guarded module.
-    // Site 0's boundary (`|x| + 1 == 0`) is provably unreachable and must
-    // cost zero evaluations; site 1's boundary (`x == 0`) is feasible and
-    // must still be found by ordinary minimization.
-    let analysis = BoundaryAnalysis::new(guarded_program());
+    // The pruning workload. In the guarded module, site 0's boundary
+    // (`|x| + 1 == 0`) is provably unreachable and must cost zero
+    // evaluations; site 1's boundary (`x == 0`) is feasible and must still
+    // be found by ordinary minimization. In the `sin` port, the boundary of
+    // `k < 0x7ff00000` needs |x| = 2^1024 and the other four are feasible,
+    // on either half-line.
     let config = if smoke {
         AnalysisConfig::quick(11)
     } else {
         AnalysisConfig::quick(11).with_max_evals(50_000)
     };
+    let guarded = guarded_program();
     let mut pruned_targets = Vec::new();
-    for site in [fp_runtime::BranchId(0), fp_runtime::BranchId(1)] {
-        let run = analysis.find_condition_run(site, &config);
-        let report = PruneReport {
-            target: format!("guarded/branch{}", site.0),
-            statically_pruned: run.statically_pruned(),
-            evals: run.outcome.evals(),
-            found: run.outcome.is_found(),
-        };
-        println!(
-            "{:<16} pruned={} evals={} found={}",
-            report.target, report.statically_pruned, report.evals, report.found
-        );
-        pruned_targets.push(report);
+    for site in [BranchId(0), BranchId(1)] {
+        pruned_targets.push(PruneReport::run(
+            format!("guarded/branch{}", site.0),
+            &guarded,
+            site,
+            site == BranchId(0),
+            &config,
+        ));
+    }
+    for (sign, half) in [
+        ('+', Interval::new(0.0, f64::MAX)),
+        ('-', Interval::new(-f64::MAX, 0.0)),
+    ] {
+        for site in 0..GlibcSin::NUM_BRANCHES {
+            pruned_targets.push(PruneReport::run(
+                format!("sin{sign}/branch{site}"),
+                Restricted::new(GlibcSin::new(), vec![half]),
+                BranchId(site),
+                site == 4,
+                &config,
+            ));
+        }
     }
     let statically_pruned_count = pruned_targets
         .iter()
@@ -277,18 +340,11 @@ fn main() {
         eprintln!("error: no instrumented W module is kernel-eligible under Auto");
         failed = true;
     }
-    if report.statically_pruned_count == 0
-        || report
-            .pruned_targets
-            .iter()
-            .any(|t| t.statically_pruned && t.evals != 0)
-    {
-        eprintln!("error: static pruning did not retire a target at zero evaluations");
-        failed = true;
-    }
-    if report.pruned_targets.iter().all(|t| !t.found) {
-        eprintln!("error: the feasible boundary target was not found");
-        failed = true;
+    for target in &report.pruned_targets {
+        if let Some(failure) = target.failure() {
+            eprintln!("error: {}: {failure}", target.target);
+            failed = true;
+        }
     }
     if failed {
         std::process::exit(1);

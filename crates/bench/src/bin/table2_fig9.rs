@@ -9,12 +9,12 @@ fn main() {
     let study = wdm_bench::table2_fig9(42, budget);
     println!("Table 2. Case study with Glibc sin: boundary value analysis.");
     println!(
-        "{:<20} {:>4} {:>14} {:>14} {:>14} {:>6} {:>10}",
-        "branch", "sign", "ref |x|", "min found", "max found", "hits", "reachable"
+        "{:<20} {:>4} {:>14} {:>14} {:>14} {:>6} {:>10} {:>8}",
+        "branch", "sign", "ref |x|", "min found", "max found", "hits", "reachable", "evals"
     );
     for c in &study.conditions {
         println!(
-            "{:<20} {:>4} {:>14.6e} {:>14} {:>14} {:>6} {:>10}",
+            "{:<20} {:>4} {:>14.6e} {:>14} {:>14} {:>6} {:>10} {:>8}",
             c.label,
             c.sign,
             c.reference,
@@ -25,7 +25,8 @@ fn main() {
                 .map(|v| format!("{v:.6e}"))
                 .unwrap_or_else(|| "-".into()),
             c.hits,
-            c.reachable
+            c.reachable,
+            c.evals
         );
     }
     println!(

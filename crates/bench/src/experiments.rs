@@ -1,7 +1,7 @@
 //! The experiment implementations, one function per table/figure.
 
 use crate::restricted::Restricted;
-use fp_runtime::Interval;
+use fp_runtime::{Analyzable, Interval};
 use mini_gsl::airy::{airy_outcome, AiryAi};
 use mini_gsl::bessel::{bessel_outcome, BesselKnuScaled};
 use mini_gsl::glibc_sin::{GlibcSin, K_THRESHOLDS, REFERENCE_BOUNDS};
@@ -231,8 +231,12 @@ pub struct SinCondition {
     pub max_found: Option<f64>,
     /// Number of confirmed boundary hits for this condition.
     pub hits: u64,
-    /// Whether the condition is reachable at all.
+    /// Whether the condition may be reachable: false when the program's
+    /// static answer ([`Analyzable::branch_boundary_reachability`]) proves
+    /// it is not, and the analysis then prunes it at zero evaluations.
     pub reachable: bool,
+    /// Objective evaluations spent on the condition.
+    pub evals: usize,
 }
 
 /// The GNU `sin` boundary value study (Table 2 and Fig. 9).
@@ -269,10 +273,9 @@ pub fn table2_fig9(seed: u64, max_evals: usize) -> SinStudy {
             let config = AnalysisConfig::quick(seed + i as u64 * 2 + (sign == '-') as u64)
                 .with_max_evals(max_evals)
                 .with_rounds(4);
-            let outcome = analysis.find_condition(fp_runtime::BranchId(i as u32), &config);
+            let site = fp_runtime::BranchId(i as u32);
+            let outcome = analysis.find_condition(site, &config);
             total_samples += outcome.evals();
-            // The last threshold (2^1024) is unreachable for finite doubles.
-            let reachable = i < 4;
             let mut condition = SinCondition {
                 label: format!("k < {threshold:#010x}"),
                 sign,
@@ -280,7 +283,11 @@ pub fn table2_fig9(seed: u64, max_evals: usize) -> SinStudy {
                 min_found: None,
                 max_found: None,
                 hits: 0,
-                reachable,
+                reachable: !analysis
+                    .program()
+                    .branch_boundary_reachability(site)
+                    .is_unreachable(),
+                evals: outcome.evals(),
             };
             if let Outcome::Found { input, .. } = outcome {
                 // Soundness: confirm the hit and count it.

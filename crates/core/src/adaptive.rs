@@ -766,15 +766,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
         }
     }
 
-    /// Whether the scheduler loop is over: [`round`](Self::round) would
-    /// return `false` without doing work.
-    pub fn is_done(&self) -> bool {
-        self.cancel.is_cancelled()
-            || self.found
-            || self.spent >= self.pool
-            || (0..self.arms.len()).all(|i| self.lock(i).is_finished())
-    }
-
     /// Whether some arm has found a zero.
     pub fn found(&self) -> bool {
         self.found
@@ -799,11 +790,6 @@ impl<'wd> AdaptivePortfolio<'wd> {
     /// round.
     pub fn leader(&self) -> Option<BackendKind> {
         self.last_leader.map(|i| self.backends[i])
-    }
-
-    /// The portfolio's backends, in arm order.
-    pub fn backends(&self) -> &[BackendKind] {
-        &self.backends
     }
 
     /// Snapshots the whole scheduler — every arm plus the bandit
@@ -1274,14 +1260,11 @@ mod tests {
         let mut portfolio = AdaptivePortfolio::new(&wd, &config, &backends, &cancel);
         assert!(portfolio.leader().is_none());
         assert_eq!(portfolio.evals_spent(), 0);
-        assert!(!portfolio.is_done());
         assert!(portfolio.round(1));
         assert!(portfolio.leader().is_some());
         assert!(portfolio.evals_spent() > 0);
         assert!(portfolio.best_value().is_finite());
-        assert_eq!(portfolio.backends(), &backends);
         while portfolio.round(1) {}
-        assert!(portfolio.is_done());
         assert!(!portfolio.found());
     }
 

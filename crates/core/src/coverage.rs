@@ -9,6 +9,7 @@
 use crate::driver::{minimize_weak_distance, AnalysisConfig, Outcome};
 use crate::weak_distance::ObservedWeakDistance;
 use fp_runtime::{Analyzable, BranchCoverage, BranchId};
+use observer::Covered;
 use std::collections::BTreeSet;
 
 /// Penalty when the targeted branch site is never reached.
@@ -16,36 +17,58 @@ const UNREACHED_PENALTY: f64 = 1.0e300;
 
 /// The CoverMe-style weak distance: zero exactly on inputs that cover a
 /// `(branch, direction)` pair outside its target, the covered set `B`.
-pub type CoverageWeakDistance<P> = ObservedWeakDistance<P, BTreeSet<(BranchId, bool)>>;
+pub type CoverageWeakDistance<P> = ObservedWeakDistance<P, Covered>;
 
 impl<P: Analyzable> CoverageWeakDistance<P> {
     /// Creates the weak distance for the given covered set `B`.
     pub fn new(program: P, covered: BTreeSet<(BranchId, bool)>) -> Self {
-        ObservedWeakDistance::observing(program, covered)
+        ObservedWeakDistance::observing(program, Covered::new(&covered))
     }
 }
 
 mod observer {
     use super::UNREACHED_PENALTY;
+    use crate::site_bits::SiteBits;
     use crate::weak_distance::Target;
     use fp_runtime::{BranchEvent, BranchId, ObservationSpec, Observer, ProbeControl, SiteSet};
     use std::collections::BTreeSet;
 
+    /// The covered set `B`, as the bitset its observer tests on every
+    /// branch event: the pair `(id, dir)` is the key `2·id + dir`.
+    #[derive(Debug, Clone)]
+    pub struct Covered(SiteBits);
+
+    impl Covered {
+        pub fn new(pairs: &BTreeSet<(BranchId, bool)>) -> Self {
+            Covered(SiteBits::new(
+                pairs.iter().map(|&(id, dir)| Self::key(id, dir)),
+            ))
+        }
+
+        fn key(id: BranchId, dir: bool) -> u64 {
+            2 * u64::from(id.0) + u64::from(dir)
+        }
+
+        fn contains(&self, id: BranchId, dir: bool) -> bool {
+            self.0.contains(Self::key(id, dir))
+        }
+    }
+
     pub struct CoverageObserver<'c> {
-        covered: &'c BTreeSet<(BranchId, bool)>,
+        covered: &'c Covered,
         w: f64,
     }
 
     impl Observer for CoverageObserver<'_> {
         fn on_branch(&mut self, ev: &BranchEvent) -> ProbeControl {
             // Covering anything new makes w zero immediately.
-            if !self.covered.contains(&(ev.id, ev.taken)) {
+            if !self.covered.contains(ev.id, ev.taken) {
                 self.w = 0.0;
                 return ProbeControl::Stop;
             }
             // Otherwise, reward getting close to flipping this branch if its
             // opposite direction is still uncovered.
-            if !self.covered.contains(&(ev.id, !ev.taken)) {
+            if !self.covered.contains(ev.id, !ev.taken) {
                 let d = ev.distance_to(!ev.taken).max(f64::MIN_POSITIVE);
                 if d < self.w {
                     self.w = d;
@@ -55,7 +78,7 @@ mod observer {
         }
     }
 
-    impl Target for BTreeSet<(BranchId, bool)> {
+    impl Target for Covered {
         type Observer<'t> = CoverageObserver<'t>;
 
         /// Every branch event (the observer folds — and may stop on — any
@@ -78,7 +101,7 @@ mod observer {
         fn describe(&self, program: &str) -> String {
             format!(
                 "coverage weak distance of {program} ({} pairs covered)",
-                self.len()
+                self.0.len()
             )
         }
     }
@@ -152,7 +175,8 @@ impl<P: Analyzable> CoverageAnalysis<P> {
         let max_rounds = total_pairs + config.rounds;
         while covered.union(&pruned).count() < total_pairs && rounds < max_rounds {
             rounds += 1;
-            let wd = ObservedWeakDistance::configured(&self.program, covered.clone(), config);
+            let wd =
+                ObservedWeakDistance::configured(&self.program, Covered::new(&covered), config);
             let round_config = AnalysisConfig {
                 seed: config.seed.wrapping_add(rounds as u64 * 104_729),
                 ..config.clone()

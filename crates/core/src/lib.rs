@@ -26,7 +26,9 @@
 //!   (the CoverMe construction);
 //! * [`inconsistency`] — the Section 6.3.2 check: replaying analysis
 //!   witnesses against the GSL status convention and classifying root
-//!   causes.
+//!   causes;
+//! * [`site_bits`] — the bitset the overflow and coverage observers test
+//!   site membership with on every event.
 //!
 //! Instance 5 (quantifier-free floating-point satisfiability) lives in the
 //! companion crate `wdm-xsat`, built on the same driver.
@@ -57,6 +59,7 @@ pub mod driver;
 pub mod inconsistency;
 pub mod overflow;
 pub mod path;
+pub mod site_bits;
 pub mod weak_distance;
 
 pub use adaptive::{

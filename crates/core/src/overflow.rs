@@ -12,6 +12,7 @@
 use crate::driver::{minimize_weak_distance, AnalysisConfig, Outcome};
 use crate::weak_distance::ObservedWeakDistance;
 use fp_runtime::{Analyzable, Observer, OpEvent, OpId, OpSite, ProbeControl};
+use observer::Handled;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Value of `w` when no tracked operation executed at all.
@@ -19,12 +20,12 @@ const NO_TRACKED_OP: f64 = 1.0;
 
 /// The Algorithm 3 weak distance; its target is the set `L` of sites that
 /// have already been handled.
-pub type OverflowWeakDistance<P> = ObservedWeakDistance<P, BTreeSet<OpId>>;
+pub type OverflowWeakDistance<P> = ObservedWeakDistance<P, Handled>;
 
 impl<P: Analyzable> OverflowWeakDistance<P> {
     /// Creates the weak distance with handled-site set `skip`.
     pub fn new(program: P, skip: BTreeSet<OpId>) -> Self {
-        ObservedWeakDistance::observing(program, skip)
+        ObservedWeakDistance::observing(program, Handled::new(skip))
     }
 
     /// Evaluates and also reports the last tracked site — the `target`
@@ -39,12 +40,28 @@ impl<P: Analyzable> OverflowWeakDistance<P> {
 
 mod observer {
     use super::NO_TRACKED_OP;
+    use crate::site_bits::SiteBits;
     use crate::weak_distance::Target;
     use fp_runtime::{ObservationSpec, Observer, OpEvent, OpId, ProbeControl, SiteSet};
     use std::collections::BTreeSet;
 
+    /// The handled-site set `L`, with the bitset its observer tests on
+    /// every operation event.
+    #[derive(Debug, Clone)]
+    pub struct Handled {
+        sites: BTreeSet<OpId>,
+        bits: SiteBits,
+    }
+
+    impl Handled {
+        pub fn new(sites: BTreeSet<OpId>) -> Self {
+            let bits = SiteBits::new(sites.iter().map(|id| u64::from(id.0)));
+            Handled { sites, bits }
+        }
+    }
+
     pub struct OverflowObserver<'s> {
-        skip: &'s BTreeSet<OpId>,
+        skip: &'s SiteBits,
         pub(super) w: f64,
         pub(super) last_tracked: Option<OpId>,
         pub(super) overflowed_at: Option<OpId>,
@@ -52,7 +69,7 @@ mod observer {
 
     impl Observer for OverflowObserver<'_> {
         fn on_op(&mut self, ev: &OpEvent) -> ProbeControl {
-            if self.skip.contains(&ev.id) {
+            if self.skip.contains(u64::from(ev.id.0)) {
                 return ProbeControl::Continue;
             }
             self.last_tracked = Some(ev.id);
@@ -69,17 +86,17 @@ mod observer {
         }
     }
 
-    impl Target for BTreeSet<OpId> {
+    impl Target for Handled {
         type Observer<'t> = OverflowObserver<'t>;
 
         /// Operation events at every not-yet-handled site.
         fn spec(&self) -> ObservationSpec {
-            ObservationSpec::ops(SiteSet::Except(self.iter().map(|id| id.0).collect()))
+            ObservationSpec::ops(SiteSet::Except(self.sites.iter().map(|id| id.0).collect()))
         }
 
         fn observer(&self) -> OverflowObserver<'_> {
             OverflowObserver {
-                skip: self,
+                skip: &self.bits,
                 w: NO_TRACKED_OP,
                 last_tracked: None,
                 overflowed_at: None,
@@ -93,7 +110,7 @@ mod observer {
         fn describe(&self, program: &str) -> String {
             format!(
                 "overflow weak distance of {program} ({} handled sites)",
-                self.len()
+                self.sites.len()
             )
         }
     }
@@ -196,7 +213,11 @@ impl<P: Analyzable> OverflowDetector<P> {
 
         while handled.len() < all_ids.len() && rounds < max_rounds {
             rounds += 1;
-            let wd = ObservedWeakDistance::configured(&self.program, handled.clone(), config);
+            let wd = ObservedWeakDistance::configured(
+                &self.program,
+                Handled::new(handled.clone()),
+                config,
+            );
             let round_config = AnalysisConfig {
                 seed: config.seed.wrapping_add(rounds as u64 * 7919),
                 ..config.clone()

@@ -6,6 +6,7 @@
 use wdm::core::boundary::BoundaryAnalysis;
 use wdm::core::driver::AnalysisConfig;
 use wdm::gsl::glibc_sin::{GlibcSin, K_THRESHOLDS, REFERENCE_BOUNDS};
+use wdm::runtime::Analyzable;
 
 fn main() {
     let analysis = BoundaryAnalysis::new(GlibcSin::new());
@@ -16,7 +17,12 @@ fn main() {
     println!("boundary conditions of the Glibc sin range-selection branches:");
     let reports = analysis.find_all(&config);
     for (i, report) in reports.iter().enumerate() {
-        let reachable = i < 4; // k == 0x7ff00000 needs |x| = 2^1024: unreachable.
+        // The program proves k == 0x7ff00000 unreachable (it needs
+        // |x| = 2^1024), and the analysis prunes it at zero evaluations.
+        let unreachable = analysis
+            .program()
+            .branch_boundary_reachability(report.site)
+            .is_unreachable();
         match &report.witness {
             Some(input) => {
                 let confirmed = analysis.triggered_conditions(input).contains(&report.site);
@@ -26,13 +32,14 @@ fn main() {
                 );
             }
             None => println!(
-                "  {} : not triggered ({}), threshold 0x{:08x}",
+                "  {} : not triggered ({}, {} evals), threshold 0x{:08x}",
                 report.label,
-                if reachable {
-                    "missed"
+                if unreachable {
+                    "proved unreachable"
                 } else {
-                    "unreachable, as expected"
+                    "missed"
                 },
+                report.evals,
                 K_THRESHOLDS[i]
             ),
         }

@@ -2,8 +2,10 @@
 //! the core data-structure invariants, using proptest.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use wdm::core::boundary::{BoundaryMode, BoundaryWeakDistance};
 use wdm::core::path::PathWeakDistance;
+use wdm::core::site_bits::SiteBits;
 use wdm::core::weak_distance::WeakDistance;
 use wdm::gsl::glibc_sin::GlibcSin;
 use wdm::gsl::toy::Fig2Program;
@@ -11,7 +13,44 @@ use wdm::mo::ulp::{from_ordered, to_ordered, ulp_distance};
 use wdm::runtime::{BranchId, Cmp};
 use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
 
+/// A key from one of five regions picked by `raw`: small dense ids, both
+/// sides of [`SiteBits::CAP`], the top of the `u32` op ids (`u32::MAX`
+/// included), the top of the `2·id + dir` branch keys, and anywhere below
+/// that.
+fn site_key(raw: u64) -> u64 {
+    let v = raw >> 3;
+    let top_branch_key = 2 * u64::from(u32::MAX) + 1;
+    match raw % 5 {
+        0 => v % 128,
+        1 => SiteBits::CAP - 4 + v % 8,
+        2 => u64::from(u32::MAX) - v % 4,
+        3 => top_branch_key - v % 4,
+        _ => v % (top_branch_key + 1),
+    }
+}
+
 proptest! {
+    /// The overflow and coverage targets' bitset answers membership
+    /// exactly as a `BTreeSet` does, for every key region, members and
+    /// their neighbours alike.
+    #[test]
+    fn site_bits_membership_equals_btreeset_membership(
+        raw in proptest::collection::vec(any::<u64>(), 0..48),
+        probes in proptest::collection::vec(any::<u64>(), 1..48),
+    ) {
+        let keys: Vec<u64> = raw.iter().map(|&r| site_key(r)).collect();
+        let set: BTreeSet<u64> = keys.iter().copied().collect();
+        let bits = SiteBits::new(keys.iter().copied());
+        prop_assert_eq!(bits.len(), set.len());
+        prop_assert_eq!(bits.is_empty(), set.is_empty());
+        let probes = keys.iter().copied().chain(probes.iter().map(|&r| site_key(r)));
+        for key in probes {
+            for k in [key.saturating_sub(1), key, key.saturating_add(1)] {
+                prop_assert_eq!(bits.contains(k), set.contains(&k), "key {}", k);
+            }
+        }
+    }
+
     /// Definition 3.1(a): boundary weak distances are nonnegative everywhere.
     #[test]
     fn boundary_weak_distance_is_nonnegative(x in -1.0e6..1.0e6f64) {
