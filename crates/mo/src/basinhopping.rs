@@ -206,10 +206,25 @@ impl BasinHopping {
     }
 }
 
+/// Copies `src` into `dst` in place, reusing the capacity of `dst.x`.
+fn assign(dst: &mut MinimizeResult, src: &MinimizeResult) {
+    let MinimizeResult {
+        x,
+        value,
+        evals,
+        termination,
+    } = src;
+    dst.x.clone_from(x);
+    dst.value = *value;
+    dst.evals = *evals;
+    dst.termination = *termination;
+}
+
 /// The resumable state of one basin-hopping run: the RNG stream, the
 /// current and best local minima, the hop counter and the charged total.
-/// The proposal buffer and the Nelder–Mead workspace every hop reuses are
-/// scratch, not state: checkpoints leave them out.
+/// The proposal buffer and the Nelder–Mead workspace every hop reuses (with
+/// the result point each hop discards) are scratch, not state: checkpoints
+/// leave them out.
 struct BasinHoppingStep {
     cfg: BasinHopping,
     dim: usize,
@@ -313,10 +328,11 @@ impl MinimizerStep for BasinHoppingStep {
             };
             self.total_evals += trial.evals;
 
+            let best = self.best.as_mut().expect("start phase ran");
             if better(trial.value, best_value) {
-                self.best = Some(trial.clone());
+                assign(best, &trial);
             }
-            if problem.target_reached(self.best.as_ref().expect("start phase ran").value) {
+            if problem.target_reached(best.value) {
                 return self.finish(Termination::TargetReached);
             }
 
@@ -331,9 +347,14 @@ impl MinimizerStep for BasinHoppingStep {
                 let prob = (-delta / self.cfg.temperature.max(f64::MIN_POSITIVE)).exp();
                 self.rng.gen::<f64>() < prob
             };
-            if accept {
-                self.current = Some(trial);
-            }
+            // The next local search builds its incumbent in the point this
+            // hop discards.
+            let discarded = if accept {
+                self.current.replace(trial).expect("start phase ran")
+            } else {
+                trial
+            };
+            self.workspace.recycle(discarded.x);
         }
     }
 

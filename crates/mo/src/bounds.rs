@@ -15,6 +15,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bounds {
     limits: Vec<(f64, f64)>,
+    /// Per dimension, `log10` of the largest finite magnitude it admits:
+    /// the top of the wide-range sampler's exponent range, worked out once
+    /// here rather than on every sample.
+    max_exps: Vec<f64>,
 }
 
 impl Bounds {
@@ -28,7 +32,11 @@ impl Bounds {
             assert!(!lo.is_nan() && !hi.is_nan(), "bound endpoint is NaN");
             assert!(lo <= hi, "lower bound {lo} exceeds upper bound {hi}");
         }
-        Bounds { limits }
+        let max_exps = limits
+            .iter()
+            .map(|&(lo, hi)| lo.abs().max(hi.abs()).min(f64::MAX).log10())
+            .collect();
+        Bounds { limits, max_exps }
     }
 
     /// Symmetric bounds `[-r, r]` in every dimension.
@@ -114,7 +122,8 @@ impl Bounds {
         x.extend(
             self.limits
                 .iter()
-                .map(|&(lo, hi)| Self::sample_dim(rng, lo, hi)),
+                .zip(&self.max_exps)
+                .map(|(&(lo, hi), &max_exp)| Self::sample_dim(rng, lo, hi, max_exp)),
         );
     }
 
@@ -128,18 +137,18 @@ impl Bounds {
     /// Panics if `i` is out of range.
     pub fn sample_component<R: Rng + ?Sized>(&self, rng: &mut R, i: usize) -> f64 {
         let (lo, hi) = self.limits[i];
-        Self::sample_dim(rng, lo, hi)
+        Self::sample_dim(rng, lo, hi, self.max_exps[i])
     }
 
-    fn sample_dim<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
+    /// One draw in `[lo, hi]`; `max_exp` is the dimension's entry of
+    /// `max_exps`.
+    fn sample_dim<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64, max_exp: f64) -> f64 {
         let width = hi - lo;
         if width.is_finite() && width <= 1.0e6 {
             return lo + rng.gen::<f64>() * width;
         }
         // Wide range: pick a sign permitted by the bounds, then a
         // log-uniform magnitude up to the largest representable endpoint.
-        let max_mag = lo.abs().max(hi.abs()).min(f64::MAX);
-        let max_exp = max_mag.log10();
         // Exponents from 1e-10 up to the bound magnitude.
         let exp = -10.0 + rng.gen::<f64>() * (max_exp + 10.0);
         let mag = 10.0_f64.powf(exp);
@@ -291,6 +300,45 @@ mod tests {
                 crate::checkpoint::bits_of(&x),
                 crate::checkpoint::bits_of(&expected)
             );
+        }
+    }
+
+    /// The exponent range is worked out once per dimension; the draws are
+    /// those of the sampler that took `log10` on every sample.
+    #[test]
+    fn wide_samples_are_those_of_a_per_sample_log10() {
+        fn per_sample(rng: &mut impl Rng, lo: f64, hi: f64) -> f64 {
+            let width = hi - lo;
+            if width.is_finite() && width <= 1.0e6 {
+                return lo + rng.gen::<f64>() * width;
+            }
+            let max_exp = lo.abs().max(hi.abs()).min(f64::MAX).log10();
+            let mag = 10.0_f64.powf(-10.0 + rng.gen::<f64>() * (max_exp + 10.0));
+            let candidate = if lo >= 0.0 {
+                mag
+            } else if hi <= 0.0 {
+                -mag
+            } else if rng.gen::<bool>() {
+                mag
+            } else {
+                -mag
+            };
+            candidate.clamp(lo, hi)
+        }
+        let b = Bounds::new(vec![
+            (-f64::MAX, f64::MAX),
+            (0.0, 1.0e300),
+            (f64::NEG_INFINITY, -3.0),
+            (-2.0, 3.0),
+            (-1.0e7, f64::INFINITY),
+        ]);
+        let (mut rng, mut reference) = (rng_from_seed(6), rng_from_seed(6));
+        let mut x = Vec::new();
+        for _ in 0..500 {
+            b.sample_into(&mut rng, &mut x);
+            for (xi, &(lo, hi)) in x.iter().zip(b.limits()) {
+                assert_eq!(xi.to_bits(), per_sample(&mut reference, lo, hi).to_bits());
+            }
         }
     }
 

@@ -111,8 +111,9 @@ pub struct Evaluator<'a, 'b> {
     best_value: f64,
     has_best: bool,
     target_hit: bool,
-    /// The clamped copy of the point [`Evaluator::eval`] evaluates; sized
-    /// on first use and reused, so later scalar evaluations never allocate.
+    /// The clamped copy of an out-of-bounds point [`Evaluator::eval`]
+    /// evaluates; sized on the first evaluation and reused, so later scalar
+    /// evaluations never allocate.
     scratch: Vec<f64>,
     /// The clamped copies of the chunk [`Evaluator::eval_batch`] evaluates,
     /// and their values. Rows are added as chunks grow and never dropped,
@@ -177,18 +178,67 @@ impl<'a, 'b> Evaluator<'a, 'b> {
         }
     }
 
+    /// [`Evaluator::new`] in buffers lent by a backend that runs many
+    /// searches in a round: `incumbent` becomes the fresh incumbent (its
+    /// contents are replaced, its capacity kept) and `scratch` the clamp
+    /// scratch, so a search that starts here allocates nothing once the
+    /// buffers have grown. [`Evaluator::into_best`] gives them back.
+    pub(crate) fn lent(
+        problem: &'a Problem<'a>,
+        sink: &'b mut dyn SampleSink,
+        mut incumbent: Vec<f64>,
+        scratch: Vec<f64>,
+    ) -> Self {
+        incumbent.clear();
+        incumbent.resize(problem.objective.dim(), f64::NAN);
+        let fresh = EvaluatorState {
+            best_x: incumbent,
+            ..EvaluatorState::fresh(0)
+        };
+        Evaluator {
+            scratch,
+            ..Evaluator::resume(problem, sink, fresh)
+        }
+    }
+
+    /// Ends the run: moves the best point out instead of cloning it, and
+    /// hands the clamp scratch back to `scratch` for the next search.
+    pub(crate) fn into_best(self, scratch: &mut Vec<f64>) -> (Vec<f64>, f64) {
+        *scratch = self.scratch;
+        (self.best_x, self.best_value)
+    }
+
     /// Evaluates the objective at `x` (clamped into the bounds), records the
     /// sample and updates the incumbent.
+    ///
+    /// Clamping returns an in-bounds point unchanged (−0.0 included), so
+    /// such a point is evaluated, recorded and kept in place; only a point
+    /// outside the bounds or with a NaN coordinate is copied and clamped.
     pub fn eval(&mut self, x: &[f64]) -> f64 {
+        if self.problem.bounds.contains(x) {
+            if self.scratch.capacity() < x.len() {
+                // Size the scratch on the first evaluation whichever path
+                // it takes, so a later out-of-bounds point does not
+                // allocate.
+                self.scratch.reserve(x.len());
+            }
+            return self.eval_clamped(x);
+        }
         let mut clamped = std::mem::take(&mut self.scratch);
         clamped.clear();
         clamped.extend_from_slice(x);
         self.problem.bounds.clamp(&mut clamped);
-        let value = self.problem.objective.eval(&clamped);
-        self.sink.record(self.evals as u64, &clamped, value);
-        self.evals += 1;
-        self.note(&clamped, value);
+        let value = self.eval_clamped(&clamped);
         self.scratch = clamped;
+        value
+    }
+
+    /// Evaluates, records and keeps a point already inside the bounds.
+    fn eval_clamped(&mut self, clamped: &[f64]) -> f64 {
+        let value = self.problem.objective.eval(clamped);
+        self.sink.record(self.evals as u64, clamped, value);
+        self.evals += 1;
+        self.note(clamped, value);
         value
     }
 

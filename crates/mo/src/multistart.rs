@@ -6,7 +6,7 @@
 //! driver shape of Algorithm 3, which launches the backend from a fresh
 //! random starting point in every round.
 
-use crate::checkpoint::{bits_of, floats_of, MsCkpt, ResultCkpt, StepCheckpoint};
+use crate::checkpoint::{bits_of, MsCkpt, ResultCkpt, StepCheckpoint};
 use crate::nelder_mead::{self, NelderMead};
 use crate::powell::Powell;
 use crate::result::{MinimizeResult, Termination};
@@ -67,11 +67,13 @@ impl MultiStart {
 /// points, the cursor into them, the incumbent and the charged total. The
 /// RNG is fully consumed at [`SteppedMinimizer::start`] time (start-point
 /// sampling is its only consumer), so it is not carried. Neither is the
-/// Nelder–Mead workspace every start reuses, which is scratch.
+/// Nelder–Mead workspace every start reuses (with the result point each
+/// start discards), which is scratch.
 struct MultiStartStep {
     cfg: MultiStart,
     dim: usize,
-    starts: Vec<Vec<f64>>,
+    /// The starting points one after another, `dim` coordinates each.
+    starts: Vec<f64>,
     next: usize,
     best: Option<MinimizeResult>,
     total_evals: usize,
@@ -109,7 +111,7 @@ impl MinimizerStep for MultiStartStep {
         let slice = slice.max(1);
         let slice_start = self.total_evals;
         loop {
-            if self.next >= self.starts.len() {
+            if self.next >= self.starts.len() / self.dim.max(1) {
                 return self.finish(Termination::IterationsCompleted);
             }
             if self.total_evals - slice_start >= slice {
@@ -121,7 +123,7 @@ impl MinimizerStep for MultiStartStep {
             if self.total_evals >= problem.max_evals {
                 return self.finish(Termination::BudgetExhausted);
             }
-            let x0 = &self.starts[self.next];
+            let x0 = &self.starts[self.next * self.dim..][..self.dim];
             self.next += 1;
             let budget = self
                 .cfg
@@ -143,8 +145,15 @@ impl MinimizerStep for MultiStartStep {
                 .as_ref()
                 .map(|b| better(r.value, b.value))
                 .unwrap_or(true);
-            if is_better {
-                self.best = Some(r);
+            // The next local search builds its incumbent in the point this
+            // start discards.
+            let discarded = if is_better {
+                self.best.replace(r)
+            } else {
+                Some(r)
+            };
+            if let Some(discarded) = discarded {
+                self.workspace.recycle(discarded.x);
             }
             if let Some(b) = &self.best {
                 if problem.target_reached(b.value) {
@@ -185,7 +194,11 @@ impl MinimizerStep for MultiStartStep {
 
     fn checkpoint(&self) -> StepCheckpoint {
         StepCheckpoint::MultiStart(MsCkpt {
-            starts: self.starts.iter().map(|s| bits_of(s)).collect(),
+            starts: self
+                .starts
+                .chunks_exact(self.dim.max(1))
+                .map(bits_of)
+                .collect(),
             next: self.next,
             best: self.best.as_ref().map(ResultCkpt::of),
             total_evals: self.total_evals,
@@ -203,16 +216,19 @@ impl SteppedMinimizer for MultiStart {
         // points are identical to drawing them lazily inside the loop —
         // and having the whole batch available is the seam through which a
         // batched objective backend can pre-screen starting points.
-        let starts: Vec<Vec<f64>> = if finished.is_none() {
-            (0..self.n_starts)
-                .map(|_| problem.bounds.sample(&mut rng))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let dim = problem.objective.dim();
+        let mut starts = Vec::new();
+        if finished.is_none() {
+            starts.reserve_exact(self.n_starts * dim);
+            let mut point = Vec::with_capacity(dim);
+            for _ in 0..self.n_starts {
+                problem.bounds.sample_into(&mut rng, &mut point);
+                starts.extend_from_slice(&point);
+            }
+        }
         Box::new(MultiStartStep {
             cfg: self.clone(),
-            dim: problem.objective.dim(),
+            dim,
             starts,
             next: 0,
             best: None,
@@ -230,10 +246,19 @@ impl SteppedMinimizer for MultiStart {
         let StepCheckpoint::MultiStart(c) = checkpoint else {
             return None;
         };
+        let dim = problem.objective.dim();
+        if c.starts.iter().any(|s| s.len() != dim) {
+            return None;
+        }
         Some(Box::new(MultiStartStep {
             cfg: self.clone(),
-            dim: problem.objective.dim(),
-            starts: c.starts.iter().map(|s| floats_of(s)).collect(),
+            dim,
+            starts: c
+                .starts
+                .iter()
+                .flatten()
+                .map(|&b| f64::from_bits(b))
+                .collect(),
             next: c.next,
             best: c.best.as_ref().map(ResultCkpt::restore),
             total_evals: c.total_evals,

@@ -29,22 +29,39 @@ pub struct NelderMead {
 }
 
 /// The buffers of one Nelder–Mead search: the simplex, its values, the
-/// sort order, the sorted copy, the centroid and the trial points. Every
-/// search rewrites them in place, so a stepped backend that runs many
-/// searches in a round (basin hopping's hops, multi-start's starts) lends
-/// one workspace to all of them instead of allocating per search. It is
-/// scratch, not state: checkpoints leave it out.
+/// rank order, the centroid and the trial points, plus the evaluator's
+/// incumbent and clamp scratch. Every search rewrites them in place, so a
+/// stepped backend that runs many searches in a round (basin hopping's
+/// hops, multi-start's starts) lends one workspace to all of them instead
+/// of allocating per search, and gives back the result buffer each hop or
+/// start discards ([`Workspace::recycle`]). It is scratch, not state:
+/// checkpoints leave it out.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
-    simplex: Vec<Vec<f64>>,
+    /// The n + 1 vertices, slot-major: slot `s` holds coordinates
+    /// `s * n..(s + 1) * n`. A vertex stays in its slot until it is replaced.
+    simplex: Vec<f64>,
+    /// The value of the vertex in each slot.
     values: Vec<f64>,
-    order: Vec<usize>,
-    sorted: Vec<Vec<f64>>,
-    sorted_values: Vec<f64>,
+    /// The slots in rank order, best first.
+    rank: Vec<usize>,
     centroid: Vec<f64>,
     reflect: Vec<f64>,
     expand: Vec<f64>,
     contract: Vec<f64>,
+    /// The buffer the next search's incumbent is built in: a result point
+    /// an earlier hop or start discarded, or empty.
+    incumbent: Vec<f64>,
+    /// The evaluator's clamp scratch, kept between searches.
+    scratch: Vec<f64>,
+}
+
+impl Workspace {
+    /// Takes back the point of a result the caller no longer needs, so the
+    /// next search builds its incumbent in it instead of allocating.
+    pub(crate) fn recycle(&mut self, x: Vec<f64>) {
+        self.incumbent = x;
+    }
 }
 
 impl Default for NelderMead {
@@ -73,49 +90,58 @@ impl NelderMead {
         self
     }
 
-    /// Builds the initial simplex around `x0` into `simplex`.
+    /// Builds the initial simplex around `x0` into `simplex`, one vertex
+    /// after another.
     ///
     /// The i-th extra vertex displaces coordinate i by `initial_scale`
     /// relatively (or absolutely when the coordinate is zero), matching the
     /// usual practice for functions whose coordinates span many orders of
     /// magnitude.
-    fn initial_simplex(&self, x0: &[f64], simplex: &mut Vec<Vec<f64>>) {
-        simplex.resize_with(x0.len() + 1, Vec::new);
-        for v in simplex.iter_mut() {
-            v.clear();
-            v.extend_from_slice(x0);
+    fn initial_simplex(&self, x0: &[f64], simplex: &mut Vec<f64>) {
+        let n = x0.len();
+        simplex.clear();
+        for _ in 0..=n {
+            simplex.extend_from_slice(x0);
         }
-        for (i, v) in simplex[1..].iter_mut().enumerate() {
-            if v[i] == 0.0 {
-                v[i] = self.initial_scale.max(1.0e-4);
+        for (i, &x0i) in x0.iter().enumerate() {
+            let v = &mut simplex[(i + 1) * n + i];
+            if *v == 0.0 {
+                *v = self.initial_scale.max(1.0e-4);
             } else {
-                v[i] *= 1.0 + self.initial_scale;
-                if v[i] == x0[i] {
-                    v[i] = x0[i] + self.initial_scale;
+                *v *= 1.0 + self.initial_scale;
+                if *v == x0i {
+                    *v = x0i + self.initial_scale;
                 }
             }
         }
     }
 
-    fn run(&self, ev: &mut Evaluator<'_, '_>, x0: &[f64], ws: &mut Workspace) -> (Vec<f64>, f64) {
+    /// Runs the search from `x0`; the evaluator keeps the best point.
+    ///
+    /// The vertices are never reordered: a rank permutation orders the
+    /// slots, the worst slot takes each accepted trial point, and a shrink
+    /// rewrites the slots in rank order. So an iteration copies no vertex, and the
+    /// float operations, their order and the evaluations are those of a
+    /// simplex physically re-sorted every iteration.
+    fn run(&self, ev: &mut Evaluator<'_, '_>, x0: &[f64], ws: &mut Workspace) {
         let n = x0.len();
+        let at = |slot: usize| slot * n..(slot + 1) * n;
         // The loop rewrites every buffer in place, so it never allocates.
         let Workspace {
             simplex,
             values,
-            order,
-            sorted,
-            sorted_values,
+            rank,
             centroid,
             reflect,
             expand,
             contract,
+            ..
         } = ws;
         self.initial_simplex(x0, simplex);
         values.clear();
-        values.extend(simplex.iter().map(|v| ev.eval(v)));
-        sorted.clone_from(simplex);
-        sorted_values.clone_from(values);
+        values.extend((0..=n).map(|slot| ev.eval(&simplex[at(slot)])));
+        rank.clear();
+        rank.extend(0..=n);
         for point in [&mut *centroid, &mut *reflect, &mut *expand, &mut *contract] {
             point.clear();
             point.resize(n, 0.0);
@@ -125,89 +151,85 @@ impl NelderMead {
             if ev.should_stop() {
                 break;
             }
-            // Order the simplex by value (NaN last).
-            order.clear();
-            order.extend(0..=n);
-            order.sort_by(|&a, &b| {
+            // Rank the slots by value. With a NaN value the comparator is
+            // not a total order, so NaN is not always ranked last; a fix
+            // moves the search. `rank` enters in the previous order, so the
+            // sort compares the same values in the same sequence as sorting
+            // `0..=n` over a simplex re-sorted in place, and returns the
+            // same order.
+            rank.sort_by(|&a, &b| {
                 values[a]
                     .partial_cmp(&values[b])
                     .unwrap_or(std::cmp::Ordering::Greater)
             });
-            for ((vertex, value), &i) in sorted
-                .iter_mut()
-                .zip(sorted_values.iter_mut())
-                .zip(order.iter())
-            {
-                vertex.copy_from_slice(&simplex[i]);
-                *value = values[i];
-            }
-            std::mem::swap(simplex, sorted);
-            std::mem::swap(values, sorted_values);
+            let (best, worst) = (rank[0], rank[n]);
 
-            let spread = (values[n] - values[0]).abs();
+            let spread = (values[worst] - values[best]).abs();
             if spread.is_finite() && spread <= self.f_tol {
                 break;
             }
 
-            // Centroid of all points but the worst.
+            // Centroid of all points but the worst, summed in rank order.
             centroid.fill(0.0);
-            for v in simplex.iter().take(n) {
-                for (c, vi) in centroid.iter_mut().zip(v) {
+            for &slot in &rank[..n] {
+                for (c, vi) in centroid.iter_mut().zip(&simplex[at(slot)]) {
                     *c += vi / n as f64;
                 }
             }
 
-            let worst = &simplex[n];
-            for ((r, c), w) in reflect.iter_mut().zip(centroid.iter()).zip(worst) {
+            let worst_vertex = &simplex[at(worst)];
+            for ((r, c), w) in reflect.iter_mut().zip(centroid.iter()).zip(worst_vertex) {
                 *r = c + self.alpha * (c - w);
             }
             let f_reflect = ev.eval(reflect);
 
-            if f_reflect < values[0] {
+            if f_reflect < values[best] {
                 // Try expansion.
-                for ((e, c), w) in expand.iter_mut().zip(centroid.iter()).zip(worst) {
+                for ((e, c), w) in expand.iter_mut().zip(centroid.iter()).zip(worst_vertex) {
                     *e = c + self.gamma * self.alpha * (c - w);
                 }
                 let f_expand = ev.eval(expand);
                 if f_expand < f_reflect {
-                    simplex[n].copy_from_slice(expand);
-                    values[n] = f_expand;
+                    simplex[at(worst)].copy_from_slice(expand);
+                    values[worst] = f_expand;
                 } else {
-                    simplex[n].copy_from_slice(reflect);
-                    values[n] = f_reflect;
+                    simplex[at(worst)].copy_from_slice(reflect);
+                    values[worst] = f_reflect;
                 }
-            } else if f_reflect < values[n - 1] {
-                simplex[n].copy_from_slice(reflect);
-                values[n] = f_reflect;
+            } else if f_reflect < values[rank[n - 1]] {
+                simplex[at(worst)].copy_from_slice(reflect);
+                values[worst] = f_reflect;
             } else {
                 // Contraction (outside if the reflected point improved on the
                 // worst vertex, inside otherwise).
-                let towards: &[f64] = if f_reflect < values[n] {
+                let towards: &[f64] = if f_reflect < values[worst] {
                     reflect
                 } else {
-                    worst
+                    worst_vertex
                 };
-                let f_towards = if f_reflect < values[n] {
+                let f_towards = if f_reflect < values[worst] {
                     f_reflect
                 } else {
-                    values[n]
+                    values[worst]
                 };
                 for ((k, c), t) in contract.iter_mut().zip(centroid.iter()).zip(towards) {
                     *k = c + self.rho * (t - c);
                 }
                 let f_contract = ev.eval(contract);
                 if f_contract < f_towards {
-                    simplex[n].copy_from_slice(contract);
-                    values[n] = f_contract;
+                    simplex[at(worst)].copy_from_slice(contract);
+                    values[worst] = f_contract;
                 } else {
-                    // Shrink towards the best vertex, in place: each
-                    // coordinate depends only on its own old value.
-                    let (best, rest) = simplex.split_at_mut(1);
-                    for (vertex, value) in rest.iter_mut().zip(&mut values[1..]) {
-                        for (s, b) in vertex.iter_mut().zip(&best[0]) {
+                    // Shrink towards the best vertex, in rank order and in
+                    // place: each coordinate depends only on its own old
+                    // value.
+                    for &slot in &rank[1..] {
+                        for j in 0..n {
+                            let b = simplex[best * n + j];
+                            let s = &mut simplex[slot * n + j];
                             *s = b + self.sigma * (*s - b);
                         }
-                        *value = ev.eval(vertex);
+                        values[slot] = ev.eval(&simplex[at(slot)]);
                         if ev.should_stop() {
                             break;
                         }
@@ -215,11 +237,8 @@ impl NelderMead {
                 }
             }
         }
-        ev.best()
     }
-}
 
-impl NelderMead {
     /// [`LocalMinimizer::minimize_from`] in the buffers of `workspace`.
     pub(crate) fn minimize_in(
         &self,
@@ -233,10 +252,14 @@ impl NelderMead {
             return invalid;
         }
         // Respect both the problem budget and the per-call budget.
-        let mut ev = Evaluator::new(problem, sink).capped(max_evals);
-        let (x, value) = self.run(&mut ev, x0, workspace);
+        let incumbent = std::mem::take(&mut workspace.incumbent);
+        let scratch = std::mem::take(&mut workspace.scratch);
+        let mut ev = Evaluator::lent(problem, sink, incumbent, scratch).capped(max_evals);
+        self.run(&mut ev, x0, workspace);
         let termination = ev.termination(Termination::Converged);
-        MinimizeResult::new(x, value, ev.evals(), termination)
+        let evals = ev.evals();
+        let (x, value) = ev.into_best(&mut workspace.scratch);
+        MinimizeResult::new(x, value, evals, termination)
     }
 }
 
@@ -341,8 +364,9 @@ mod tests {
         let nm = NelderMead::default();
         let mut s = Vec::new();
         nm.initial_simplex(&[0.0, 1.0], &mut s);
-        assert_eq!(s.len(), 3);
-        assert_ne!(s[1][0], 0.0);
-        assert_ne!(s[2][1], 1.0);
+        let vertices: Vec<&[f64]> = s.chunks_exact(2).collect();
+        assert_eq!(vertices.len(), 3);
+        assert_ne!(vertices[1][0], 0.0);
+        assert_ne!(vertices[2][1], 1.0);
     }
 }

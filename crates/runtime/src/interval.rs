@@ -2,12 +2,20 @@
 
 use std::fmt;
 
-/// A closed interval `[lo, hi]` of finite doubles.
+/// A closed interval `[lo, hi]` of doubles.
 ///
 /// Intervals describe the box over which the mathematical-optimization
 /// backend samples starting points. The paper's benchmarks use very wide
 /// domains (up to the whole binary64 range) because overflow-triggering
 /// inputs often have magnitudes near `1e308`.
+///
+/// An endpoint may be infinite: `[0, +∞]` contains `+∞`, and
+/// [`contains`](Interval::contains) and [`clamp`](Interval::clamp) of a
+/// non-NaN value treat it like any other endpoint.
+/// [`midpoint`](Interval::midpoint) and [`lerp`](Interval::lerp) first
+/// pull an infinite endpoint in to `±f64::MAX` (the rule `wdm_mo::Bounds`
+/// uses for its NaN fallback), so they stay finite and inside the
+/// interval.
 ///
 /// # Example
 ///
@@ -72,9 +80,17 @@ impl Interval {
         self.hi - self.lo
     }
 
-    /// Midpoint of the interval, computed without overflowing.
+    /// The endpoints with an infinite one pulled in to `±f64::MAX`; a
+    /// finite interval's endpoints, unchanged.
+    fn finite_endpoints(&self) -> (f64, f64) {
+        (self.lo.max(-f64::MAX), self.hi.min(f64::MAX))
+    }
+
+    /// Midpoint of the interval, computed without overflowing: finite, and
+    /// inside the interval, even when an endpoint is infinite.
     pub fn midpoint(&self) -> f64 {
-        self.lo / 2.0 + self.hi / 2.0
+        let (lo, hi) = self.finite_endpoints();
+        lo / 2.0 + hi / 2.0
     }
 
     /// Returns `true` if `x` lies in the interval (NaN is never contained).
@@ -90,12 +106,18 @@ impl Interval {
         x.clamp(self.lo, self.hi)
     }
 
-    /// Linear interpolation: `t = 0` gives `lo`, `t = 1` gives `hi`.
+    /// Linear interpolation: `t = 0` gives `lo`, `t = 1` gives `hi`, with
+    /// an infinite endpoint pulled in to `±f64::MAX`, so the result is
+    /// finite and inside the interval.
     ///
     /// Computed in a way that does not overflow for very wide intervals.
     pub fn lerp(&self, t: f64) -> f64 {
-        let v = self.lo * (1.0 - t) + self.hi * t;
-        self.clamp(v)
+        let (lo, hi) = self.finite_endpoints();
+        let v = lo * (1.0 - t) + hi * t;
+        if v.is_nan() {
+            return self.midpoint();
+        }
+        v.clamp(lo, hi)
     }
 }
 
@@ -146,6 +168,32 @@ mod tests {
         assert!(iv.midpoint().is_finite());
         assert!(iv.contains(1.0e308));
         assert!(iv.lerp(0.5).is_finite());
+    }
+
+    /// Regression: with an infinite endpoint the midpoint was `±∞` or NaN
+    /// (−∞/2 + ∞/2), so `clamp(NaN)` returned NaN and `lerp` was NaN for
+    /// every `t` over `(−∞, ∞)`.
+    #[test]
+    fn infinite_endpoints_keep_midpoint_clamp_and_lerp_finite() {
+        let inf = f64::INFINITY;
+        let cases = [
+            (Interval::new(-inf, inf), 0.0, -f64::MAX, f64::MAX),
+            (Interval::new(0.0, inf), f64::MAX / 2.0, 0.0, f64::MAX),
+            (Interval::new(-inf, 0.0), -f64::MAX / 2.0, -f64::MAX, 0.0),
+        ];
+        for (iv, mid, first, last) in cases {
+            assert_eq!(iv.midpoint(), mid, "{iv}");
+            assert_eq!(iv.clamp(f64::NAN), mid, "{iv}");
+            assert_eq!(iv.lerp(0.0), first, "{iv}");
+            assert_eq!(iv.lerp(1.0), last, "{iv}");
+            assert_eq!(iv.lerp(f64::NAN), mid, "{iv}");
+            for t in [0.0, 0.25, 0.5, 0.75, 1.0, -1.0, 2.0] {
+                let v = iv.lerp(t);
+                assert!(v.is_finite() && iv.contains(v), "{iv}: lerp({t}) = {v}");
+            }
+            // A non-NaN value still clamps against the infinite endpoint.
+            assert_eq!(iv.clamp(inf), inf.clamp(iv.lo(), iv.hi()), "{iv}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Allocation regression: a scalar or batch evaluation through the
-//! `Evaluator` never touches the heap, `fpir` programs included; a batch
-//! through the lanewise kernel and a basin-hopping hop allocate a fixed
-//! handful of times; and the local searches and the batch backends
-//! (random search, Differential Evolution) allocate a fixed number of
-//! times per call, whatever their budget.
+//! `Evaluator` never touches the heap, `fpir` programs included, and
+//! neither does a basin-hopping hop or a multi-start start; a batch
+//! through the lanewise kernel allocates a fixed handful of times; and the
+//! local searches and the batch backends (random search, Differential
+//! Evolution) allocate a fixed number of times per call, whatever their
+//! budget.
 //!
 //! A counting global allocator tallies allocations per thread, so the test
 //! threads the harness runs in parallel do not see each other's traffic.
@@ -25,7 +26,7 @@ use wdm::ir::{instrument, programs, Module, ModuleProgram};
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{
     BasinHopping, Bounds, DifferentialEvolution, FnObjective, GlobalMinimizer, LocalMinimizer,
-    NelderMead, NoTrace, Problem, RandomSearch, Termination, UlpSearch,
+    MultiStart, NelderMead, NoTrace, Problem, RandomSearch, Termination, UlpSearch,
 };
 use wdm::runtime::{BranchId, Interval, OpId};
 use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
@@ -255,19 +256,24 @@ fn kernel_batches_allocate_a_fixed_handful() {
     }
 }
 
-/// Allocations of a `hops`-hop basin-hopping run at dimension `dim`, over
-/// an objective whose minimum is 1, so no hop reaches the target 0.
-fn basin_hopping_allocations(dim: usize, hops: usize) -> u64 {
+/// Allocations of one `minimize` call of `backend` at dimension `dim`, over
+/// an objective whose minimum is 1, so no hop or start reaches the target 0.
+fn round_allocations(backend: &dyn GlobalMinimizer, dim: usize) -> u64 {
     let f = FnObjective::new(dim, |x: &[f64]| 1.0 + x.iter().map(|v| v * v).sum::<f64>());
     let problem = Problem::new(&f, Bounds::symmetric(dim, 100.0))
         .with_target(0.0)
         .with_max_evals(usize::MAX);
-    let backend = BasinHopping::default()
-        .with_local_max_evals(30)
-        .with_hops(hops);
     let (result, allocated) = allocations(|| backend.minimize(&problem, 5, &mut NoTrace));
     assert_eq!(result.termination, Termination::IterationsCompleted);
     allocated
+}
+
+/// Allocations of a `hops`-hop basin-hopping run at dimension `dim`.
+fn basin_hopping_allocations(dim: usize, hops: usize) -> u64 {
+    let backend = BasinHopping::default()
+        .with_local_max_evals(30)
+        .with_hops(hops);
+    round_allocations(&backend, dim)
 }
 
 #[test]
@@ -276,7 +282,28 @@ fn basin_hopping_hops_allocate_a_fixed_handful() {
         let per_hop = (basin_hopping_allocations(dim, 100) - basin_hopping_allocations(dim, 50))
             as f64
             / 50.0;
-        assert!(per_hop <= 5.0, "dim {dim}: {per_hop} allocations per hop");
+        assert_eq!(per_hop, 0.0, "dim {dim}: {per_hop} allocations per hop");
+    }
+}
+
+/// Allocations of a `starts`-start multi-start run at dimension `dim`.
+fn multi_start_allocations(dim: usize, starts: usize) -> u64 {
+    let backend = MultiStart {
+        local_max_evals: 30,
+        ..MultiStart::default().with_starts(starts)
+    };
+    round_allocations(&backend, dim)
+}
+
+#[test]
+fn multi_start_starts_do_not_allocate() {
+    for dim in [1, 3] {
+        let per_start =
+            (multi_start_allocations(dim, 100) - multi_start_allocations(dim, 50)) as f64 / 50.0;
+        assert_eq!(
+            per_start, 0.0,
+            "dim {dim}: {per_start} allocations per start"
+        );
     }
 }
 
