@@ -128,6 +128,7 @@ fn smoke(threads: usize) {
         &JobOutcome {
             name: PROBLEM.to_string(),
             run: reference,
+            failure: None,
         },
     ))
     .expect("render reference outcome");

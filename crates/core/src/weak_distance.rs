@@ -245,8 +245,8 @@ pub trait WeakDistance: Send + Sync {
     /// The default is a scalar loop over [`WeakDistance::eval`]; the
     /// analysis instances override it to run the whole batch through one
     /// [`fp_runtime::BatchExecutor`] of the program under analysis, which
-    /// amortizes per-execution setup (the `fpir` interpreter reuses its
-    /// register frames and globals buffer across the batch). Overrides must
+    /// amortizes per-execution work (the `fpir` kernel runs the batch in
+    /// lockstep). Overrides must
     /// return **bit-identical** values to the scalar loop — each input
     /// still gets its own fresh observer.
     fn eval_batch(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {

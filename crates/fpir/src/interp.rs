@@ -1,28 +1,47 @@
 //! The IR interpreter and its [`Analyzable`] adapter.
 //!
-//! # Execution scratch
+//! # Execution core
 //!
-//! An execution needs a globals buffer and one register frame per active
-//! call, plus an argument buffer per call in flight. These come from a
-//! per-thread scratch: each execution takes the calling thread's globals
-//! buffer and frame pool when it starts and gives them back when it ends,
-//! so once a thread has run a program, further executions allocate
-//! nothing. Every frame is cleared and zero-filled when taken and the
-//! globals are re-initialized, so no value carries from one execution to
-//! the next: results and events are bit-identical to running on fresh
-//! buffers. An execution nested on the same thread (an observer that runs
-//! another program, a lane the kernel resumes while an observer runs)
-//! finds the slot empty and starts from empty buffers; whichever execution
-//! ends last leaves its buffers in the slot. A thread keeps at most two
-//! buffers per level of the deepest call chain it ran (a register frame and
-//! the argument buffer of the call below it), each as wide as the widest
-//! function it ran.
+//! Every scalar execution runs a *lowered* copy of its module: flat
+//! per-function arrays of ops with `u32` operands, one dispatch per op,
+//! site-less `add`/`sub`/`mul`/`div` as ops of their own, and each block's
+//! op range and terminator (see `lower.rs`). A [`ModuleProgram`] builds
+//! its lowering on its first execution and shares it, like its
+//! [`StaticInfo`], with its clones and with every hand-out of one
+//! specialization; [`Interpreter::execute`] and its two siblings lower the
+//! module they are given. The kernel's lane resume and translation
+//! validation run the same core.
 //!
-//! The scratch is per thread rather than per program because one program
-//! runs on several threads at once ([`Analyzable::execute`] takes
-//! `&self`): a thread's buffers serve every module it runs, with no lock.
-//! The [`BatchExecutor`] of a program the lanewise kernel does not run is
-//! therefore a plain loop over [`Analyzable::run`].
+//! *Fuel is charged a block at a time.* With `k` ops of a block left, the
+//! block needs `t = k + 1` ticks, its terminator's included. When the
+//! observer has not stopped the execution, more than `t` fuel is left and
+//! none of the fuel values `fuel - t ..= fuel - 1` is a multiple of
+//! [`CANCEL_POLL_INTERVAL`], the ops run with no tick or stop check of
+//! their own and the block is charged in one step. A stop is checked after
+//! each sited op; on a stop, the ops run so far are charged. At a call, the
+//! ops before it are charged and the call itself is charged one op at a
+//! time. After the call or the stop, the rest of the block goes through the
+//! same check again. Whenever the check fails, the next op pays what every
+//! op once paid: a tick, a stop check, the op; a terminator reached that
+//! way takes a tick of its own, and a branch, sited or not, ends the run if
+//! it has been stopped. So out-of-fuel, cancellation and stops fall on the
+//! same instruction as an instruction-at-a-time loop, with the same fuel
+//! left, and [`Interpreter::execute_counting`] counts the same
+//! instructions.
+//!
+//! *Frames live on the stack.* A call's register frame is a zero-filled
+//! array of the smallest of 8, 16, 32 or 64 registers that holds the
+//! function, its arguments (up to 8) and the module's globals (up to 8) are
+//! arrays too, and the globals are re-initialized for every execution, so
+//! no value carries from one execution to the next. Only wider frames,
+//! argument lists and global sets borrow buffers from a per-thread pool,
+//! which a nested execution shares by taking other buffers. So once a
+//! program's lowering is built, a scalar execution of any of the shipped
+//! programs allocates nothing, even the first one on a thread, and a call
+//! level takes a bounded amount of stack (at most one 64-register frame
+//! plus the core loop's own), which the default `max_call_depth` keeps
+//! within a 256 KiB thread stack. The [`BatchExecutor`] of a program the
+//! lanewise kernel does not run is a plain loop over [`Analyzable::run`].
 //!
 //! # Cancellation
 //!
@@ -34,13 +53,13 @@
 //! [`ExecError::Cancelled`].
 
 use crate::analysis::StaticInfo;
-use crate::ir::{BlockId, FuncId, Inst, Module, Terminator};
+use crate::ir::{FuncId, Module};
+use crate::lower::Lowered;
 use crate::opt::{OptStats, SpecializeError};
 use fp_runtime::{
     Analyzable, BatchExecutor, BranchId, BranchSite, CancelToken, Ctx, Interval, KernelPolicy,
     ObservationSpec, Observer, OpId, OpSite, OptPolicy, Reachability,
 };
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,106 +130,6 @@ impl Default for Interpreter {
     }
 }
 
-/// One thread's execution buffers: the globals buffer and the pool of
-/// retired register frames and call argument buffers.
-#[derive(Default)]
-struct ExecScratch {
-    globals: Vec<f64>,
-    frames: Vec<Vec<f64>>,
-}
-
-thread_local! {
-    /// The calling thread's [`ExecScratch`]: taken by [`ExecState`] when an
-    /// execution starts and put back when it ends (see the module docs).
-    static EXEC_SCRATCH: Cell<Option<ExecScratch>> = const { Cell::new(None) };
-}
-
-pub(crate) struct ExecState<'a> {
-    globals: Vec<f64>,
-    fuel: u64,
-    max_depth: usize,
-    module: &'a Module,
-    cancel: &'a CancelToken,
-    /// Retired register frames and call argument buffers, reused by later
-    /// calls instead of allocating a fresh `Vec` per frame.
-    frames: Vec<Vec<f64>>,
-}
-
-impl<'a> ExecState<'a> {
-    pub(crate) fn new(interpreter: &'a Interpreter, module: &'a Module) -> Self {
-        let globals = module.globals.iter().map(|g| g.init);
-        Self::for_resume(interpreter, module, interpreter.fuel, globals)
-    }
-
-    /// A state with `fuel` left and the global values `globals`: for a
-    /// fresh execution, or for resuming one lane of the lanewise kernel on
-    /// the scalar interpreter exactly as a from-scratch scalar execution
-    /// would hold it at the same point. Takes the thread's buffers.
-    pub(crate) fn for_resume(
-        interpreter: &'a Interpreter,
-        module: &'a Module,
-        fuel: u64,
-        globals: impl IntoIterator<Item = f64>,
-    ) -> Self {
-        let ExecScratch {
-            globals: mut buffer,
-            frames,
-        } = EXEC_SCRATCH
-            .try_with(Cell::take)
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        buffer.clear();
-        buffer.extend(globals);
-        ExecState {
-            globals: buffer,
-            fuel,
-            max_depth: interpreter.max_call_depth,
-            module,
-            cancel: &interpreter.cancel,
-            frames,
-        }
-    }
-
-    /// Charges one instruction: fuel accounting plus the periodic
-    /// cancellation poll.
-    fn tick(&mut self) -> Result<(), ExecError> {
-        if self.fuel == 0 {
-            return Err(ExecError::OutOfFuel);
-        }
-        self.fuel -= 1;
-        if self.fuel.is_multiple_of(CANCEL_POLL_INTERVAL) && self.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        Ok(())
-    }
-
-    fn take_frame(&mut self, num_regs: usize) -> Vec<f64> {
-        let mut frame = self.frames.pop().unwrap_or_default();
-        frame.clear();
-        frame.resize(num_regs, 0.0);
-        frame
-    }
-
-    fn put_frame(&mut self, frame: Vec<f64>) {
-        self.frames.push(frame);
-    }
-}
-
-impl Drop for ExecState<'_> {
-    /// Gives the buffers back to the thread, replacing whatever a nested
-    /// execution left there.
-    fn drop(&mut self) {
-        let scratch = ExecScratch {
-            globals: std::mem::take(&mut self.globals),
-            frames: std::mem::take(&mut self.frames),
-        };
-        // Fails only while the thread is being torn down; the buffers are
-        // then simply freed.
-        let _ = EXEC_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
-    }
-}
-
 impl Interpreter {
     /// Creates an interpreter with the default fuel and call-depth limits.
     pub fn new() -> Self {
@@ -248,15 +167,7 @@ impl Interpreter {
         args: &[f64],
         ctx: &mut Ctx<'_>,
     ) -> Result<Option<f64>, ExecError> {
-        let function = module.function(func);
-        if args.len() != function.num_params {
-            return Err(ExecError::ArityMismatch {
-                expected: function.num_params,
-                got: args.len(),
-            });
-        }
-        let mut state = ExecState::new(self, module);
-        Self::exec_function(&mut state, func, args, ctx, 0)
+        Lowered::new(module).execute(self, func.0, args, ctx, |ret, _, _| ret)
     }
 
     /// Executes and also returns the final values of the module's globals
@@ -272,16 +183,9 @@ impl Interpreter {
         args: &[f64],
         ctx: &mut Ctx<'_>,
     ) -> Result<(Option<f64>, Vec<f64>), ExecError> {
-        let function = module.function(func);
-        if args.len() != function.num_params {
-            return Err(ExecError::ArityMismatch {
-                expected: function.num_params,
-                got: args.len(),
-            });
-        }
-        let mut state = ExecState::new(self, module);
-        let ret = Self::exec_function(&mut state, func, args, ctx, 0)?;
-        Ok((ret, state.globals.clone()))
+        Lowered::new(module).execute(self, func.0, args, ctx, |ret, globals, _| {
+            (ret, globals.to_vec())
+        })
     }
 
     /// Executes and also reports how many instructions ran (the fuel
@@ -298,159 +202,7 @@ impl Interpreter {
         args: &[f64],
         ctx: &mut Ctx<'_>,
     ) -> Result<(Option<f64>, u64), ExecError> {
-        let function = module.function(func);
-        if args.len() != function.num_params {
-            return Err(ExecError::ArityMismatch {
-                expected: function.num_params,
-                got: args.len(),
-            });
-        }
-        let mut state = ExecState::new(self, module);
-        let ret = Self::exec_function(&mut state, func, args, ctx, 0)?;
-        Ok((ret, self.fuel - state.fuel))
-    }
-
-    pub(crate) fn exec_function(
-        state: &mut ExecState<'_>,
-        func: FuncId,
-        args: &[f64],
-        ctx: &mut Ctx<'_>,
-        depth: usize,
-    ) -> Result<Option<f64>, ExecError> {
-        if depth > state.max_depth {
-            return Err(ExecError::CallDepthExceeded);
-        }
-        let function = state.module.function(func);
-        let mut regs = state.take_frame(function.num_regs);
-        let result = Self::exec_in_frame(
-            state,
-            func,
-            &mut regs,
-            args,
-            ctx,
-            depth,
-            function.entry(),
-            0,
-        );
-        state.put_frame(regs);
-        result
-    }
-
-    /// The interpreter core loop, entered at `(start_block, start_inst)`.
-    ///
-    /// Fresh executions enter at `(entry, 0)`; the lanewise kernel enters
-    /// mid-function to finish a lane that left the lockstep wave (a
-    /// divergent branch, an observer stop, an unsupported instruction) with
-    /// the lane's registers, globals and remaining fuel carried over — so
-    /// the continuation is bit-identical to having interpreted the lane
-    /// from scratch.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_in_frame(
-        state: &mut ExecState<'_>,
-        func: FuncId,
-        regs: &mut [f64],
-        args: &[f64],
-        ctx: &mut Ctx<'_>,
-        depth: usize,
-        start_block: BlockId,
-        start_inst: usize,
-    ) -> Result<Option<f64>, ExecError> {
-        let function = state.module.function(func);
-        let mut block = start_block;
-        let mut first = start_inst;
-        loop {
-            let b = function.block(block);
-            for inst in &b.insts[first.min(b.insts.len())..] {
-                state.tick()?;
-                if ctx.stopped() {
-                    return Ok(None);
-                }
-                match inst {
-                    Inst::Const { dst, value } => regs[dst.0] = *value,
-                    Inst::Copy { dst, src } => regs[dst.0] = regs[src.0],
-                    Inst::Param { dst, index } => regs[dst.0] = args[*index],
-                    Inst::Bin {
-                        dst,
-                        op,
-                        lhs,
-                        rhs,
-                        site,
-                    } => {
-                        let v = op.apply(regs[lhs.0], regs[rhs.0]);
-                        if let Some(s) = site {
-                            ctx.op(s.0, op.event_kind(), v);
-                        }
-                        regs[dst.0] = v;
-                    }
-                    Inst::Un { dst, op, arg, site } => {
-                        let v = op.apply(regs[arg.0]);
-                        if let Some(s) = site {
-                            ctx.op(s.0, op.event_kind(), v);
-                        }
-                        regs[dst.0] = v;
-                    }
-                    Inst::Cmp { dst, cmp, lhs, rhs } => {
-                        regs[dst.0] = if cmp.eval(regs[lhs.0], regs[rhs.0]) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                    }
-                    Inst::Select {
-                        dst,
-                        cond,
-                        if_true,
-                        if_false,
-                    } => {
-                        regs[dst.0] = if regs[cond.0] != 0.0 {
-                            regs[if_true.0]
-                        } else {
-                            regs[if_false.0]
-                        };
-                    }
-                    Inst::Call {
-                        dst,
-                        func,
-                        args: call_args,
-                    } => {
-                        let mut vals = state.take_frame(0);
-                        vals.extend(call_args.iter().map(|r| regs[r.0]));
-                        let ret = Self::exec_function(state, *func, &vals, ctx, depth + 1);
-                        state.put_frame(vals);
-                        regs[dst.0] = ret?.unwrap_or(f64::NAN);
-                        if ctx.stopped() {
-                            return Ok(None);
-                        }
-                    }
-                    Inst::LoadGlobal { dst, global } => regs[dst.0] = state.globals[global.0],
-                    Inst::StoreGlobal { global, src } => state.globals[global.0] = regs[src.0],
-                }
-            }
-            first = 0;
-            state.tick()?;
-            match &b.term {
-                Terminator::Jump(next) => block = *next,
-                Terminator::CondBr {
-                    site,
-                    lhs,
-                    cmp,
-                    rhs,
-                    then_bb,
-                    else_bb,
-                } => {
-                    let taken = if let Some(s) = site {
-                        ctx.branch(s.0, regs[lhs.0], *cmp, regs[rhs.0])
-                    } else {
-                        cmp.eval(regs[lhs.0], regs[rhs.0])
-                    };
-                    if ctx.stopped() {
-                        return Ok(None);
-                    }
-                    block = if taken { *then_bb } else { *else_bb };
-                }
-                Terminator::Return(val) => return Ok(val.map(|r| regs[r.0])),
-            }
-        }
+        Lowered::new(module).execute(self, func.0, args, ctx, |ret, _, used| (ret, used))
     }
 }
 
@@ -468,6 +220,8 @@ struct Derived {
     /// The static analysis (CFGs, liveness layouts, wave safety, interval
     /// reachability), computed on first need.
     statics: OnceLock<StaticInfo>,
+    /// The lowered module every execution runs, built on the first one.
+    lowered: OnceLock<Lowered>,
     /// What [`crate::opt::specialize`] returned for each spec.
     specializations: Mutex<HashMap<ObservationSpec, Arc<Specialization>>>,
 }
@@ -601,6 +355,14 @@ impl ModuleProgram {
             .get_or_init(|| StaticInfo::compute(&self.module, self.entry, &self.domain))
     }
 
+    /// The lowered module, built on the first execution and shared like
+    /// [`ModuleProgram::static_info`].
+    pub(crate) fn lowered(&self) -> &Lowered {
+        self.derived
+            .lowered
+            .get_or_init(|| Lowered::new(&self.module))
+    }
+
     /// Whether [`Analyzable::batch_executor`] hands out the lanewise kernel
     /// under [`KernelPolicy::Auto`]: the entry function must be *wave-safe*
     /// per [`crate::analysis::eligibility`] — non-recursive, with every
@@ -623,8 +385,13 @@ impl ModuleProgram {
         observer: &mut dyn fp_runtime::Observer,
     ) -> Result<(Option<f64>, Vec<f64>), ExecError> {
         let mut ctx = Ctx::new(observer);
-        self.interpreter
-            .execute_with_globals(&self.module, self.entry, input, &mut ctx)
+        self.lowered().execute(
+            &self.interpreter,
+            self.entry.0,
+            input,
+            &mut ctx,
+            |ret, globals, _| (ret, globals.to_vec()),
+        )
     }
 
     /// Executes the entry function on `input` under a silent observer and
@@ -633,10 +400,15 @@ impl ModuleProgram {
     pub fn instructions_executed(&self, input: &[f64]) -> Option<u64> {
         let mut observer = fp_runtime::NullObserver;
         let mut ctx = Ctx::new(&mut observer);
-        self.interpreter
-            .execute_counting(&self.module, self.entry, input, &mut ctx)
+        self.lowered()
+            .execute(
+                &self.interpreter,
+                self.entry.0,
+                input,
+                &mut ctx,
+                |_, _, used| used,
+            )
             .ok()
-            .map(|(_, n)| n)
     }
 
     /// Runs the optimizing pass pipeline ([`crate::opt::specialize`])
@@ -694,7 +466,7 @@ impl ModuleProgram {
 }
 
 /// The [`BatchExecutor`] of a program the lanewise kernel does not run:
-/// one [`Analyzable::run`] per input, on the thread's execution scratch.
+/// one [`Analyzable::run`] per input.
 struct InterpSession<'a>(&'a ModuleProgram);
 
 impl BatchExecutor for InterpSession<'_> {
@@ -747,8 +519,8 @@ impl Analyzable for ModuleProgram {
     }
 
     fn execute(&self, input: &[f64], ctx: &mut Ctx<'_>) -> Option<f64> {
-        self.interpreter
-            .execute(&self.module, self.entry, input, ctx)
+        self.lowered()
+            .execute(&self.interpreter, self.entry.0, input, ctx, |ret, _, _| ret)
             .ok()
             .flatten()
     }

@@ -44,10 +44,15 @@
 //! # Divergence and the scalar fallback
 //!
 //! Lanes leave the lockstep wave in three ways, all handled by resuming
-//! the lane on the scalar interpreter from its exact machine state —
-//! including the whole stack of suspended wave frames, which the resume
-//! unwinds frame by frame (registers, globals, remaining fuel, probe
-//! context all carried over):
+//! the lane from its exact machine state on the program's lowered core,
+//! the one every scalar execution runs (see [`crate::interp`]) — including
+//! the whole stack of suspended wave frames, which the resume unwinds frame
+//! by frame (registers, globals, remaining fuel, probe context all carried
+//! over). The lane's registers, arguments and globals are copied out of
+//! the SoA files into three buffers of the session's scratch, and one
+//! execution state carries the lane's fuel and globals across every
+//! unwound frame; a call the resumed code makes gets a frame of its own on
+//! the stack, as in any scalar execution:
 //!
 //! * a **divergent branch** — the wave follows the better-populated side
 //!   of a conditional branch; the other side's lanes finish scalar;
@@ -73,8 +78,9 @@
 //! [`Interpreter::execute`]: crate::Interpreter::execute
 
 use crate::analysis::FrameLayout;
-use crate::interp::{ExecState, Interpreter, ModuleProgram, CANCEL_POLL_INTERVAL};
-use crate::ir::{BlockId, FuncId, Inst, Module, Reg, Terminator};
+use crate::interp::{ModuleProgram, CANCEL_POLL_INTERVAL};
+use crate::ir::{BlockId, FuncId, Inst, Reg, Terminator};
+use crate::lower::Machine;
 use fp_runtime::{Analyzable, BatchExecutor, CancelToken, Ctx, Observer};
 use std::cell::Cell;
 
@@ -82,23 +88,6 @@ use std::cell::Cell;
 /// register file to `num_slots * WAVE_LANES` values while amortizing the
 /// per-instruction dispatch over enough lanes to make it disappear.
 pub const WAVE_LANES: usize = 256;
-
-/// Legacy conservative check: whether `entry` of `module` is call-free.
-///
-/// This used to be the eligibility test behind
-/// [`fp_runtime::KernelPolicy::Auto`]; the structural wave-safety pass of
-/// [`crate::analysis::eligibility`] (see
-/// [`ModuleProgram::kernel_eligible`]) has replaced it — calls to
-/// non-recursive, arity-correct callees now run in lockstep. A call-free
-/// entry is trivially wave-safe, so this remains a sound (if needlessly
-/// strict) approximation for callers that only have a bare [`Module`].
-pub fn supports_lanewise(module: &Module, entry: FuncId) -> bool {
-    module
-        .function(entry)
-        .blocks
-        .iter()
-        .all(|b| !b.insts.iter().any(|i| matches!(i, Inst::Call { .. })))
-}
 
 /// A suspended caller frame of the lockstep wave: everything needed to
 /// resume the caller when the callee returns (or to unwind the lane on the
@@ -139,9 +128,11 @@ struct KernelScratch {
     then_lanes: Vec<usize>,
     else_lanes: Vec<usize>,
     evicted: Vec<usize>,
-    /// One lane's registers and arguments, rebuilt for each scalar resume.
+    /// One lane's registers, arguments and globals, rebuilt for each
+    /// scalar resume.
     lane_regs: Vec<f64>,
     lane_args: Vec<f64>,
+    lane_globals: Vec<f64>,
 }
 
 thread_local! {
@@ -163,9 +154,8 @@ thread_local! {
 /// observer that runs a batch) starts from empty buffers, and whichever
 /// session drops last leaves its scratch behind. Lockstep calls reuse the
 /// files of returned callees. A thread keeps one such scratch, sized for at
-/// most [`WAVE_LANES`] lanes. Lanes resumed on the scalar interpreter and
-/// [`BatchExecutor::execute_one`] run on the thread's interpreter scratch
-/// (see [`crate::interp`]).
+/// most [`WAVE_LANES`] lanes. [`BatchExecutor::execute_one`] is one
+/// scalar execution (see [`crate::interp`]).
 pub struct KernelExecutor<'a> {
     program: &'a ModuleProgram,
     /// Whether the entry function is wave-safe
@@ -253,9 +243,9 @@ impl std::fmt::Debug for KernelExecutor<'_> {
 
 /// One shared fuel/cancellation tick for the whole lockstep wave; returns
 /// `true` when the wave must abort (out of fuel, or cancellation observed
-/// at the same poll points as the scalar interpreter's
-/// [`ExecState::tick`]). All lockstep lanes have consumed exactly the same
-/// fuel, so one counter stands in for all of them.
+/// at the same poll points as a scalar execution's tick). All lockstep
+/// lanes have consumed exactly the same fuel, so one counter stands in for
+/// all of them.
 fn wave_tick(fuel: &mut u64, cancel: &CancelToken) -> bool {
     if *fuel == 0 {
         return true;
@@ -264,13 +254,13 @@ fn wave_tick(fuel: &mut u64, cancel: &CancelToken) -> bool {
     fuel.is_multiple_of(CANCEL_POLL_INTERVAL) && cancel.is_cancelled()
 }
 
-/// Finishes one lane on the scalar interpreter from its exact wave state,
-/// unwinding the whole stack of suspended wave frames: the innermost frame
-/// resumes at `(block, inst)`, and each suspended caller receives the
+/// Finishes one lane on the program's lowered core from its exact wave
+/// state, unwinding the whole stack of suspended wave frames: the innermost
+/// frame resumes at `(block, inst)`, and each suspended caller receives the
 /// callee's return value in its destination register before resuming after
-/// its call — bit-identical to having interpreted the lane from scratch
-/// (same registers, globals, fuel and probe context). One [`ExecState`]
-/// carries the remaining fuel across every unwound frame.
+/// its call — bit-identical to having executed the lane from scratch (same
+/// registers, globals, fuel and probe context). One [`Machine`] carries the
+/// remaining fuel and the lane's globals across every unwound frame.
 #[allow(clippy::too_many_arguments)]
 fn resume_lane_stack(
     program: &ModuleProgram,
@@ -288,10 +278,12 @@ fn resume_lane_stack(
     inst: usize,
     lane_regs: &mut Vec<f64>,
     lane_args: &mut Vec<f64>,
+    lane_globals: &mut Vec<f64>,
 ) -> Option<f64> {
     let module = program.module();
-    let lane_globals = (0..module.globals.len()).map(|g| globals[g * lanes + lane]);
-    let mut state = ExecState::for_resume(program.interpreter(), module, fuel, lane_globals);
+    lane_globals.clear();
+    lane_globals.extend((0..module.globals.len()).map(|g| globals[g * lanes + lane]));
+    let mut machine = Machine::new(program.lowered(), program.interpreter(), lane_globals, fuel);
 
     // Materialize one lane of an SoA frame as the full scalar register
     // file: slot-sharing is invisible here because a dead register's stale
@@ -323,14 +315,13 @@ fn resume_lane_stack(
         lane_regs,
     );
     extract_args(args, function.num_params, lanes, lane, lane_args);
-    let mut val = Interpreter::exec_in_frame(
-        &mut state,
-        cur_func,
+    let mut val = machine.resume(
+        cur_func.0,
         lane_regs,
         lane_args,
         ctx,
         frames.len(),
-        block,
+        block.0,
         inst,
     );
     for (depth, frame) in frames.iter().enumerate().rev() {
@@ -349,20 +340,19 @@ fn resume_lane_stack(
         );
         lane_regs[frame.ret_dst.0] = ret;
         if ctx.stopped() {
-            // The scalar cascade returns `None` from every suspended caller
+            // A scalar execution returns `None` from every suspended caller
             // once the observer has stopped; nothing further is observable.
             val = Ok(None);
             break;
         }
         extract_args(&frame.args, function.num_params, lanes, lane, lane_args);
-        val = Interpreter::exec_in_frame(
-            &mut state,
-            frame.func,
+        val = machine.resume(
+            frame.func.0,
             lane_regs,
             lane_args,
             ctx,
             depth,
-            frame.block,
+            frame.block.0,
             frame.inst + 1,
         );
     }
@@ -397,6 +387,7 @@ fn run_wave(
         evicted,
         lane_regs,
         lane_args,
+        lane_globals,
     } = scratch;
 
     let mut cur_func = program.entry();
@@ -466,6 +457,7 @@ fn run_wave(
                 $resume_inst,
                 lane_regs,
                 lane_args,
+                lane_globals,
             );
         }};
     }
@@ -615,9 +607,9 @@ fn run_wave(
                     func: callee,
                     args: call_args,
                 } => {
-                    // Lockstep call: the scalar interpreter's exec_function
-                    // rejects depth `frames.len() + 1` past the limit — all
-                    // lanes fail identically, with the call already charged.
+                    // Lockstep call: a scalar execution rejects depth
+                    // `frames.len() + 1` past the limit — all lanes fail
+                    // identically, with the call already charged.
                     if frames.len() + 1 > interpreter.max_call_depth {
                         for &lane in active.iter() {
                             results[lane] = None;
@@ -770,6 +762,7 @@ fn run_wave(
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
+    use crate::interp::Interpreter;
     use crate::ir::{BinOp, UnOp};
     use fp_runtime::{
         Analyzable, BranchEvent, Cmp, KernelPolicy, NullObserver, OpEvent, ProbeControl,

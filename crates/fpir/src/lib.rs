@@ -50,6 +50,7 @@ pub mod instrument;
 pub mod interp;
 pub mod ir;
 pub mod kernel;
+mod lower;
 pub mod opt;
 pub mod programs;
 pub mod validate;
@@ -60,6 +61,6 @@ pub use interp::{ExecError, Interpreter, ModuleProgram};
 pub use ir::{
     BinOp, Block, BlockId, FuncId, Function, GlobalId, Inst, Module, Reg, Terminator, UnOp,
 };
-pub use kernel::{supports_lanewise, KernelExecutor};
+pub use kernel::KernelExecutor;
 pub use opt::{specialize, OptStats, SpecializeError};
 pub use validate::{validate, ValidationError};

@@ -53,6 +53,7 @@ pub mod sccp;
 
 use crate::interp::Interpreter;
 use crate::ir::{FuncId, Inst, Module, Terminator};
+use crate::lower::Lowered;
 use crate::validate::{self, ValidationError};
 use fp_runtime::{
     BranchEvent, Cmp, Ctx, FpOp, Interval, ObservationSpec, Observer, OpEvent, ProbeControl,
@@ -328,11 +329,11 @@ fn sample_points(domain: &[Interval]) -> Vec<Vec<f64>> {
 }
 
 /// One side of the differential check: the observed event stream, the
-/// return value and the final globals of executing `module` on `input` —
-/// or `None` if execution errored (fuel, depth), in which case validation
-/// conservatively fails.
+/// return value and the final globals of executing the lowered `module` on
+/// `input` — or `None` if execution errored (fuel, depth), in which case
+/// validation conservatively fails.
 fn observed_run(
-    module: &Module,
+    module: &Lowered,
     entry: FuncId,
     input: &[f64],
     spec: &ObservationSpec,
@@ -342,14 +343,21 @@ fn observed_run(
         events: Vec::new(),
     };
     let mut ctx = Ctx::new(&mut rec);
-    let (ret, globals) = Interpreter::default()
-        .execute_with_globals(module, entry, input, &mut ctx)
+    let (ret, globals) = module
+        .execute(
+            &Interpreter::default(),
+            entry.0,
+            input,
+            &mut ctx,
+            |ret, globals, _| {
+                (
+                    ret.map(f64::to_bits),
+                    globals.iter().map(|g| g.to_bits()).collect(),
+                )
+            },
+        )
         .ok()?;
-    Some((
-        rec.events,
-        ret.map(f64::to_bits),
-        globals.iter().map(|g| g.to_bits()).collect(),
-    ))
+    Some((rec.events, ret, globals))
 }
 
 /// The differential half of the translation validator: executes original
@@ -371,9 +379,10 @@ fn differential_check(
 ) -> Result<(), SpecializeError> {
     let points = sample_points(domain);
     stats.validation_points = points.len();
+    let (original, optimized) = (Lowered::new(original), Lowered::new(optimized));
     for (i, x) in points.iter().enumerate() {
-        let a = observed_run(original, entry, x, spec);
-        let b = observed_run(optimized, entry, x, spec);
+        let a = observed_run(&original, entry, x, spec);
+        let b = observed_run(&optimized, entry, x, spec);
         let (a, b) = match (a, b) {
             (Some(a), Some(b)) => (a, b),
             _ => {

@@ -237,11 +237,9 @@ pub trait Analyzable: Send + Sync {
     /// Each execution still gets its own observer (weak distances fold
     /// per-run state in the observer), but an implementation can hoist
     /// everything input-independent out of the per-run path: the default
-    /// executor simply loops [`Analyzable::run`], while the `fpir`
-    /// interpreter reuses its register frames and global-variable buffers
-    /// across the whole batch — and, under [`KernelPolicy::Auto`] or
-    /// [`KernelPolicy::Always`], specializes eligible modules into a
-    /// lane-parallel SoA kernel. Results are bit-identical to calling
+    /// executor simply loops [`Analyzable::run`], while `fpir`, under
+    /// [`KernelPolicy::Auto`] or [`KernelPolicy::Always`], specializes
+    /// eligible modules into a lane-parallel SoA kernel. Results are bit-identical to calling
     /// [`Analyzable::run`] once per input regardless of the policy.
     fn batch_executor(&self, policy: KernelPolicy) -> Box<dyn BatchExecutor + '_> {
         let _ = policy; // only programs with a kernel backend consult it

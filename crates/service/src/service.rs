@@ -38,8 +38,18 @@
 //! (atomically: temp file + rename) and on completion; re-submitting the
 //! same job after a restart resumes from the file and replays to the
 //! identical final outcome.
+//!
+//! # Failed turns
+//!
+//! A turn runs under `catch_unwind`. If the weak distance panics, the job
+//! ends with a failed outcome ([`JobOutcome::failure`] holds the panic
+//! message, and its run is the job's state after its last full turn), an
+//! [`EventKind::Failed`] event goes out, nothing is written to disk (the
+//! file keeps the last full turn) and the worker goes on with other work.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -47,9 +57,11 @@ use std::thread::JoinHandle;
 
 use serde::Value;
 use wdm_core::adaptive::AdaptivePortfolio;
+use wdm_core::adaptive::PortfolioEntry;
 use wdm_core::checkpoint::AdaptiveCheckpoint;
+use wdm_core::driver::{MinimizationRun, Outcome};
 use wdm_core::{AnalysisConfig, BackendKind, PortfolioRun, WeakDistance};
-use wdm_mo::CancelToken;
+use wdm_mo::{CancelToken, MinimizeResult, SamplingTrace, Termination};
 
 const LOCK: &str = "service state lock";
 
@@ -76,7 +88,8 @@ pub struct JobSpec {
     pub wd: Arc<dyn WeakDistance>,
     /// The analysis configuration (seed, rounds, budget, ...).
     pub config: AnalysisConfig,
-    /// The backend portfolio, in arm order.
+    /// The backend portfolio, in arm order. Must not be empty
+    /// ([`ServiceHandle::submit`] panics on an empty list).
     pub backends: Vec<BackendKind>,
     /// Fair-share weight: rounds granted per turn relative to a
     /// weight-1 job. Clamped to at least 1.
@@ -95,7 +108,8 @@ impl JobSpec {
         }
     }
 
-    /// Restricts the backend portfolio.
+    /// Restricts the backend portfolio to `backends`, which must not be
+    /// empty.
     pub fn with_backends(mut self, backends: &[BackendKind]) -> Self {
         self.backends = backends.to_vec();
         self
@@ -197,6 +211,11 @@ pub enum EventKind {
     },
     /// The job was cancelled before finding a zero.
     Cancelled,
+    /// A turn panicked, which ended the job (see [`JobOutcome::failure`]).
+    Failed {
+        /// The panic message.
+        reason: String,
+    },
 }
 
 /// One progress event: which job, what happened.
@@ -216,7 +235,11 @@ pub struct JobOutcome {
     /// The job's name.
     pub name: String,
     /// The full portfolio run: winner index plus every arm's outcome.
+    /// For a failed job, the run as of its last full turn.
     pub run: PortfolioRun,
+    /// Why the job failed: the message of the panic that ended its last
+    /// turn. `None` for a job that finished or was cancelled.
+    pub failure: Option<String>,
 }
 
 /// The error returned for operations on a service that is shutting
@@ -305,7 +328,17 @@ impl ServiceHandle {
     /// Admits an analysis job and returns its id. If a checkpoint
     /// directory is configured and holds a snapshot for this id with a
     /// matching name, the job resumes from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.backends` is empty: a portfolio needs an arm. The
+    /// service is unaffected.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServiceClosed> {
+        assert!(
+            !spec.backends.is_empty(),
+            "job `{}` has an empty backend list",
+            spec.name
+        );
         let mut state = self.inner.lock();
         if state.shutdown {
             return Err(ServiceClosed);
@@ -575,7 +608,7 @@ fn run_turn(inner: &ServiceInner, index: usize) {
             job.turns,
         )
     };
-    let mut portfolio = match &checkpoint {
+    let resume = || match &checkpoint {
         // A checkpoint that fails validation (foreign or corrupt disk
         // state) falls back to a fresh start rather than wedging the
         // job.
@@ -583,55 +616,119 @@ fn run_turn(inner: &ServiceInner, index: usize) {
             .unwrap_or_else(|| AdaptivePortfolio::new(&*wd, &config, &backends, &cancel)),
         None => AdaptivePortfolio::new(&*wd, &config, &backends, &cancel),
     };
-
-    let rounds = inner.config.rounds_per_turn.max(1).saturating_mul(weight);
-    let mut live = true;
-    for _ in 0..rounds {
-        if !portfolio.round(1) {
-            live = false;
-            break;
+    let played = catch_unwind(AssertUnwindSafe(|| {
+        let mut portfolio = resume();
+        let rounds = inner.config.rounds_per_turn.max(1).saturating_mul(weight);
+        let mut live = true;
+        for _ in 0..rounds {
+            if !portfolio.round(1) {
+                live = false;
+                break;
+            }
         }
-    }
-    // A cancel that lands mid-turn cuts the running round short, and
-    // `round` still reports it as run. Such a turn is not progress: the
-    // job ends as cancelled, and the disk keeps the last full turn.
-    live &= !cancel.is_cancelled();
+        // A cancel that lands mid-turn cuts the running round short, and
+        // `round` still reports it as run. Such a turn is not progress: the
+        // job ends as cancelled, and the disk keeps the last full turn.
+        live &= !cancel.is_cancelled();
 
-    if live {
-        let snapshot = portfolio.checkpoint();
-        let residual = portfolio.best_value();
-        let evals = portfolio.evals_spent();
-        let leader = portfolio.leader();
-        drop(portfolio);
-        let durable = persist_checkpoint(inner, index, &name, turn, false, &snapshot);
-        let mut state = inner.lock();
-        state.jobs[index].checkpoint = Some(snapshot);
-        inner.emit(
-            &mut state,
-            ProgressEvent {
-                job: JobId(index),
-                name: name.clone(),
-                kind: EventKind::Progress {
-                    residual,
-                    evals,
-                    leader,
-                    turn,
-                },
-            },
-        );
-        if durable {
+        if live {
+            let snapshot = portfolio.checkpoint();
+            let residual = portfolio.best_value();
+            let evals = portfolio.evals_spent();
+            let leader = portfolio.leader();
+            drop(portfolio);
+            let durable = persist_checkpoint(inner, index, &name, turn, false, &snapshot);
+            let mut state = inner.lock();
+            state.jobs[index].checkpoint = Some(snapshot);
             inner.emit(
                 &mut state,
                 ProgressEvent {
                     job: JobId(index),
-                    name,
-                    kind: EventKind::Checkpointed { turn },
+                    name: name.clone(),
+                    kind: EventKind::Progress {
+                        residual,
+                        evals,
+                        leader,
+                        turn,
+                    },
                 },
             );
+            if durable {
+                inner.emit(
+                    &mut state,
+                    ProgressEvent {
+                        job: JobId(index),
+                        name: name.clone(),
+                        kind: EventKind::Checkpointed { turn },
+                    },
+                );
+            }
+        } else {
+            finish_job(inner, index, &name, turn, portfolio, &cancel);
         }
-    } else {
-        finish_job(inner, index, &name, turn, portfolio, &cancel);
+    }));
+    if let Err(panic) = played {
+        // The run as of the last full turn; rebuilding it evaluates
+        // nothing, but it calls the weak distance's `domain`, which may
+        // panic too.
+        let run = catch_unwind(AssertUnwindSafe(|| resume().into_run()))
+            .unwrap_or_else(|_| unplayed_run(&backends));
+        fail_job(inner, index, &name, run, panic_message(panic.as_ref()));
     }
+}
+
+/// The message a panic carried, if it was a string.
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "the turn panicked".to_string())
+}
+
+/// A run in which no arm evaluated anything.
+fn unplayed_run(backends: &[BackendKind]) -> PortfolioRun {
+    let unplayed = MinimizationRun {
+        outcome: Outcome::NotFound {
+            best_value: f64::INFINITY,
+            best_input: Vec::new(),
+            evals: 0,
+        },
+        best: MinimizeResult::new(Vec::new(), f64::INFINITY, 0, Termination::Cancelled),
+        trace: SamplingTrace::with_stride(1),
+    };
+    PortfolioRun {
+        winner: 0,
+        entries: backends
+            .iter()
+            .map(|&backend| PortfolioEntry {
+                backend,
+                run: unplayed.clone(),
+            })
+            .collect(),
+    }
+}
+
+/// Terminal path of a turn that panicked: store the failed outcome, notify
+/// waiters and subscribers. Nothing is persisted, so the disk keeps the
+/// last full turn.
+fn fail_job(inner: &ServiceInner, index: usize, name: &str, run: PortfolioRun, reason: String) {
+    let mut state = inner.lock();
+    state.jobs[index].outcome = Some(JobOutcome {
+        name: name.to_string(),
+        run,
+        failure: Some(reason.clone()),
+    });
+    inner.emit(
+        &mut state,
+        ProgressEvent {
+            job: JobId(index),
+            name: name.to_string(),
+            kind: EventKind::Failed { reason },
+        },
+    );
+    drop(state);
+    inner.done.notify_all();
 }
 
 /// Terminal path: finalize, persist the terminal state for durability,
@@ -662,6 +759,7 @@ fn finish_job(
     let outcome = JobOutcome {
         name: name.to_string(),
         run,
+        failure: None,
     };
     let winner = outcome.run.winning_backend();
     let evals = outcome.run.outcome().evals();

@@ -177,6 +177,9 @@ pub fn outcome_json(id: JobId, outcome: &JobOutcome) -> Value {
             fields.push(("evals", Value::UInt(*evals as u64)));
         }
     }
+    if let Some(reason) = &outcome.failure {
+        fields.push(("failed", Value::Str(reason.clone())));
+    }
     obj(fields)
 }
 
@@ -240,6 +243,10 @@ pub fn event_json(event: &ProgressEvent) -> Value {
         }
         EventKind::Cancelled => {
             fields.push(("event", Value::Str("cancelled".into())));
+        }
+        EventKind::Failed { reason } => {
+            fields.push(("event", Value::Str("failed".into())));
+            fields.push(("reason", Value::Str(reason.clone())));
         }
     }
     obj(fields)

@@ -8,8 +8,10 @@
 //!
 //! A counting global allocator tallies allocations per thread, so the test
 //! threads the harness runs in parallel do not see each other's traffic.
-//! The `fpir` interpreter and kernel keep their buffers per thread, so the
-//! first evaluation on a thread allocates them: measure after a warm-up.
+//! The `fpir` kernel keeps its buffers per thread, so the first batch on a
+//! thread allocates them: measure after a warm-up. A scalar `fpir`
+//! execution keeps its frames on the stack, so once a program's lowering
+//! is cached, even its first evaluation on a new thread allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,13 +24,16 @@ use wdm::core::path::PathWeakDistance;
 use wdm::core::weak_distance::{FnWeakDistance, WeakDistance, WeakDistanceObjective};
 use wdm::gsl::bessel::BesselKnuScaled;
 use wdm::gsl::glibc_sin::GlibcSin;
-use wdm::ir::{instrument, programs, Module, ModuleProgram};
+use wdm::ir::{
+    instrument, programs, BinOp, ExecError, FuncId, Interpreter, Module, ModuleBuilder,
+    ModuleProgram,
+};
 use wdm::mo::evaluator::Evaluator;
 use wdm::mo::{
     BasinHopping, Bounds, DifferentialEvolution, FnObjective, GlobalMinimizer, LocalMinimizer,
     MultiStart, NelderMead, NoTrace, Problem, RandomSearch, Termination, UlpSearch,
 };
-use wdm::runtime::{BranchId, Interval, OpId};
+use wdm::runtime::{Analyzable, BranchId, Ctx, Interval, NullObserver, OpId};
 use wdm::xsat::{Atom, Clause, Cnf, CnfWeakDistance, Expr};
 
 thread_local! {
@@ -203,7 +208,76 @@ fn fpir_evaluations_do_not_allocate() {
     ];
     for (name, wd) in &cases {
         assert_eval_allocation_free(name, wd.as_ref(), &points(1));
+        // The program's lowering is cached now: a thread that has run
+        // nothing evaluates without allocating, from its first evaluation.
+        let xs = points(1);
+        let (_, allocated) = std::thread::scope(|s| {
+            s.spawn(|| {
+                allocations(|| {
+                    for x in &xs {
+                        wd.eval(x);
+                    }
+                })
+            })
+            .join()
+            .expect("evaluation thread")
+        });
+        assert_eq!(
+            allocated, 0,
+            "{name}: the first evaluations on a new thread allocated {allocated} times"
+        );
     }
+}
+
+/// `rec(x)` recurses unconditionally through 64 registers (the widest frame
+/// kept on the stack), with a sited op and a global update at every level.
+fn bottomless_recursion() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let w = mb.global("w", 0.0);
+    let mut f = mb.function("rec", 1);
+    let x = f.param(0);
+    let one = f.constant(1.0);
+    let mut acc = f.bin(BinOp::Add, x, one, Some(0));
+    for _ in 0..58 {
+        acc = f.bin(BinOp::Mul, acc, one, None);
+    }
+    let wv = f.load_global(w);
+    let sum = f.bin(BinOp::Add, wv, acc, None);
+    f.store_global(w, sum);
+    let r = f.call(FuncId(0), vec![acc]);
+    f.ret(Some(r));
+    f.finish();
+    mb.build()
+}
+
+/// A call level holds at most one 64-register frame plus the core loop's
+/// own, so the default call-depth limit stops this recursion long before it
+/// overflows a 256 KiB stack (an overflow aborts the whole test binary).
+#[test]
+fn recursion_to_the_call_depth_limit_fits_a_small_stack() {
+    let module = bottomless_recursion();
+    let entry = module.function_by_name("rec").expect("entry exists");
+    let regs = module.function(entry).num_regs;
+    assert_eq!(regs, 64);
+    let program = ModuleProgram::new(module.clone(), "rec").expect("entry exists");
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn_scoped(s, || {
+                let interpreter = Interpreter::default();
+                assert_eq!(interpreter.max_call_depth, 64);
+                let mut observer = NullObserver;
+                let mut ctx = Ctx::new(&mut observer);
+                assert_eq!(
+                    interpreter.execute(&module, entry, &[1.0], &mut ctx),
+                    Err(ExecError::CallDepthExceeded)
+                );
+                assert_eq!(program.run(&[1.0], &mut NullObserver), None);
+            })
+            .expect("spawn a 256 KiB thread")
+            .join()
+            .expect("recursion thread");
+    });
 }
 
 #[test]

@@ -31,6 +31,7 @@ use wdm::core::driver::{AnalysisConfig, BackendKind};
 use wdm::core::weak_distance::FnWeakDistance;
 use wdm::core::{PortfolioRun, WeakDistance};
 use wdm::runtime::Interval;
+use wdm::service::wire::{event_json, outcome_json};
 use wdm::service::{
     AnalysisService, EventKind, JobId, JobSpec, ProgressEvent, ServiceConfig, ServiceHandle,
 };
@@ -429,6 +430,113 @@ fn a_cancel_that_lands_mid_turn_keeps_the_last_full_turn_on_disk() {
         service.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A weak distance whose search box cannot be built: the portfolio panics
+/// before it evaluates anything, and so does the failed outcome's rebuild.
+struct NoDomain;
+
+impl WeakDistance for NoDomain {
+    fn dim(&self) -> usize {
+        1
+    }
+
+    fn domain(&self) -> Vec<Interval> {
+        panic!("no search box")
+    }
+
+    fn eval(&self, x: &[f64]) -> f64 {
+        x[0].abs()
+    }
+}
+
+/// Regression: a weak distance that panicked killed the worker running its
+/// turn and left the job running with no outcome, so `wait` on it and the
+/// service's shutdown blocked forever.
+#[test]
+fn a_panicking_weak_distance_fails_its_job_and_spares_the_others() {
+    const PANIC_EVAL: usize = 1_500;
+    let evals = AtomicUsize::new(0);
+    let broken: Arc<dyn WeakDistance> = Arc::new(FnWeakDistance::new(
+        1,
+        vec![Interval::symmetric(100.0)],
+        move |x: &[f64]| {
+            if evals.fetch_add(1, Ordering::Relaxed) + 1 == PANIC_EVAL {
+                panic!("the weak distance broke at evaluation {PANIC_EVAL}");
+            }
+            x[0].abs() + 0.5
+        },
+    ));
+    let solo = minimize_weak_distance_adaptive(&*tenant(1), &tenant_config(1), &BackendKind::all());
+    let service = AnalysisService::start(ServiceConfig::new(2).with_rounds_per_turn(1));
+    let handle = service.handle();
+    let events = handle.subscribe();
+    let broken = handle
+        .submit(JobSpec::new("broken", broken, tenant_config(0)))
+        .expect("service accepts submissions");
+    let healthy = handle
+        .submit(JobSpec::new("healthy", tenant(1), tenant_config(1)))
+        .expect("service accepts submissions");
+    let boxless = handle
+        .submit(JobSpec::new(
+            "boxless",
+            Arc::new(NoDomain),
+            tenant_config(2),
+        ))
+        .expect("service accepts submissions");
+
+    let failed = handle.wait(broken);
+    let reason = failed.failure.clone().expect("the broken job failed");
+    assert!(reason.contains("broke at evaluation 1500"), "{reason}");
+    assert!(!failed.run.outcome().is_found());
+    let rendered = serde_json::to_string(&outcome_json(broken, &failed)).expect("render");
+    assert!(rendered.contains("\"failed\""), "{rendered}");
+    let unbuilt = handle.wait(boxless);
+    assert_eq!(unbuilt.failure.as_deref(), Some("no search box"));
+    assert_eq!(unbuilt.run.outcome().evals(), 0);
+    let finished = handle.wait(healthy);
+    assert!(finished.failure.is_none());
+    assert_portfolios_identical(&finished.run, &solo, "beside a failed job");
+    // The stream carries the failure as the broken job's terminal event.
+    loop {
+        let event = events.recv_timeout(EVENT_TIMEOUT).expect("failure event");
+        if event.job != broken {
+            continue;
+        }
+        match &event.kind {
+            EventKind::Failed { reason: streamed } => {
+                assert_eq!(*streamed, reason);
+                let line = serde_json::to_string(&event_json(&event)).expect("render");
+                assert!(line.contains("\"failed\""), "{line}");
+                break;
+            }
+            EventKind::Finished { .. } | EventKind::Cancelled => {
+                panic!("the broken job ended as {:?}", event.kind)
+            }
+            _ => {}
+        }
+    }
+    service.shutdown();
+}
+
+/// An empty backend list is refused at `submit`, before the job exists:
+/// a job admitted with one would fail every turn and leave an outcome with
+/// no arm to read.
+#[test]
+fn an_empty_backend_list_is_refused_at_submit() {
+    let service = AnalysisService::start(ServiceConfig::new(1));
+    let handle = service.handle();
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle.submit(JobSpec::new("armless", tenant(0), tenant_config(0)).with_backends(&[]))
+    }));
+    assert!(refused.is_err());
+    let solo = minimize_weak_distance_adaptive(&*tenant(1), &tenant_config(1), &BackendKind::all());
+    let id = handle
+        .submit(JobSpec::new("after", tenant(1), tenant_config(1)))
+        .expect("service accepts submissions");
+    assert_eq!(id, JobId(0), "the refused job took no id");
+    assert_portfolios_identical(&handle.wait(id).run, &solo, "after a refused job");
+    service.shutdown();
 }
 
 #[test]
